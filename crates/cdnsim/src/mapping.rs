@@ -10,7 +10,7 @@ use dnswire::name::DnsName;
 use dnswire::rdata::{RData, RecordType};
 use netsim::engine::ServiceCtx;
 use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -37,9 +37,18 @@ impl MappingZone {
 
     /// The stable edge host name for a queried name (what the CNAME points
     /// at — `e<hash>.edge.cdn-a.example`).
+    ///
+    /// The label is in every CNAME answer, so what feeds its hash is part of
+    /// the replay contract and is spelled out here, not left to whatever
+    /// `DnsName`'s `Hash` happens to write: the label count, then each label
+    /// behind its length — the stream the recorded replies were made with.
     fn edge_name(&self, qname: &DnsName) -> DnsName {
         let mut h = DefaultHasher::new();
-        qname.hash(&mut h);
+        h.write_usize(qname.label_count());
+        for label in qname.labels() {
+            h.write_usize(label.len());
+            h.write(label);
+        }
         let label = format!("e{:08x}", h.finish() as u32);
         // detlint: allow(D9) -- the label is a fixed 9-byte lowercase-hex
         // literal, always a legal DNS label under any suffix short enough
@@ -119,6 +128,20 @@ mod tests {
             .collect();
         let cdn = Arc::new(Cdn::new(CdnConfig::new("cdn-a"), replicas));
         MappingZone::new(n("buzzfeed.com"), n("edge.cdn-a.example"), cdn)
+    }
+
+    #[test]
+    fn edge_labels_are_pinned() {
+        // Read off replies recorded before `DnsName` went flat (quick world,
+        // seed 2014); a changed label changes every CDN answer on the wire.
+        let z = zone();
+        for (qname, edge) in [
+            ("m.facebook.com", "e1b6b5b0f.edge.cdn-a.example"),
+            ("www.buzzfeed.com", "e5f56e9d0.edge.cdn-a.example"),
+            ("M.Yelp.COM", "ee8d43786.edge.cdn-a.example"),
+        ] {
+            assert_eq!(z.edge_name(&n(qname)), n(edge));
+        }
     }
 
     fn answer(z: &mut MappingZone, qname: &str, qtype: RecordType, from: Ipv4Addr) -> ZoneAnswer {

@@ -35,6 +35,15 @@ pub struct BuiltHierarchy {
     pub tlds: Vec<(String, Ipv4Addr, Zone)>,
 }
 
+/// The rightmost label of `name` — its key in the TLD table. Empty for the
+/// root, which no table holds, so the callers' registration checks reject it.
+fn tld_label(name: &DnsName) -> String {
+    name.labels()
+        .last()
+        .map(|l| String::from_utf8_lossy(l).into_owned())
+        .unwrap_or_default()
+}
+
 impl HierarchyBuilder {
     /// An empty hierarchy.
     pub fn new() -> Self {
@@ -53,13 +62,7 @@ impl HierarchyBuilder {
         // detlint: allow(D4) -- builder over the static zone catalog; an
         // invalid name must abort topology construction, not limp on
         let name = DnsName::parse(domain).expect("valid domain");
-        let tld = name
-            .labels()
-            .last()
-            .map(|l| String::from_utf8_lossy(l).into_owned())
-            // detlint: allow(D4) -- DnsName::parse produces at least one label
-            // for a non-root name accepted above
-            .expect("domain has a TLD");
+        let tld = tld_label(&name);
         assert!(
             self.tlds.contains_key(&tld),
             "TLD {tld} not registered before domain {domain}"
@@ -85,13 +88,7 @@ impl HierarchyBuilder {
             // detlint: allow(D4) -- builder over the static zone catalog; an
             // invalid name must abort topology construction, not limp on
             let name = DnsName::parse(domain).expect("valid domain");
-            let tld = name
-                .labels()
-                .last()
-                .map(|l| String::from_utf8_lossy(l).into_owned())
-                // detlint: allow(D4) -- DnsName::parse produces at least one
-                // label for a non-root name accepted above
-                .expect("tld");
+            let tld = tld_label(&name);
             // detlint: allow(D4) -- add_domain asserted the TLD was
             // registered, so its zone exists
             let zone = tld_zones.get_mut(&tld).expect("tld zone exists");

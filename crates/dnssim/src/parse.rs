@@ -41,16 +41,10 @@ fn resolve_name(token: &str, origin: &DnsName, line: usize) -> Result<DnsName, P
     if let Some(absolute) = token.strip_suffix('.') {
         return DnsName::parse(absolute).map_err(|e| err(line, format!("bad name: {e}")));
     }
-    // Relative: prepend each label onto the origin.
-    let rel = DnsName::parse(token).map_err(|e| err(line, format!("bad name: {e}")))?;
-    let mut name = origin.clone();
-    for label in rel.labels().iter().rev() {
-        let label_str = String::from_utf8_lossy(label).into_owned();
-        name = name
-            .child(&label_str)
-            .map_err(|e| err(line, format!("bad name: {e}")))?;
-    }
-    Ok(name)
+    // Relative: the token's labels followed by the origin's.
+    DnsName::parse(token)
+        .and_then(|rel| rel.join(origin))
+        .map_err(|e| err(line, format!("bad name: {e}")))
 }
 
 /// Parses presentation-format zone text into a [`Zone`].

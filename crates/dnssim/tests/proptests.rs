@@ -11,12 +11,13 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 fn arb_label() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[a-z0-9][a-z0-9-]{0,12}").unwrap()
+    proptest::string::string_regex("[a-z0-9][a-z0-9-]{0,12}").expect("literal regex")
 }
 
 fn arb_name() -> impl Strategy<Value = DnsName> {
-    proptest::collection::vec(arb_label(), 1..4)
-        .prop_map(|ls| DnsName::from_labels(ls.iter().map(|l| l.as_bytes())).unwrap())
+    proptest::collection::vec(arb_label(), 1..4).prop_map(|ls| {
+        DnsName::from_labels(ls.iter().map(|l| l.as_bytes())).expect("labels match the LDH regex")
+    })
 }
 
 proptest! {

@@ -23,7 +23,7 @@ fn ip(a: u8, b: u8, c: u8, d: u8) -> Ipv4Addr {
 }
 
 fn n(s: &str) -> DnsName {
-    DnsName::parse(s).unwrap()
+    DnsName::parse(s).expect("test names are valid")
 }
 
 struct World {

@@ -8,12 +8,12 @@
 //! reproduction: the measurement library issues real DNS messages end-to-end
 //! through the simulated network, so we need a complete, robust codec:
 //!
-//! * [`name::DnsName`] — validated domain names with case-insensitive
-//!   comparison semantics.
-//! * [`nameref::NameRef`] — the zero-copy decode-side counterpart: a
-//!   borrowed, validated view of a wire name that parses and compares
-//!   straight out of the message buffer, converting to an owned
-//!   [`name::DnsName`] only at cache/record boundaries.
+//! * [`name::DnsName`] — validated, owned domain names: one allocation
+//!   holding the lowercased wire form.
+//! * [`nameref::NameRef`] — a borrowed view of a wire name in any buffer (a
+//!   received message, possibly compressed, or a `DnsName`'s own bytes),
+//!   and the single home of the label walk, name order, `is_under` and
+//!   `Display`; `DnsName` delegates to it.
 //!   [`message::MessageView`] builds on it for allocation-free header and
 //!   first-question peeks on receive hot paths.
 //! * [`message::Message`] — full message encode/decode including name

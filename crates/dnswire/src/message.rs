@@ -4,13 +4,12 @@ use crate::error::WireError;
 use crate::name::DnsName;
 use crate::nameref::NameRef;
 use crate::rdata::{RData, RecordClass, RecordType};
-use std::collections::HashMap;
 
 /// Maximum encoded message size (16-bit length framing).
 pub const MAX_MESSAGE_LEN: usize = 65_535;
 
 /// Largest offset a 14-bit compression pointer can reference.
-const MAX_POINTER_TARGET: usize = 0x3FFF;
+const MAX_POINTER_TARGET: u16 = 0x3FFF;
 
 /// Query/response operation codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -287,10 +286,9 @@ impl Message {
             ],
             &mut out,
         );
-        let mut offsets = HashMap::new();
+        let mut enc = NameEncoder::new(out);
         for q in &self.questions {
-            let mut enc = NameEncoder::new(&mut out, &mut offsets);
-            enc.put_name(&q.qname)?;
+            enc.put_name(&q.qname);
             enc.put_u16(q.qtype.code());
             enc.put_u16(q.qclass.code());
         }
@@ -300,8 +298,7 @@ impl Message {
             .chain(&self.authorities)
             .chain(&self.additionals)
         {
-            let mut enc = NameEncoder::new(&mut out, &mut offsets);
-            enc.put_name(&rr.name)?;
+            enc.put_name(&rr.name);
             enc.put_u16(rr.rdata.record_type().code());
             enc.put_u16(rr.class.code());
             enc.put_u32(rr.ttl);
@@ -315,6 +312,7 @@ impl Message {
             }
             enc.patch_u16(len_pos, rdlen as u16);
         }
+        let out = enc.finish();
         if out.len() > MAX_MESSAGE_LEN {
             return Err(WireError::MessageTooLong(out.len()));
         }
@@ -458,7 +456,7 @@ impl<'a> Cursor<'a> {
     ///
     /// Decoding is zero-copy until the final conversion: the borrowed
     /// [`NameRef`] validates structure and alphabet in place, and
-    /// [`NameRef::to_name`] then allocates exactly once per label.
+    /// [`NameRef::to_name`] then copies it out in one allocation.
     // detlint: hot
     pub(crate) fn read_name(&mut self) -> Result<DnsName, WireError> {
         let (name, consumed) = NameRef::parse(self.buf, self.pos)?;
@@ -597,16 +595,26 @@ impl Precheck {
 
 /// Append-only writer that performs name compression against all names
 /// already emitted into the message buffer.
-pub(crate) struct NameEncoder<'a> {
-    out: &'a mut Vec<u8>,
-    /// Map from name suffix (as label vectors) to the buffer offset where
-    /// that suffix was first written uncompressed.
-    offsets: &'a mut HashMap<Vec<Vec<u8>>, usize>,
+pub(crate) struct NameEncoder {
+    out: Vec<u8>,
+    /// Offsets in `out` of the label starts written so far, ascending: each
+    /// is the first (and only uncompressed) occurrence of the name suffix
+    /// that begins there, and so a pointer target.
+    label_starts: Vec<u16>,
 }
 
-impl<'a> NameEncoder<'a> {
-    pub(crate) fn new(out: &'a mut Vec<u8>, offsets: &'a mut HashMap<Vec<Vec<u8>>, usize>) -> Self {
-        NameEncoder { out, offsets }
+impl NameEncoder {
+    /// An encoder continuing after `out` (the message header).
+    pub(crate) fn new(out: Vec<u8>) -> Self {
+        NameEncoder {
+            out,
+            label_starts: Vec::with_capacity(16),
+        }
+    }
+
+    /// The bytes written.
+    pub(crate) fn finish(self) -> Vec<u8> {
+        self.out
     }
 
     pub(crate) fn pos(&self) -> usize {
@@ -638,27 +646,34 @@ impl<'a> NameEncoder<'a> {
 
     /// Writes `name`, compressing against previously written suffixes and
     /// registering newly written suffixes for future reuse.
-    pub(crate) fn put_name(&mut self, name: &DnsName) -> Result<(), WireError> {
-        let labels = name.labels();
-        for i in 0..labels.len() {
-            let suffix: Vec<Vec<u8>> = labels[i..].to_vec();
-            if let Some(&target) = self.offsets.get(&suffix) {
-                if target <= MAX_POINTER_TARGET {
-                    let pointer = 0xC000u16 | target as u16;
-                    self.put_u16(pointer);
-                    return Ok(());
-                }
+    ///
+    /// A suffix is looked up by walking the names already in `out` from each
+    /// recorded label start — the same label walk and comparator the decode
+    /// side uses — so nothing is allocated per suffix.
+    // detlint: hot
+    pub(crate) fn put_name(&mut self, name: &DnsName) {
+        // Label starts of `name` itself are pointer targets only for later
+        // names: its own tail is still unwritten when they would be walked.
+        let known = self.label_starts.len();
+        let mut suffix = name.as_ref();
+        while let Some((label, rest)) = suffix.split_first() {
+            let seen = self
+                .label_starts
+                .iter()
+                .take(known)
+                .find(|&&at| NameRef::at(&self.out, at as usize) == suffix);
+            if let Some(&target) = seen {
+                self.put_u16(0xC000 | target);
+                return;
             }
-            let here = self.out.len();
-            if here <= MAX_POINTER_TARGET {
-                self.offsets.insert(suffix, here);
+            if let Ok(here @ 0..=MAX_POINTER_TARGET) = u16::try_from(self.out.len()) {
+                self.label_starts.push(here);
             }
-            let label = &labels[i];
             self.out.push(label.len() as u8);
             self.out.extend_from_slice(label);
+            suffix = rest;
         }
         self.out.push(0);
-        Ok(())
     }
 }
 

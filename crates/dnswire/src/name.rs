@@ -1,8 +1,9 @@
-//! Domain names: validation, normalization, hierarchy operations.
+//! Owned domain names: construction, validation, hierarchy operations.
 
 use crate::error::WireError;
+use crate::nameref::{LabelIter, NameRef};
+use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 /// Maximum length of a single label in octets (RFC 1035 §2.3.4).
@@ -13,19 +14,63 @@ pub const MAX_NAME_LEN: usize = 255;
 
 /// A validated, absolute domain name.
 ///
-/// Internally stored as a vector of lowercase label byte-strings; the root
-/// name has zero labels. DNS name comparison is case-insensitive
-/// (RFC 1035 §2.3.3), so labels are normalized to ASCII lowercase at
-/// construction and `Eq`/`Hash`/`Ord` all operate on the normalized form.
-#[derive(Clone, Eq, PartialEq, Ord, PartialOrd)]
+/// Stored as one allocation holding the uncompressed wire form —
+/// length-prefixed labels plus the terminating root octet — with every label
+/// normalized to ASCII lowercase at construction (DNS names compare
+/// case-insensitively, RFC 1035 §2.3.3). The normalized form is canonical, so
+/// `Eq` and `Hash` are those of the bytes; everything that has to know where
+/// labels start and end (`Ord`, `Display`, `is_under`, …) is implemented once
+/// on the borrowed view, [`DnsName::as_ref`].
+#[derive(Clone, Eq, PartialEq, Hash)]
 pub struct DnsName {
-    labels: Vec<Vec<u8>>,
+    pub(crate) wire: Box<[u8]>,
+}
+
+/// Checks one label: 1..=63 octets of the LDH alphabet plus underscore (used
+/// by service labels and our whoami probes).
+pub(crate) fn validate_label_bytes(label: &[u8]) -> Result<(), WireError> {
+    if label.is_empty() {
+        return Err(WireError::EmptyLabel);
+    }
+    if label.len() > MAX_LABEL_LEN {
+        return Err(WireError::LabelTooLong(label.len()));
+    }
+    match label
+        .iter()
+        .find(|&&b| !(b.is_ascii_alphanumeric() || b == b'-' || b == b'_'))
+    {
+        Some(&b) => Err(WireError::InvalidLabelByte(b)),
+        None => Ok(()),
+    }
+}
+
+/// Appends `label`, validated and lowercased, to a wire form under
+/// construction.
+fn push_label(wire: &mut Vec<u8>, label: &[u8]) -> Result<(), WireError> {
+    validate_label_bytes(label)?;
+    wire.push(label.len() as u8);
+    wire.extend(label.iter().map(u8::to_ascii_lowercase));
+    Ok(())
+}
+
+/// Completes the labels in `wire` with `suffix` — a whole wire-form name, at
+/// least the root octet — and enforces the 255-octet cap.
+fn seal(mut wire: Vec<u8>, suffix: &[u8]) -> Result<DnsName, WireError> {
+    wire.extend_from_slice(suffix);
+    if wire.len() > MAX_NAME_LEN {
+        return Err(WireError::NameTooLong(wire.len()));
+    }
+    Ok(DnsName {
+        wire: wire.into_boxed_slice(),
+    })
 }
 
 impl DnsName {
     /// The root name (`.`).
     pub fn root() -> Self {
-        DnsName { labels: Vec::new() }
+        DnsName {
+            wire: Box::new([0]),
+        }
     }
 
     /// Parses a name from presentation format (`"www.example.com"`,
@@ -35,13 +80,11 @@ impl DnsName {
             return Ok(Self::root());
         }
         let trimmed = s.strip_suffix('.').unwrap_or(s);
-        let mut labels = Vec::new();
+        let mut wire = Vec::with_capacity(trimmed.len() + 2);
         for part in trimmed.split('.') {
-            labels.push(Self::validate_label(part.as_bytes())?);
+            push_label(&mut wire, part.as_bytes())?;
         }
-        let name = DnsName { labels };
-        name.check_total_len()?;
-        Ok(name)
+        seal(wire, &[0])
     }
 
     /// Builds a name from label byte-strings (root-last order).
@@ -50,144 +93,92 @@ impl DnsName {
         I: IntoIterator<Item = L>,
         L: AsRef<[u8]>,
     {
-        let mut labels = Vec::new();
+        let mut wire = Vec::new();
         for l in iter {
-            labels.push(Self::validate_label(l.as_ref())?);
+            push_label(&mut wire, l.as_ref())?;
         }
-        let name = DnsName { labels };
-        name.check_total_len()?;
-        Ok(name)
+        seal(wire, &[0])
     }
 
-    /// Builds a name from labels that a wire-format validator
-    /// ([`crate::nameref::NameRef::parse`]) has already checked and
-    /// lowercased. Skips re-validation and re-allocation — this is the
-    /// zero-copy decode path's single conversion point.
-    pub(crate) fn from_validated_wire_labels(labels: Vec<Vec<u8>>) -> Self {
-        debug_assert!(labels.iter().all(|l| {
-            !l.is_empty()
-                && l.len() <= MAX_LABEL_LEN
-                && l.iter().all(|&b| {
-                    (b.is_ascii_alphanumeric() && !b.is_ascii_uppercase()) || b == b'-' || b == b'_'
-                })
-        }));
-        let name = DnsName { labels };
-        debug_assert!(name.wire_len() <= MAX_NAME_LEN);
-        name
-    }
-
-    fn validate_label(bytes: &[u8]) -> Result<Vec<u8>, WireError> {
-        if bytes.is_empty() {
-            return Err(WireError::EmptyLabel);
-        }
-        if bytes.len() > MAX_LABEL_LEN {
-            return Err(WireError::LabelTooLong(bytes.len()));
-        }
-        let mut out = Vec::with_capacity(bytes.len());
-        for &b in bytes {
-            // Accept the LDH alphabet plus underscore (used by service
-            // labels and our whoami probes).
-            let ok = b.is_ascii_alphanumeric() || b == b'-' || b == b'_';
-            if !ok {
-                return Err(WireError::InvalidLabelByte(b));
-            }
-            out.push(b.to_ascii_lowercase());
-        }
-        Ok(out)
-    }
-
-    fn check_total_len(&self) -> Result<(), WireError> {
-        let n = self.wire_len();
-        if n > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(n));
-        }
-        Ok(())
+    /// The borrowed view every read-only operation goes through.
+    pub fn as_ref(&self) -> NameRef<'_> {
+        NameRef::at(&self.wire, 0)
     }
 
     /// Number of labels (the root has zero).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.as_ref().label_count()
     }
 
     /// `true` for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.as_ref().is_root()
     }
 
     /// The labels, leftmost (most specific) first.
-    pub fn labels(&self) -> &[Vec<u8>] {
-        &self.labels
+    pub fn labels(&self) -> LabelIter<'_> {
+        self.as_ref().labels()
     }
 
     /// Length of this name in uncompressed wire format, including each
     /// label's length octet and the terminating zero octet.
     pub fn wire_len(&self) -> usize {
-        1 + self.labels.iter().map(|l| l.len() + 1).sum::<usize>()
+        self.wire.len()
     }
 
     /// The parent domain (drops the leftmost label); `None` for the root.
     pub fn parent(&self) -> Option<DnsName> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(DnsName {
-                labels: self.labels[1..].to_vec(),
-            })
-        }
+        let (first, _) = self.as_ref().split_first()?;
+        // Flat and lowercase already: the parent is the bytes after it.
+        let wire = self.wire[1 + first.len()..].into();
+        Some(DnsName { wire })
     }
 
     /// `true` if `self` equals `other` or is a descendant of it
     /// (`www.example.com` is under `example.com` and under the root).
     pub fn is_under(&self, other: &DnsName) -> bool {
-        if other.labels.len() > self.labels.len() {
-            return false;
-        }
-        let offset = self.labels.len() - other.labels.len();
-        self.labels[offset..] == other.labels[..]
+        self.as_ref().is_under(other.as_ref())
     }
 
     /// Prepends a label, producing a child name (`child("www")` of
     /// `example.com` is `www.example.com`).
     pub fn child(&self, label: &str) -> Result<DnsName, WireError> {
-        let validated = Self::validate_label(label.as_bytes())?;
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(validated);
-        labels.extend(self.labels.iter().cloned());
-        let name = DnsName { labels };
-        name.check_total_len()?;
-        Ok(name)
+        let mut wire = Vec::with_capacity(1 + label.len() + self.wire.len());
+        push_label(&mut wire, label.as_bytes())?;
+        seal(wire, &self.wire)
+    }
+
+    /// Reads `self` as relative to `origin`: `www.eu` joined onto
+    /// `example.com` is `www.eu.example.com`.
+    pub fn join(&self, origin: &DnsName) -> Result<DnsName, WireError> {
+        let labels = &self.wire[..self.wire.len() - 1];
+        let mut wire = Vec::with_capacity(labels.len() + origin.wire.len());
+        wire.extend_from_slice(labels);
+        seal(wire, &origin.wire)
     }
 
     /// Iterator over this name and all its ancestors up to the root, most
     /// specific first: `www.example.com`, `example.com`, `com`, `.`.
-    pub fn self_and_ancestors(&self) -> impl Iterator<Item = DnsName> + '_ {
-        (0..=self.labels.len()).map(move |skip| DnsName {
-            labels: self.labels[skip..].to_vec(),
-        })
+    pub fn self_and_ancestors(&self) -> impl Iterator<Item = DnsName> {
+        std::iter::successors(Some(self.clone()), DnsName::parent)
     }
 }
 
-impl Hash for DnsName {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Labels are already normalized to lowercase.
-        self.labels.hash(state);
+impl PartialOrd for DnsName {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for DnsName {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_ref().cmp(&other.as_ref())
     }
 }
 
 impl fmt::Display for DnsName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            return write!(f, ".");
-        }
-        for (i, label) in self.labels.iter().enumerate() {
-            if i > 0 {
-                write!(f, ".")?;
-            }
-            for &b in label {
-                write!(f, "{}", b as char)?;
-            }
-        }
-        Ok(())
+        self.as_ref().fmt(f)
     }
 }
 
@@ -289,6 +280,45 @@ mod tests {
         assert!(www.is_under(&www));
         assert!(!example.is_under(&www));
         assert!(!www.is_under(&org));
+    }
+
+    #[test]
+    fn is_under_compares_labels_not_byte_suffixes() {
+        // 45 is both the length octet of a 45-byte label and the byte `-`:
+        // the flat form of `a-<45 x>` ends with the flat form of `<45 x>`,
+        // yet the first is a single 47-byte label, not a child of the second.
+        let tail = "x".repeat(45);
+        let lone = DnsName::parse(&format!("a-{tail}")).unwrap();
+        let other = DnsName::parse(&tail).unwrap();
+        assert!(lone.wire.ends_with(&other.wire));
+        assert!(!lone.is_under(&other));
+        assert_eq!(lone.parent().unwrap(), DnsName::root());
+        let all: Vec<DnsName> = lone.self_and_ancestors().collect();
+        assert_eq!(all, vec![lone.clone(), DnsName::root()]);
+        // Same trap with a digit: 49 is the byte `1`.
+        let tail = "y".repeat(49);
+        let lone = DnsName::parse(&format!("z1{tail}")).unwrap();
+        assert!(!lone.is_under(&DnsName::parse(&tail).unwrap()));
+        assert!(DnsName::parse(&format!("z.{tail}"))
+            .unwrap()
+            .is_under(&DnsName::parse(&tail).unwrap()));
+    }
+
+    #[test]
+    fn join_reads_a_name_as_relative_to_an_origin() {
+        let origin = DnsName::parse("example.com").unwrap();
+        let rel = DnsName::parse("WWW.eu").unwrap();
+        assert_eq!(rel.join(&origin).unwrap().to_string(), "www.eu.example.com");
+        assert_eq!(DnsName::root().join(&origin).unwrap(), origin);
+        assert_eq!(origin.join(&DnsName::root()).unwrap(), origin);
+        // 4 × 64 octets of labels fit neither side of a join once the other
+        // side adds anything.
+        let long = DnsName::parse(&vec!["x".repeat(62); 4].join(".")).unwrap();
+        assert_eq!(long.wire_len(), 253);
+        assert!(matches!(
+            long.join(&origin).unwrap_err(),
+            WireError::NameTooLong(265)
+        ));
     }
 
     #[test]

@@ -1,19 +1,22 @@
-//! Zero-copy borrowed names over a received message buffer.
+//! The borrowed view of a wire-format name — and the one place every
+//! read-only name operation is implemented.
 //!
-//! [`NameRef`] is the decode-side counterpart of [`DnsName`]: it validates a
-//! (possibly compressed) wire name in place and then iterates, compares and
-//! hashes labels straight out of the message buffer. Nothing is allocated
-//! until [`NameRef::to_name`] converts to an owned [`DnsName`] at a cache or
-//! record boundary, and that conversion allocates exactly once per label —
-//! parse-and-compare paths (response filtering, cache probes) never touch
-//! the allocator at all.
+//! A [`NameRef`] points at a (possibly compressed) name inside a byte
+//! buffer: a received message, the encoder's output so far, or the flat
+//! storage of an owned [`DnsName`] (via [`DnsName::as_ref`]). The label walk,
+//! the comparator, `Display`, `is_under` and the length accessors below are
+//! the only copies in the crate; [`DnsName`] delegates to them. Nothing is
+//! allocated until [`NameRef::to_name`] copies the labels out, once.
 //!
-//! Comparison semantics are identical to [`DnsName`]: case-insensitive,
-//! label-wise, leftmost label most significant — so a `NameRef` can stand in
-//! for an owned name in any ordered lookup without changing the order.
+//! Comparison is case-insensitive and label-wise, leftmost label most
+//! significant, bytewise within a label. That is *not* byte order of the flat
+//! wire form (which would sort `b` before `ab`, the length octet coming
+//! first): the label-wise order feeds `BTreeMap` iteration in the `dnssim`
+//! caches and zones, and through it the replay hashes.
 
 use crate::error::WireError;
-use crate::name::{DnsName, MAX_NAME_LEN};
+use crate::name::{validate_label_bytes, DnsName, MAX_NAME_LEN};
+use std::cmp::Ordering;
 
 /// Upper bound on pointer follows while decoding one name. A legal message
 /// cannot chain more pointers than it has bytes / 2; this constant is far
@@ -24,9 +27,9 @@ const MAX_POINTER_JUMPS: usize = 128;
 /// starting at `start`.
 ///
 /// Construction via [`NameRef::parse`] performs the full structural and
-/// byte-alphabet validation the owned decode path does (bounds, strictly
-/// backward pointers, jump bound, 255-octet name cap, LDH+underscore
-/// labels), so every accessor afterwards can walk the buffer infallibly.
+/// byte-alphabet validation (bounds, strictly backward pointers, jump bound,
+/// 255-octet name cap, LDH+underscore labels), so every accessor afterwards
+/// can walk the buffer infallibly.
 #[derive(Clone, Copy)]
 pub struct NameRef<'a> {
     buf: &'a [u8],
@@ -34,14 +37,20 @@ pub struct NameRef<'a> {
 }
 
 impl<'a> NameRef<'a> {
+    /// A view of the name at `buf[start]`, which the caller knows to be
+    /// valid: bytes this crate wrote itself (an owned name's storage, the
+    /// encoder's output).
+    pub(crate) fn at(buf: &'a [u8], start: usize) -> Self {
+        NameRef { buf, start }
+    }
+
     /// Validates the name starting at `buf[start]` and returns it together
     /// with the number of bytes it occupies *in sequence* (up to and
     /// including either the root octet or the first compression pointer) —
     /// i.e. how far a cursor should advance past it.
     ///
-    /// Error variants and their precedence match the original eager
-    /// decoder exactly: structural errors surface during the walk, label
-    /// alphabet violations after it.
+    /// Structural errors surface during the walk, label alphabet violations
+    /// after it.
     // detlint: hot
     pub fn parse(buf: &'a [u8], start: usize) -> Result<(NameRef<'a>, usize), WireError> {
         let mut wire_len = 1usize; // terminating root octet
@@ -98,15 +107,10 @@ impl<'a> NameRef<'a> {
             }
         }
         let name = NameRef { buf, start };
-        // Alphabet validation after the structural walk, in label order —
-        // the same order the eager decoder reported these errors in.
+        // The walk bounded every label to 1..=63 octets, so only the
+        // alphabet can fail here.
         for label in name.labels() {
-            for &b in label {
-                let ok = b.is_ascii_alphanumeric() || b == b'-' || b == b'_';
-                if !ok {
-                    return Err(WireError::InvalidLabelByte(b));
-                }
-            }
+            validate_label_bytes(label)?;
         }
         // Lazy: after a pointer jump `read_pos` may sit before `start`, but
         // then `consumed` was recorded at the jump.
@@ -114,7 +118,7 @@ impl<'a> NameRef<'a> {
     }
 
     /// Iterator over the labels as raw (original-case) byte slices of the
-    /// message buffer, leftmost first, following compression pointers.
+    /// buffer, leftmost first, following compression pointers.
     pub fn labels(&self) -> LabelIter<'a> {
         LabelIter {
             buf: self.buf,
@@ -132,21 +136,44 @@ impl<'a> NameRef<'a> {
         self.labels().next().is_none()
     }
 
-    /// Length in uncompressed wire format, including length octets and the
-    /// terminating zero octet (same definition as [`DnsName::wire_len`]).
+    /// Length in uncompressed wire format, including each label's length
+    /// octet and the terminating zero octet.
     pub fn wire_len(&self) -> usize {
         1 + self.labels().map(|l| l.len() + 1).sum::<usize>()
     }
 
-    /// Converts to an owned, lowercase-normalized [`DnsName`]. This is the
-    /// single allocation point of the decode path: one `Vec` per label plus
-    /// the label list, no re-validation.
+    /// The leftmost label and the name that follows it (the parent domain);
+    /// `None` for the root. The parent starts where the label walk stands
+    /// after one label, so names are only ever cut at label starts.
+    pub fn split_first(&self) -> Option<(&'a [u8], NameRef<'a>)> {
+        let mut rest = self.labels();
+        let first = rest.next()?;
+        Some((first, NameRef::at(self.buf, rest.pos)))
+    }
+
+    /// `true` if `self` equals `other` or is a descendant of it
+    /// (`www.example.com` is under `example.com` and under the root).
+    ///
+    /// Compares whole labels from the point where as many remain as `other`
+    /// has. A byte-suffix test on the flat form would be wrong: length
+    /// octets 45 and 48–57 are also legal label bytes (`-`, `0`–`9`).
+    pub fn is_under(&self, other: NameRef<'_>) -> bool {
+        let (mine, theirs) = (self.label_count(), other.label_count());
+        mine >= theirs && cmp_labels(self.labels().skip(mine - theirs), other.labels()).is_eq()
+    }
+
+    /// Converts to an owned, lowercase-normalized [`DnsName`]: one
+    /// allocation, one copy, no re-validation.
     pub fn to_name(&self) -> DnsName {
-        let labels: Vec<Vec<u8>> = self
-            .labels()
-            .map(|l| l.iter().map(u8::to_ascii_lowercase).collect())
-            .collect();
-        DnsName::from_validated_wire_labels(labels)
+        let mut wire = Vec::with_capacity(self.wire_len());
+        for label in self.labels() {
+            wire.push(label.len() as u8);
+            wire.extend(label.iter().map(u8::to_ascii_lowercase));
+        }
+        wire.push(0);
+        DnsName {
+            wire: wire.into_boxed_slice(),
+        }
     }
 }
 
@@ -160,6 +187,7 @@ pub struct LabelIter<'a> {
 impl<'a> Iterator for LabelIter<'a> {
     type Item = &'a [u8];
 
+    // detlint: hot
     fn next(&mut self) -> Option<&'a [u8]> {
         loop {
             let len_byte = *self.buf.get(self.pos)?;
@@ -184,24 +212,26 @@ impl<'a> Iterator for LabelIter<'a> {
     }
 }
 
-fn cmp_label_seqs<'a, A, B>(a: A, b: B) -> std::cmp::Ordering
-where
-    A: Iterator<Item = &'a [u8]>,
-    B: Iterator<Item = &'a [u8]>,
-{
-    let mut a = a;
-    let mut b = b;
+/// The name order: lexicographic over the label lists, each label compared
+/// bytewise after ASCII-lowercasing.
+fn cmp_labels<'a, 'b>(
+    mut a: impl Iterator<Item = &'a [u8]>,
+    mut b: impl Iterator<Item = &'b [u8]>,
+) -> Ordering {
     loop {
         match (a.next(), b.next()) {
-            (None, None) => return std::cmp::Ordering::Equal,
-            (None, Some(_)) => return std::cmp::Ordering::Less,
-            (Some(_), None) => return std::cmp::Ordering::Greater,
+            (None, None) => return Ordering::Equal,
+            (None, Some(_)) => return Ordering::Less,
+            (Some(_), None) => return Ordering::Greater,
+            // Identical bytes (the common case: owned names are stored
+            // lowercase) need no per-byte case folding.
+            (Some(la), Some(lb)) if la == lb => {}
             (Some(la), Some(lb)) => {
                 let c = la
                     .iter()
                     .map(u8::to_ascii_lowercase)
                     .cmp(lb.iter().map(u8::to_ascii_lowercase));
-                if c != std::cmp::Ordering::Equal {
+                if c != Ordering::Equal {
                     return c;
                 }
             }
@@ -211,46 +241,20 @@ where
 
 impl PartialEq for NameRef<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for NameRef<'_> {}
 
 impl PartialOrd for NameRef<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for NameRef<'_> {
-    /// Total order identical to [`DnsName`]'s derived order on normalized
-    /// labels: lexicographic over the label list, each label compared
-    /// bytewise after ASCII-lowercasing.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        cmp_label_seqs(self.labels(), other.labels())
-    }
-}
-
-impl PartialEq<DnsName> for NameRef<'_> {
-    fn eq(&self, other: &DnsName) -> bool {
-        // DnsName labels are already lowercase; ours are lowercased on the
-        // fly by the shared comparator.
-        cmp_label_seqs(self.labels(), other.labels().iter().map(Vec::as_slice))
-            == std::cmp::Ordering::Equal
-    }
-}
-
-impl PartialEq<NameRef<'_>> for DnsName {
-    fn eq(&self, other: &NameRef<'_>) -> bool {
-        other == self
-    }
-}
-
-impl NameRef<'_> {
-    /// Ordering against an owned name, consistent with converting first:
-    /// `a.cmp_name(&b) == a.to_name().cmp(&b)`.
-    pub fn cmp_name(&self, other: &DnsName) -> std::cmp::Ordering {
-        cmp_label_seqs(self.labels(), other.labels().iter().map(Vec::as_slice))
+    fn cmp(&self, other: &Self) -> Ordering {
+        cmp_labels(self.labels(), other.labels())
     }
 }
 
@@ -327,6 +331,12 @@ mod tests {
         let (name, consumed) = NameRef::parse(&buf, at).unwrap();
         assert_eq!(consumed, 6); // 1 + 3 + 2-byte pointer
         assert_eq!(name.to_string(), "www.example.com");
+        // The parent of a compressed name is the pointer's target.
+        let (first, parent) = name.split_first().unwrap();
+        assert_eq!(first, b"www");
+        assert_eq!(parent.to_string(), "example.com");
+        assert!(name.is_under(parent));
+        assert!(!parent.is_under(name));
     }
 
     #[test]
@@ -344,29 +354,35 @@ mod tests {
         fwd.extend_from_slice(&(0xC000u16 | 40).to_be_bytes());
         assert!(matches!(
             NameRef::parse(&fwd, 0).unwrap_err(),
-            WireError::BadCompressionPointer { target: 40, at } if at == at
+            WireError::BadCompressionPointer { target: 40, at: got } if got == at
         ));
     }
 
     #[test]
-    fn comparisons_are_case_insensitive_and_match_owned_order() {
-        let pairs = [
-            (vec!["CDN", "Example", "net"], vec!["cdn", "example", "NET"]),
-            (vec!["a", "b"], vec!["a", "c"]),
-            (vec!["a"], vec!["a", "b"]),
-            (vec!["zz"], vec!["aa", "bb"]),
+    fn comparisons_are_case_insensitive_and_label_wise() {
+        use Ordering::*;
+        let cases = [
+            (
+                vec!["CDN", "Example", "net"],
+                vec!["cdn", "example", "NET"],
+                Equal,
+            ),
+            (vec!["a", "b"], vec!["a", "c"], Less),
+            (vec!["a"], vec!["a", "b"], Less),
+            (vec!["zz"], vec!["aa", "bb"], Greater),
+            // Label-wise, not flat byte order: the length octet of "b" (1)
+            // is smaller than that of "ab" (2), yet "ab" < "b".
+            (vec!["ab"], vec!["b"], Less),
+            (vec!["a"], vec!["ab"], Less),
         ];
-        for (la, lb) in pairs {
-            let ba = wire(&la.iter().map(|s| *s).collect::<Vec<_>>());
-            let bb = wire(&lb.iter().map(|s| *s).collect::<Vec<_>>());
+        for (la, lb, want) in cases {
+            let (ba, bb) = (wire(&la), wire(&lb));
             let (ra, _) = NameRef::parse(&ba, 0).unwrap();
             let (rb, _) = NameRef::parse(&bb, 0).unwrap();
-            let oa = ra.to_name();
-            let ob = rb.to_name();
-            assert_eq!(ra.cmp(&rb), oa.cmp(&ob), "{oa} vs {ob}");
-            assert_eq!(ra == rb, oa == ob);
-            assert_eq!(ra.cmp_name(&ob), oa.cmp(&ob));
-            assert_eq!(ra == ob, oa == ob);
+            assert_eq!(ra.cmp(&rb), want, "{ra} vs {rb}");
+            assert_eq!(ra == rb, want == Equal);
+            assert_eq!(ra.to_name().cmp(&rb.to_name()), want);
+            assert_eq!(ra == rb.to_name().as_ref(), want == Equal);
         }
     }
 

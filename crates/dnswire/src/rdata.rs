@@ -194,14 +194,14 @@ impl RData {
     ///
     /// Names inside RDATA of the classic types (NS, CNAME, PTR, SOA, MX) are
     /// eligible for compression per RFC 3597 §4 ("well-known" types only).
-    pub(crate) fn encode(&self, enc: &mut NameEncoder<'_>) -> Result<(), WireError> {
+    pub(crate) fn encode(&self, enc: &mut NameEncoder) -> Result<(), WireError> {
         match self {
             RData::A(ip) => enc.put_bytes(&ip.octets()),
             RData::Aaaa(ip) => enc.put_bytes(&ip.octets()),
-            RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) => enc.put_name(n)?,
+            RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) => enc.put_name(n),
             RData::Mx(pref, host) => {
                 enc.put_u16(*pref);
-                enc.put_name(host)?;
+                enc.put_name(host);
             }
             RData::Txt(strings) => {
                 if strings.is_empty() {
@@ -218,8 +218,8 @@ impl RData {
                 }
             }
             RData::Soa(soa) => {
-                enc.put_name(&soa.mname)?;
-                enc.put_name(&soa.rname)?;
+                enc.put_name(&soa.mname);
+                enc.put_name(&soa.rname);
                 enc.put_u32(soa.serial);
                 enc.put_u32(soa.refresh);
                 enc.put_u32(soa.retry);

@@ -283,6 +283,77 @@ fn owned(labels: &[String]) -> DnsName {
     DnsName::from_labels(labels.iter().map(|l| l.as_bytes())).unwrap()
 }
 
+/// `labels[split..]` uncompressed at offset 0, then `labels[..split]` ending
+/// in a pointer to it. Returns the buffer and where the full name starts.
+fn encode_compressed(labels: &[String], split: usize) -> (Vec<u8>, usize) {
+    let mut buf = encode_plain(&labels[split..]);
+    let at = buf.len();
+    for l in &labels[..split] {
+        buf.push(l.len() as u8);
+        buf.extend_from_slice(l.as_bytes());
+    }
+    buf.extend_from_slice(&[0xC0, 0x00]);
+    (buf, at)
+}
+
+fn swap_case(s: &str) -> String {
+    s.chars()
+        .map(|c| {
+            if c.is_ascii_lowercase() {
+                c.to_ascii_uppercase()
+            } else {
+                c.to_ascii_lowercase()
+            }
+        })
+        .collect()
+}
+
+/// Reference model of a name: the vector of lowercased label vectors, with
+/// the derived order and equality — what `DnsName` is specified to behave
+/// like, written without any of the crate's own label-walking code.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct ModelName(Vec<Vec<u8>>);
+
+impl ModelName {
+    fn new(labels: &[String]) -> Self {
+        ModelName(
+            labels
+                .iter()
+                .map(|l| l.to_ascii_lowercase().into_bytes())
+                .collect(),
+        )
+    }
+
+    fn is_under(&self, other: &ModelName) -> bool {
+        self.0.ends_with(&other.0)
+    }
+
+    fn wire_len(&self) -> usize {
+        1 + self.0.iter().map(|l| 1 + l.len()).sum::<usize>()
+    }
+
+    fn parent(&self) -> Option<ModelName> {
+        self.0
+            .split_first()
+            .map(|(_, rest)| ModelName(rest.to_vec()))
+    }
+}
+
+impl std::fmt::Display for ModelName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let labels: Vec<&str> = self
+            .0
+            .iter()
+            .map(|l| std::str::from_utf8(l).unwrap())
+            .collect();
+        if labels.is_empty() {
+            write!(f, ".")
+        } else {
+            write!(f, "{}", labels.join("."))
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -295,23 +366,65 @@ proptest! {
         let expect = owned(&labels);
         prop_assert_eq!(name.to_name(), expect.clone());
         prop_assert_eq!(name.wire_len(), expect.wire_len());
-        prop_assert!(name == expect);
+        prop_assert!(name == expect.as_ref());
     }
 
     #[test]
-    fn nameref_equality_and_order_match_owned(
+    fn names_agree_with_the_label_vector_model(
         la in arb_mixed_labels(),
         lb in arb_mixed_labels(),
+        share in any::<prop::sample::Index>(),
+        split in any::<prop::sample::Index>(),
     ) {
-        let (ba, bb) = (encode_plain(&la), encode_plain(&lb));
-        let (ra, _) = NameRef::parse(&ba, 0).unwrap();
-        let (rb, _) = NameRef::parse(&bb, 0).unwrap();
+        // Half the time `b` ends in a (case-flipped) suffix of `a`, so that
+        // `is_under` and near-equal comparisons are actually exercised.
+        let keep = share.index(2 * (la.len() + 1));
+        let lb: Vec<String> = match la.get(keep..) {
+            Some(tail) => lb.iter().take(2).cloned().chain(tail.iter().map(|l| swap_case(l))).collect(),
+            None => lb,
+        };
+        let (ma, mb) = (ModelName::new(&la), ModelName::new(&lb));
+        // Every way of holding a name: owned, a borrowed plain wire form, and
+        // a borrowed compressed one (tail first, head + pointer after it).
         let (oa, ob) = (owned(&la), owned(&lb));
-        prop_assert_eq!(ra.cmp(&rb), oa.cmp(&ob));
-        prop_assert_eq!(ra == rb, oa == ob);
-        prop_assert_eq!(ra.cmp_name(&ob), oa.cmp(&ob));
-        prop_assert_eq!(ra == ob, oa == ob);
-        prop_assert_eq!(ra.to_string(), oa.to_string());
+        let (pa, pb) = (encode_plain(&la), encode_plain(&lb));
+        let (ca, ca_at) = encode_compressed(&la, split.index(la.len() + 1));
+        let (cb, cb_at) = encode_compressed(&lb, split.index(lb.len() + 1));
+        let views_a = [oa.as_ref(), NameRef::parse(&pa, 0).unwrap().0, NameRef::parse(&ca, ca_at).unwrap().0];
+        let views_b = [ob.as_ref(), NameRef::parse(&pb, 0).unwrap().0, NameRef::parse(&cb, cb_at).unwrap().0];
+
+        prop_assert_eq!(oa.cmp(&ob), ma.cmp(&mb));
+        prop_assert_eq!(oa == ob, ma == mb);
+        prop_assert_eq!(oa.is_under(&ob), ma.is_under(&mb));
+        prop_assert_eq!(ob.is_under(&oa), mb.is_under(&ma));
+        prop_assert_eq!(oa.parent().map(|p| p.to_string()), ma.parent().map(|p| p.to_string()));
+        prop_assert_eq!(oa.wire_len(), ma.wire_len());
+        prop_assert_eq!(oa.label_count(), ma.0.len());
+        prop_assert_eq!(oa.is_root(), ma.0.is_empty());
+        prop_assert_eq!(oa.to_string(), ma.to_string());
+        prop_assert_eq!(oa.labels().map(<[u8]>::to_vec).collect::<Vec<_>>(), ma.0.clone());
+        let ancestors: Vec<String> = oa.self_and_ancestors().map(|n| n.to_string()).collect();
+        let model_ancestors: Vec<String> =
+            std::iter::successors(Some(ma.clone()), ModelName::parent).map(|n| n.to_string()).collect();
+        prop_assert_eq!(ancestors, model_ancestors);
+        for ra in views_a {
+            prop_assert_eq!(ra.to_name(), oa.clone());
+            prop_assert_eq!(ra.wire_len(), ma.wire_len());
+            prop_assert_eq!(ra.label_count(), ma.0.len());
+            prop_assert_eq!(ra.is_root(), ma.0.is_empty());
+            prop_assert_eq!(ra.to_string(), ma.to_string());
+            prop_assert_eq!(
+                ra.split_first().map(|(first, rest)| (first.to_ascii_lowercase(), rest.to_string())),
+                ma.parent().map(|p| (ma.0[0].clone(), p.to_string()))
+            );
+            for rb in views_b {
+                prop_assert_eq!(ra.cmp(&rb), ma.cmp(&mb));
+                prop_assert_eq!(ra == rb, ma == mb);
+                prop_assert_eq!(ra == ob.as_ref(), ma == mb);
+                prop_assert_eq!(ra.is_under(rb), ma.is_under(&mb));
+                prop_assert_eq!(rb.is_under(ra), mb.is_under(&ma));
+            }
+        }
     }
 
     #[test]
@@ -418,5 +531,148 @@ proptest! {
             prop_assert!(name.wire_len() <= 255);
             let _ = name.to_name();
         }
+    }
+}
+
+// --- Compression: the encoder against the suffix-map compressor it replaced --
+
+/// Names over a two-letter alphabet, so that messages share many suffixes.
+fn arb_crowded_name() -> impl Strategy<Value = DnsName> {
+    proptest::collection::vec(proptest::string::string_regex("[ab]{1,2}").unwrap(), 0..5)
+        .prop_map(|labels| owned(&labels))
+}
+
+fn arb_crowded_record() -> impl Strategy<Value = ResourceRecord> {
+    let rdata = prop_oneof![
+        any::<[u8; 4]>().prop_map(|o| RData::A(Ipv4Addr::from(o))),
+        arb_crowded_name().prop_map(RData::Ns),
+        arb_crowded_name().prop_map(RData::Cname),
+        (any::<u16>(), arb_crowded_name()).prop_map(|(p, n)| RData::Mx(p, n)),
+        (arb_crowded_name(), arb_crowded_name(), any::<u32>()).prop_map(
+            |(mname, rname, serial)| {
+                RData::Soa(SoaData {
+                    mname,
+                    rname,
+                    serial,
+                    refresh: 1,
+                    retry: 2,
+                    expire: 3,
+                    minimum: 4,
+                })
+            }
+        ),
+    ];
+    (arb_crowded_name(), any::<u32>(), rdata)
+        .prop_map(|(name, ttl, rdata)| ResourceRecord::new(name, ttl, rdata))
+}
+
+/// The compressor `Message::encode` used before names went flat, kept here
+/// verbatim in shape as the oracle: a map from every suffix (as owned label
+/// vectors) to the offset of its first uncompressed occurrence.
+#[derive(Default)]
+struct SuffixMapEncoder {
+    out: Vec<u8>,
+    offsets: std::collections::HashMap<Vec<Vec<u8>>, usize>,
+}
+
+impl SuffixMapEncoder {
+    fn put_name(&mut self, name: &DnsName) {
+        let labels: Vec<Vec<u8>> = name.labels().map(<[u8]>::to_vec).collect();
+        for i in 0..labels.len() {
+            let suffix = labels[i..].to_vec();
+            if let Some(&target) = self.offsets.get(&suffix) {
+                if target <= 0x3FFF {
+                    self.out
+                        .extend_from_slice(&(0xC000u16 | target as u16).to_be_bytes());
+                    return;
+                }
+            }
+            let here = self.out.len();
+            if here <= 0x3FFF {
+                self.offsets.insert(suffix, here);
+            }
+            self.out.push(labels[i].len() as u8);
+            self.out.extend_from_slice(&labels[i]);
+        }
+        self.out.push(0);
+    }
+
+    /// Encodes `msg` after `header` (12 bytes the codec under test produced;
+    /// the header is not what this oracle is about).
+    fn encode(header: &[u8], msg: &Message) -> Vec<u8> {
+        let mut enc = SuffixMapEncoder {
+            out: header.to_vec(),
+            ..Default::default()
+        };
+        for q in &msg.questions {
+            enc.put_name(&q.qname);
+            enc.out.extend_from_slice(&q.qtype.code().to_be_bytes());
+            enc.out.extend_from_slice(&q.qclass.code().to_be_bytes());
+        }
+        for rr in msg
+            .answers
+            .iter()
+            .chain(&msg.authorities)
+            .chain(&msg.additionals)
+        {
+            enc.put_name(&rr.name);
+            enc.out
+                .extend_from_slice(&rr.record_type().code().to_be_bytes());
+            enc.out.extend_from_slice(&rr.class.code().to_be_bytes());
+            enc.out.extend_from_slice(&rr.ttl.to_be_bytes());
+            let len_pos = enc.out.len();
+            enc.out.extend_from_slice(&[0, 0]);
+            match &rr.rdata {
+                RData::A(ip) => enc.out.extend_from_slice(&ip.octets()),
+                RData::Ns(n) | RData::Cname(n) => enc.put_name(n),
+                RData::Mx(pref, host) => {
+                    enc.out.extend_from_slice(&pref.to_be_bytes());
+                    enc.put_name(host);
+                }
+                RData::Soa(soa) => {
+                    enc.put_name(&soa.mname);
+                    enc.put_name(&soa.rname);
+                    for v in [soa.serial, soa.refresh, soa.retry, soa.expire, soa.minimum] {
+                        enc.out.extend_from_slice(&v.to_be_bytes());
+                    }
+                }
+                RData::Unknown(_, bytes) => enc.out.extend_from_slice(bytes),
+                other => unreachable!("not generated by arb_crowded_record: {other:?}"),
+            }
+            let rdlen = (enc.out.len() - len_pos - 2) as u16;
+            enc.out[len_pos..len_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
+        }
+        enc.out
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn compression_matches_the_suffix_map_oracle(
+        questions in proptest::collection::vec(arb_crowded_name(), 0..3),
+        answers in proptest::collection::vec(arb_crowded_record(), 0..6),
+        authorities in proptest::collection::vec(arb_crowded_record(), 0..4),
+        additionals in proptest::collection::vec(arb_crowded_record(), 0..4),
+        pad_at in any::<prop::sample::Index>(),
+    ) {
+        let mut msg = Message::new(Header::query(7));
+        msg.questions = questions.into_iter().map(|n| Question::new(n, RecordType::A)).collect();
+        msg.answers = answers;
+        msg.authorities = authorities;
+        msg.additionals = additionals;
+        // One case in four carries a 16 KiB opaque record among the answers:
+        // every label written after it starts beyond the reach of a 14-bit
+        // pointer and must neither be pointed at nor stop earlier targets
+        // from being used.
+        let at = pad_at.index(4 * (msg.answers.len() + 1));
+        if at <= msg.answers.len() {
+            let pad = ResourceRecord::new(DnsName::root(), 0, RData::Unknown(60000, vec![0xC0; 16_400]));
+            msg.answers.insert(at, pad);
+        }
+        let bytes = msg.encode().unwrap();
+        prop_assert_eq!(Message::decode(&bytes).unwrap(), msg.clone());
+        prop_assert!(bytes == SuffixMapEncoder::encode(&bytes[..12], &msg), "encodings differ for {msg:?}");
     }
 }

@@ -19,7 +19,6 @@ pub use campaign::{
     CampaignConfig, CampaignRun, Parallelism, ProgressEvent, ProgressFn,
 };
 pub use experiment::{run_experiment, run_experiment_in_shard};
-pub use netsim::queue::QueueKind;
 pub use record::{
     Dataset, DnsTiming, ExperimentRecord, ExternalReachProbe, Outcome, ProbeTarget, ReplicaProbe,
     ResolverIdentity, ResolverKind, ResolverProbe,

@@ -26,7 +26,6 @@ use dnswire::name::DnsName;
 use netsim::addr::Prefix;
 use netsim::engine::Network;
 use netsim::fault::{FaultPlan, LinkFault, Spike, Window};
-use netsim::queue::QueueKind;
 use netsim::tcplite::TcpHttpServer;
 use netsim::time::SimDuration;
 use netsim::topo::{Asn, Coord, NodeId, NodeKind, Topology};
@@ -67,10 +66,6 @@ pub struct WorldConfig {
     /// fault-free build; the other profiles layer chaos on the links and
     /// carrier resolvers and switch experiments to the hardened client.
     pub fault_profile: FaultProfile,
-    /// Event-queue implementation each shard engine dispatches from. All
-    /// kinds produce byte-identical outputs (the determinism suite checks
-    /// heap vs wheel); the knob exists for A/B benchmarking.
-    pub queue: QueueKind,
 }
 
 impl Default for WorldConfig {
@@ -86,7 +81,6 @@ impl Default for WorldConfig {
             ecs: false,
             three_g_era: false,
             fault_profile: FaultProfile::None,
-            queue: QueueKind::default(),
         }
     }
 }
@@ -331,10 +325,9 @@ impl Backbone {
     /// ADNS, CDN authorities and replicas, public-DNS resolvers + anycast)
     /// is instantiated on it. Carrier services are installed by the caller.
     fn spawn_engine(&self, index: usize) -> Network {
-        let mut net = Network::new_with_queue(
+        let mut net = Network::new(
             self.template.clone(),
             derive_seed(self.config.seed, lane::ENGINE, index as u64),
-            self.config.queue,
         );
 
         // Chaos layer: the plan draws from its own seed lane, so shards

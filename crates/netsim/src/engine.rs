@@ -8,7 +8,7 @@
 //! the seed.
 
 use crate::packet::{IcmpMsg, Packet, ProbeKey, Transport};
-use crate::queue::{Event, EventQueue, QueueKind};
+use crate::queue::{Event, EventQueue, TimingWheel};
 use crate::route::RouteTable;
 use crate::time::{SimDuration, SimTime};
 use crate::topo::{NodeId, NodeKind, Topology};
@@ -301,7 +301,7 @@ pub struct Network {
     routes: RouteTable,
     anycast: HashMap<Ipv4Addr, Vec<NodeId>>,
     services: HashMap<(NodeId, u16), Box<dyn UdpService>>,
-    queue: Box<dyn EventQueue<EventKind>>,
+    queue: TimingWheel<EventKind>,
     seq: u64,
     now: SimTime,
     rng: StdRng,
@@ -326,16 +326,8 @@ pub struct Network {
 }
 
 impl Network {
-    /// Wraps a finished topology; routes are computed immediately. Uses the
-    /// default event queue ([`QueueKind::Wheel`]).
+    /// Wraps a finished topology; routes are computed immediately.
     pub fn new(topo: Topology, seed: u64) -> Self {
-        Self::new_with_queue(topo, seed, QueueKind::default())
-    }
-
-    /// Like [`Network::new`], with an explicit event-queue implementation.
-    /// All queue kinds dispatch in the same `(time, seq)` order, so outputs
-    /// are byte-identical across them (checked by `tests/determinism.rs`).
-    pub fn new_with_queue(topo: Topology, seed: u64, queue: QueueKind) -> Self {
         let routes = RouteTable::build(&topo);
         let link_busy_until = vec![[SimTime::ZERO; 2]; topo.links().len()];
         Network {
@@ -343,7 +335,7 @@ impl Network {
             routes,
             anycast: HashMap::new(),
             services: HashMap::new(),
-            queue: queue.build(),
+            queue: TimingWheel::new(),
             seq: 0,
             now: SimTime::ZERO,
             rng: StdRng::seed_from_u64(seed),
@@ -358,11 +350,6 @@ impl Network {
             stats: NetStats::default(),
             tracer: Tracer::new(),
         }
-    }
-
-    /// Which event-queue implementation this engine dispatches from.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// Installs a fault-injection plan. The plan draws from its own seed
@@ -1421,40 +1408,6 @@ mod tests {
         let n = net.run_to_quiescence(10_000);
         assert!(n > 0);
         assert!(!net.step());
-    }
-
-    #[test]
-    fn heap_and_wheel_replay_identically() {
-        let run = |kind: QueueKind| {
-            let mut t = Topology::new();
-            let a = t.add_node(
-                "a",
-                NodeKind::Host,
-                Asn(1),
-                Coord::default(),
-                vec![ip(10, 0, 0, 1)],
-            );
-            let b = t.add_node(
-                "b",
-                NodeKind::Host,
-                Asn(2),
-                Coord::default(),
-                vec![ip(10, 0, 0, 4)],
-            );
-            t.add_link(a, b, LatencyModel::constant_ms(7));
-            let mut net = Network::new_with_queue(t, 99, kind);
-            assert_eq!(net.queue_kind(), kind);
-            net.register_service(b, 53, Box::new(Parrot));
-            let mut rtts = Vec::new();
-            for i in 0..20u8 {
-                let flow =
-                    net.udp_request(a, ip(10, 0, 0, 4), 53, vec![i], SimDuration::from_secs(2));
-                rtts.push(net.run_until(flow).rtt().as_micros());
-            }
-            net.skip_to(SimTime::from_micros(30_000_000));
-            (rtts, net.now(), net.stats.clone())
-        };
-        assert_eq!(run(QueueKind::Heap), run(QueueKind::Wheel));
     }
 
     #[test]

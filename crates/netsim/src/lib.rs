@@ -11,9 +11,8 @@
 //!
 //! Design (following the event-driven philosophy of the networking guides):
 //!
-//! * [`engine::Network`] owns an event queue ([`queue::EventQueue`]: a
-//!   hierarchical timing wheel by default, the classic binary heap for A/B
-//!   comparison — both dispatch in identical `(time, seq)` order); time
+//! * [`engine::Network`] owns an event queue (a hierarchical timing wheel,
+//!   [`queue::TimingWheel`], dispatching in `(time, seq)` order); time
 //!   advances only by dispatching events, and all randomness flows from one
 //!   seeded RNG, so runs are bit-reproducible.
 //! * Packets ([`packet::Packet`]) are forwarded hop by hop over a routed
@@ -68,7 +67,7 @@ pub use engine::{
 pub use fault::{FaultPlan, FaultStats, LinkFault, Spike, Window};
 pub use latency::LatencyModel;
 pub use packet::{IcmpMsg, Packet, Transport};
-pub use queue::{EventQueue, HeapQueue, QueueKind, TimingWheel};
+pub use queue::{EventQueue, TimingWheel};
 pub use tcplite::{TcpFailure, TcpFetch, TcpFetchOutcome, TcpHttpServer};
 pub use time::{SimDuration, SimTime};
 pub use topo::{Asn, Coord, NodeId, NodeKind, Topology};

@@ -1,16 +1,16 @@
-//! Event queues for the discrete-event engine: the classic binary heap and
-//! a hierarchical timing wheel, both behind the [`EventQueue`] trait so the
-//! two dispatch structures are A/B-testable under the determinism suite.
+//! The engine's event queue: a hierarchical timing wheel behind the
+//! [`EventQueue`] trait.
 //!
-//! Both implementations dispatch in exactly the same total order — ascending
-//! `(time, seq)`, where `seq` is the engine's monotone scheduling counter —
-//! so swapping one for the other must not change a single output byte. The
-//! wheel additionally supports O(1) cancellation, which the engine uses to
-//! reap stale flow-timeout events instead of no-op-dispatching them.
+//! Events dispatch in ascending `(time, seq)` order, where `seq` is the
+//! engine's monotone scheduling counter. The wheel supports O(1)
+//! cancellation, which the engine uses to reap stale flow-timeout events
+//! instead of no-op-dispatching them. The classic binary heap the wheel
+//! replaced lives on in this module's tests as the reference
+//! implementation: the two must pop identical sequences under any
+//! interleaving of operations.
 
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// A scheduled event: an opaque payload plus its dispatch key.
 ///
@@ -50,47 +50,10 @@ impl<K> Ord for Event<K> {
     }
 }
 
-/// Which queue implementation an engine runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// `BinaryHeap<Reverse<Event>>` — the original dispatch structure.
-    Heap,
-    /// Hierarchical timing wheel (near wheel + overflow calendar).
-    #[default]
-    Wheel,
-}
-
-impl QueueKind {
-    /// Parses a CLI name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "heap" => Some(QueueKind::Heap),
-            "wheel" => Some(QueueKind::Wheel),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase name (CLI/report form).
-    pub fn label(self) -> &'static str {
-        match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Wheel => "wheel",
-        }
-    }
-
-    /// Boxes a fresh queue of this kind.
-    pub fn build<K: Send + 'static>(self) -> Box<dyn EventQueue<K>> {
-        match self {
-            QueueKind::Heap => Box::new(HeapQueue::new()),
-            QueueKind::Wheel => Box::new(TimingWheel::new()),
-        }
-    }
-}
-
 /// A priority queue of engine events ordered by `(time, seq)`.
 ///
-/// Contract shared by every implementation (and checked byte-for-byte by
-/// `tests/determinism.rs`):
+/// Contract shared by every implementation (the wheel and the reference
+/// heap are checked against each other operation by operation):
 ///
 /// * `pop` returns live events in strictly ascending `(time, seq)` order;
 /// * `cancel(seq)` removes a scheduled event without dispatching it — the
@@ -116,79 +79,6 @@ pub trait EventQueue<K>: Send {
     /// `true` when no live events remain.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-    /// Which implementation this is (for reports).
-    fn kind(&self) -> QueueKind;
-}
-
-/// The original dispatch structure: a min-heap over `(time, seq)` with
-/// lazy tombstone cancellation.
-pub struct HeapQueue<K> {
-    heap: BinaryHeap<Reverse<Event<K>>>,
-    /// Seqs cancelled but not yet reaped from the heap. Membership-checked
-    /// only; iteration order never escapes.
-    cancelled: HashSet<u64>,
-    live: usize,
-}
-
-impl<K> HeapQueue<K> {
-    /// An empty heap queue.
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
-            live: 0,
-        }
-    }
-}
-
-impl<K> Default for HeapQueue<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Send> EventQueue<K> for HeapQueue<K> {
-    fn push(&mut self, ev: Event<K>) {
-        self.live += 1;
-        self.heap.push(Reverse(ev));
-    }
-
-    fn pop(&mut self) -> Option<Event<K>> {
-        while let Some(Reverse(ev)) = self.heap.pop() {
-            if self.cancelled.remove(&ev.seq) {
-                continue; // tombstone: already subtracted from `live`
-            }
-            self.live -= 1;
-            return Some(ev);
-        }
-        None
-    }
-
-    fn next_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(ev)) = self.heap.peek() {
-            if self.cancelled.contains(&ev.seq) {
-                if let Some(Reverse(dead)) = self.heap.pop() {
-                    self.cancelled.remove(&dead.seq);
-                }
-                continue;
-            }
-            return Some(ev.time);
-        }
-        None
-    }
-
-    fn cancel(&mut self, seq: u64) {
-        self.cancelled.insert(seq);
-        self.live = self.live.saturating_sub(1);
-    }
-
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    fn kind(&self) -> QueueKind {
-        QueueKind::Heap
     }
 }
 
@@ -364,15 +254,75 @@ impl<K: Send> EventQueue<K> for TimingWheel<K> {
     fn len(&self) -> usize {
         self.live
     }
-
-    fn kind(&self) -> QueueKind {
-        QueueKind::Wheel
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The reference implementation — the dispatch structure the engine ran
+    /// on before the wheel: a min-heap over `(time, seq)` with lazy tombstone
+    /// cancellation.
+    struct HeapQueue<K> {
+        heap: BinaryHeap<Reverse<Event<K>>>,
+        /// Seqs cancelled but not yet reaped from the heap. Membership-checked
+        /// only; iteration order never escapes.
+        cancelled: HashSet<u64>,
+        live: usize,
+    }
+
+    impl<K> HeapQueue<K> {
+        fn new() -> Self {
+            HeapQueue {
+                heap: BinaryHeap::new(),
+                cancelled: HashSet::new(),
+                live: 0,
+            }
+        }
+    }
+
+    impl<K: Send> EventQueue<K> for HeapQueue<K> {
+        fn push(&mut self, ev: Event<K>) {
+            self.live += 1;
+            self.heap.push(Reverse(ev));
+        }
+
+        fn pop(&mut self) -> Option<Event<K>> {
+            while let Some(Reverse(ev)) = self.heap.pop() {
+                if self.cancelled.remove(&ev.seq) {
+                    continue; // tombstone: already subtracted from `live`
+                }
+                self.live -= 1;
+                return Some(ev);
+            }
+            None
+        }
+
+        fn next_time(&mut self) -> Option<SimTime> {
+            while let Some(Reverse(ev)) = self.heap.peek() {
+                if self.cancelled.contains(&ev.seq) {
+                    if let Some(Reverse(dead)) = self.heap.pop() {
+                        self.cancelled.remove(&dead.seq);
+                    }
+                    continue;
+                }
+                return Some(ev.time);
+            }
+            None
+        }
+
+        fn cancel(&mut self, seq: u64) {
+            self.cancelled.insert(seq);
+            self.live = self.live.saturating_sub(1);
+        }
+
+        fn len(&self) -> usize {
+            self.live
+        }
+    }
 
     fn ev(us: u64, seq: u64) -> Event<u32> {
         Event {
@@ -382,89 +332,121 @@ mod tests {
         }
     }
 
-    fn drain<Q: EventQueue<u32> + ?Sized>(q: &mut Q) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        while let Some(e) = q.pop() {
-            out.push((e.time.as_micros(), e.seq));
-        }
-        out
+    fn key(e: Event<u32>) -> (u64, u64) {
+        (e.time.as_micros(), e.seq)
     }
 
-    /// A deterministic pseudo-random schedule exercising same-tick ties,
-    /// near-wheel hits, and far-calendar spills.
-    fn scripted_events() -> Vec<(u64, u64)> {
-        let mut us = 7u64;
-        let mut out = Vec::new();
-        for seq in 0..4_000u64 {
-            // xorshift-ish scramble, spanning µs ticks to multi-second gaps
-            us = us.wrapping_mul(6364136223846793005).wrapping_add(seq);
-            let t = (us >> 33) % 9_000_000; // 0..9 s
-            out.push((t, seq));
-        }
-        out
+    fn both() -> [Box<dyn EventQueue<u32>>; 2] {
+        [Box::new(HeapQueue::new()), Box::new(TimingWheel::new())]
     }
 
-    #[test]
-    fn wheel_matches_heap_order_exactly() {
-        let mut heap = HeapQueue::new();
-        let mut wheel = TimingWheel::new();
-        for &(t, seq) in &scripted_events() {
-            heap.push(ev(t, seq));
-            wheel.push(ev(t, seq));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any interleaving the engine can produce — pushes never earlier
+        /// than the last popped event, cancels only of live events, at most
+        /// once — pops the same sequence from the wheel as from the heap.
+        #[test]
+        fn wheel_matches_heap_under_random_interleavings(
+            ops in proptest::collection::vec((0u8..10, any::<u64>()), 1..400),
+        ) {
+            let mut heap = HeapQueue::new();
+            let mut wheel = TimingWheel::new();
+            let mut now = 0u64; // time of the last popped event
+            let mut live: Vec<u64> = Vec::new();
+            for (seq, &(op, raw)) in ops.iter().enumerate() {
+                let seq = seq as u64;
+                match op {
+                    0..=4 => {
+                        let delay = match raw % 4 {
+                            0 => 0,                                   // same instant
+                            1 => (raw >> 2) % 2_048,                  // active or next tick
+                            2 => (raw >> 2) % 1_000_000,              // near wheel
+                            _ => 1_000_000 + (raw >> 2) % 30_000_000, // overflow calendar
+                        };
+                        heap.push(ev(now + delay, seq));
+                        wheel.push(ev(now + delay, seq));
+                        live.push(seq);
+                    }
+                    5..=7 => {
+                        let (h, w) = (heap.pop().map(key), wheel.pop().map(key));
+                        prop_assert_eq!(w, h);
+                        if let Some((t, popped)) = h {
+                            now = t;
+                            live.retain(|&s| s != popped);
+                        }
+                    }
+                    8 if !live.is_empty() => {
+                        let victim = live.swap_remove(raw as usize % live.len());
+                        heap.cancel(victim);
+                        wheel.cancel(victim);
+                    }
+                    _ => prop_assert_eq!(wheel.next_time(), heap.next_time()),
+                }
+                prop_assert_eq!(wheel.len(), heap.len());
+                prop_assert_eq!(wheel.len(), live.len());
+            }
+            let drain_h: Vec<_> = std::iter::from_fn(|| heap.pop().map(key)).collect();
+            let drain_w: Vec<_> = std::iter::from_fn(|| wheel.pop().map(key)).collect();
+            prop_assert_eq!(drain_w.len(), live.len());
+            prop_assert_eq!(drain_w, drain_h);
         }
-        assert_eq!(heap.len(), wheel.len());
-        assert_eq!(drain(&mut heap), drain(&mut wheel));
     }
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        // Pop half, then push events at-or-after the last popped time (as
-        // the engine does), including into the active tick.
-        let mut wheel = TimingWheel::new();
-        let mut heap = HeapQueue::new();
-        for &(t, seq) in &scripted_events()[..1_000] {
-            wheel.push(ev(t, seq));
-            heap.push(ev(t, seq));
+        // A denser schedule than the property draws: 1 000 events over 9 s
+        // (same-tick ties, near-wheel hits, far-calendar spills), half of
+        // them popped, then pushes at-or-after the last popped time (as the
+        // engine does), including into the active tick.
+        let mut us = 7u64;
+        let script: Vec<u64> = (0..1_000u64)
+            .map(|seq| {
+                us = us.wrapping_mul(6364136223846793005).wrapping_add(seq);
+                (us >> 33) % 9_000_000
+            })
+            .collect();
+        let [mut heap, mut wheel] = both();
+        for (seq, &t) in script.iter().enumerate() {
+            wheel.push(ev(t, seq as u64));
+            heap.push(ev(t, seq as u64));
         }
-        let mut got_w = Vec::new();
-        let mut got_h = Vec::new();
+        let mut resume = 0;
         for _ in 0..500 {
-            got_w.push(wheel.pop().map(|e| (e.time.as_micros(), e.seq)));
-            got_h.push(heap.pop().map(|e| (e.time.as_micros(), e.seq)));
+            let (h, w) = (heap.pop().map(key), wheel.pop().map(key));
+            assert_eq!(w, h);
+            resume = h.map_or(resume, |(t, _)| t);
         }
-        assert_eq!(got_w, got_h);
-        let resume = got_w.last().and_then(|o| o.map(|(t, _)| t)).unwrap_or(0);
-        for (i, &(dt, _)) in scripted_events()[..200].iter().enumerate() {
-            let seq = 10_000 + i as u64;
+        for (i, &dt) in script[..200].iter().enumerate() {
             let t = resume + dt % 2_048; // same tick, near, and just beyond
-            wheel.push(ev(t, seq));
-            heap.push(ev(t, seq));
+            wheel.push(ev(t, 10_000 + i as u64));
+            heap.push(ev(t, 10_000 + i as u64));
         }
-        assert_eq!(drain(&mut wheel), drain(&mut heap));
+        let drain_h: Vec<_> = std::iter::from_fn(|| heap.pop().map(key)).collect();
+        let drain_w: Vec<_> = std::iter::from_fn(|| wheel.pop().map(key)).collect();
+        assert_eq!(drain_w, drain_h);
     }
 
     #[test]
     fn cancellation_removes_without_dispatch() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut q: Box<dyn EventQueue<u32>> = kind.build();
+        for mut q in both() {
             q.push(ev(10, 0));
             q.push(ev(20, 1));
             q.push(ev(5_000_000, 2)); // far calendar on the wheel
             assert_eq!(q.len(), 3);
             q.cancel(1);
             q.cancel(2);
-            assert_eq!(q.len(), 1, "{kind:?} live count after cancel");
+            assert_eq!(q.len(), 1);
             assert_eq!(q.next_time(), Some(SimTime::from_micros(10)));
             let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-            assert_eq!(seqs, vec![0], "{kind:?} dispatched a cancelled event");
+            assert_eq!(seqs, vec![0], "dispatched a cancelled event");
             assert!(q.is_empty());
         }
     }
 
     #[test]
     fn next_time_skips_cancelled_heads() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut q: Box<dyn EventQueue<u32>> = kind.build();
+        for mut q in both() {
             q.push(ev(10, 0));
             q.push(ev(3_000_000, 1));
             q.cancel(0);
@@ -483,18 +465,16 @@ mod tests {
         for (i, secs) in [0u64, 3, 9].iter().enumerate() {
             wheel.push(ev(secs * 1_000_000 + 5, i as u64));
         }
-        let got = drain(&mut wheel);
+        let got: Vec<_> = std::iter::from_fn(|| wheel.pop().map(key)).collect();
         assert_eq!(got, vec![(5, 0), (3_000_005, 1), (9_000_005, 2)]);
     }
 
     #[test]
     fn empty_queue_reports_empty() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let mut q: Box<dyn EventQueue<u32>> = kind.build();
+        for mut q in both() {
             assert!(q.is_empty());
             assert_eq!(q.next_time(), None);
             assert!(q.pop().is_none());
-            assert_eq!(q.kind(), kind);
         }
     }
 }

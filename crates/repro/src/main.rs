@@ -6,7 +6,7 @@
 //!          fig8|fig9|fig10|egress|table5|fig11|fig12|fig13|fig14|failures]
 //!         [--scale quick|standard|full] [--seed N] [--out DIR]
 //!         [--threads N] [--ecs] [--era lte|3g]
-//!         [--fault-profile none|cellular|stress] [--queue heap|wheel]
+//!         [--fault-profile none|cellular|stress]
 //!         [--metrics] [--no-metrics] [--progress] [--quiet]
 //!   repro serve [--scale ...] [--seed N] [--endpoints PATH]
 //!         [--max-queries N] [--quiet]
@@ -22,10 +22,6 @@
 //! `--threads N` caps the campaign driver at `N` OS threads (default: one
 //! per carrier shard, capped by the machine). Output is byte-identical for
 //! every thread count — with or without a fault profile.
-//!
-//! `--queue` selects the engine's event-queue implementation (default:
-//! the timing wheel). Outputs are byte-identical either way; the knob
-//! exists for A/B benchmarking and for bisecting queue regressions.
 //!
 //! `--fault-profile cellular` turns on the deterministic chaos layer (link
 //! loss/outages/latency spikes plus resolver-side SERVFAILs, truncation,
@@ -46,8 +42,7 @@
 #![forbid(unsafe_code)]
 
 use cdns::measure::{
-    CampaignConfig, ExperimentSpec, FaultProfile, Parallelism, ProgressEvent, QueueKind,
-    WorldConfig,
+    CampaignConfig, ExperimentSpec, FaultProfile, Parallelism, ProgressEvent, WorldConfig,
 };
 use cdns::obs::host::{Profiler, Stage};
 use cdns::{figures, Study, StudyConfig};
@@ -64,7 +59,6 @@ struct Args {
     ecs: bool,
     three_g: bool,
     threads: Option<usize>,
-    queue: QueueKind,
     fault_profile: FaultProfile,
     metrics_table: bool,
     write_metrics: bool,
@@ -81,7 +75,6 @@ fn parse_args() -> Result<Args, String> {
     let mut ecs = false;
     let mut three_g = false;
     let mut threads = None;
-    let mut queue = QueueKind::default();
     let mut fault_profile = FaultProfile::None;
     let mut metrics_table = false;
     let mut write_metrics = true;
@@ -104,11 +97,6 @@ fn parse_args() -> Result<Args, String> {
             "--no-metrics" => write_metrics = false,
             "--progress" => progress = true,
             "--quiet" => quiet = true,
-            "--queue" => {
-                let name = it.next().ok_or("--queue needs heap|wheel")?;
-                queue = QueueKind::parse(&name)
-                    .ok_or(format!("unknown event queue '{name}' (heap|wheel)"))?;
-            }
             "--fault-profile" => {
                 let name = it
                     .next()
@@ -196,7 +184,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--no-verify" => verify = false,
             "--help" | "-h" => {
-                return Err("usage: repro [artifact-ids|all] [--scale quick|standard|full] [--seed N] [--out DIR] [--threads N] [--fault-profile none|cellular|stress] [--queue heap|wheel] [--metrics] [--no-metrics] [--progress] [--quiet]".into());
+                return Err("usage: repro [artifact-ids|all] [--scale quick|standard|full] [--seed N] [--out DIR] [--threads N] [--fault-profile none|cellular|stress] [--metrics] [--no-metrics] [--progress] [--quiet]".into());
             }
             other => targets.push(other.to_string()),
         }
@@ -224,7 +212,6 @@ fn parse_args() -> Result<Args, String> {
         ecs,
         three_g,
         threads,
-        queue,
         fault_profile,
         metrics_table,
         write_metrics,
@@ -276,7 +263,6 @@ fn main() {
     config.world.ecs = args.ecs;
     config.world.three_g_era = args.three_g;
     config.world.fault_profile = args.fault_profile;
-    config.world.queue = args.queue;
     if let Some(n) = args.threads {
         config.parallelism = Parallelism::Threads(n);
     }

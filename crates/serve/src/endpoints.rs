@@ -10,7 +10,7 @@
 //!
 //! [`DnsServer`]: crate::server::DnsServer
 
-use measure::{FaultProfile, QueueKind, WorldConfig};
+use measure::{FaultProfile, WorldConfig};
 use netsim::time::SimDuration;
 use std::net::SocketAddr;
 
@@ -59,7 +59,6 @@ impl Endpoints {
         out.push_str(&format!("ecs {}\n", c.ecs as u8));
         out.push_str(&format!("three_g_era {}\n", c.three_g_era as u8));
         out.push_str(&format!("fault_profile {}\n", c.fault_profile.label()));
-        out.push_str(&format!("queue {}\n", c.queue.label()));
         for ep in &self.carriers {
             out.push_str(&format!(
                 "carrier {} {} {} {} {}\n",
@@ -105,7 +104,6 @@ impl Endpoints {
                 "fault_profile" => {
                     config.fault_profile = FaultProfile::parse(rest).ok_or(err("profile"))?
                 }
-                "queue" => config.queue = QueueKind::parse(rest).ok_or(err("queue"))?,
                 "carrier" => {
                     // Carrier names may contain spaces ("SK Telecom"), so
                     // the name is everything between the leading index and
@@ -176,6 +174,8 @@ mod tests {
     #[test]
     fn parse_rejects_drift() {
         assert!(Endpoints::parse("flux 3\ncarrier 0 A 1.2.3.4:1 1.2.3.4:2 1").is_err());
+        // A key this version retired is drift like any other.
+        assert!(Endpoints::parse("queue wheel\ncarrier 0 A 1.2.3.4:1 1.2.3.4:2 1").is_err());
         assert!(Endpoints::parse("seed 5").is_err(), "no carriers = error");
         assert!(Endpoints::parse("carrier 0 A 1.2.3.4:1").is_err());
     }

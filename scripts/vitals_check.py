@@ -3,7 +3,6 @@
 
 Usage:
     vitals_check.py <metrics.json> <host-profile.txt> <baseline.json> <fault-profile>
-    vitals_check.py --bench <fresh-bench.json> <baseline.json> <trajectory.json...>
     vitals_check.py --soak <serve-metrics.json> <soak-profile.json> <chaos-profile>
 
 Smoke-run mode has two gates, one per observability plane:
@@ -19,16 +18,6 @@ Smoke-run mode has two gates, one per observability plane:
    the low edge of the checked-in baseline band. The band's low edge is
    set conservatively for shared CI runners; the tolerance absorbs
    runner-to-runner noise on top.
-
-Bench mode gates a fresh `queue_bench` run against the recorded
-`BENCH_*.json` trajectory:
-
-1. Absolute floor: the wheel's fresh events/s must clear the same
-   conservative band low edge the smoke run uses.
-2. Relative trajectory: the fresh wheel-over-heap speedup (both sides
-   measured on the same machine in the same run, so runner speed cancels)
-   must not fall more than the tolerance below the latest recorded
-   baseline's speedup.
 
 Stdlib only — the repo vendors all Rust deps and installs nothing in CI.
 """
@@ -211,101 +200,9 @@ def check_soak(argv):
     return failures
 
 
-def bench_ord(path):
-    """Orders trajectory files by the PR number in `BENCH_<n>.json`."""
-    m = re.search(r"BENCH_(\d+)", path)
-    return int(m.group(1)) if m else -1
-
-
-def check_bench(argv):
-    fresh_path, baseline_path = argv[0], argv[1]
-    trajectory_paths = sorted(argv[2:], key=bench_ord)
-    with open(fresh_path) as f:
-        fresh = json.load(f)
-    with open(baseline_path) as f:
-        baseline = json.load(f)
-
-    failures = []
-    tolerance = baseline["regression_tolerance"]
-
-    # The trajectory directory holds records from every bench family
-    # (`engine-queue-throughput` wheel runs, `serve-core-qps` serving-plane
-    # runs, ...); only records of the fresh run's own kind are comparable.
-    kind = fresh.get("bench", "engine-queue-throughput")
-    records = []
-    for path in trajectory_paths:
-        with open(path) as f:
-            rec = json.load(f)
-        if rec.get("bench", "engine-queue-throughput") == kind:
-            records.append((path, rec))
-
-    if kind == "serve-core-qps":
-        for path, rec in records:
-            print(f"vitals: trajectory {path}: serve core {rec['qps']:.0f} q/s "
-                  f"(seed {rec['seed']}, quick={rec['quick']})")
-        qps = fresh["qps"]
-        low = baseline["serve_qps"]["low"]
-        floor = low * (1.0 - tolerance)
-        print(f"vitals: fresh serve-core throughput = {qps:.0f} q/s "
-              f"(baseline low {low:.0f}, failure floor {floor:.0f})")
-        if qps < floor:
-            failures.append(
-                f"serve-core q/s regressed: {qps:.0f} < {floor:.0f} "
-                f"(>{tolerance:.0%} below baseline low)")
-        if not records:
-            failures.append("no serve-core-qps BENCH_*.json trajectory files given")
-            return failures
-        # Trajectory-relative floor only against like-for-like runs: a
-        # quick CI burst (one cold iteration, small script) sits well
-        # below a recorded best-of-3 full run by construction, not by
-        # regression. Absolute `serve_qps.low` still gates such runs.
-        comparable = [r for _, r in records if r["quick"] == fresh["quick"]]
-        if comparable:
-            recorded = comparable[-1]["qps"]
-            rel_floor = recorded * (1.0 - tolerance)
-            print(f"vitals: latest comparable recorded serve-core qps = {recorded:.0f} "
-                  f"(failure floor {rel_floor:.0f})")
-            if qps < rel_floor:
-                failures.append(
-                    f"serve-core q/s fell below trajectory: {qps:.0f} < "
-                    f"{rel_floor:.0f} (latest recorded {recorded:.0f})")
-        return failures
-
-    for path, rec in records:
-        print(f"vitals: trajectory {path}: wheel {rec['wheel']['events_per_sec']:.0f} events/s, "
-              f"speedup {rec['wheel_speedup_over_heap']:.3f}x "
-              f"(seed {rec['seed']}, quick={rec['quick']})")
-
-    wheel_rate = fresh["wheel"]["events_per_sec"]
-    low = baseline["events_per_sec"]["low"]
-    floor = low * (1.0 - tolerance)
-    print(f"vitals: fresh wheel throughput = {wheel_rate:.0f} events/s "
-          f"(baseline low {low:.0f}, failure floor {floor:.0f})")
-    if wheel_rate < floor:
-        failures.append(
-            f"bench wheel events/sec regressed: {wheel_rate:.0f} < {floor:.0f} "
-            f"(>{tolerance:.0%} below baseline low)")
-
-    if records:
-        recorded = records[-1][1]["wheel_speedup_over_heap"]
-        fresh_speedup = fresh["wheel_speedup_over_heap"]
-        speedup_floor = recorded * (1.0 - tolerance)
-        print(f"vitals: fresh wheel speedup = {fresh_speedup:.3f}x "
-              f"(latest recorded {recorded:.3f}x, failure floor {speedup_floor:.3f}x)")
-        if fresh_speedup < speedup_floor:
-            failures.append(
-                f"wheel-over-heap speedup regressed: {fresh_speedup:.3f}x < "
-                f"{speedup_floor:.3f}x (latest trajectory {recorded:.3f}x)")
-    else:
-        failures.append("no BENCH_*.json trajectory files given")
-    return failures
-
-
 def main():
     argv = sys.argv[1:]
-    if len(argv) >= 3 and argv[0] == "--bench":
-        failures = check_bench(argv[1:])
-    elif len(argv) == 4 and argv[0] == "--soak":
+    if len(argv) == 4 and argv[0] == "--soak":
         failures = check_soak(argv[1:])
     elif len(argv) == 4:
         failures = check_smoke(argv)

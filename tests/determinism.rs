@@ -7,7 +7,7 @@
 
 use behind_the_curtain::measure::{
     build_world, run_campaign_observed, run_campaign_with, CampaignConfig, CampaignRun, Dataset,
-    FaultProfile, Outcome, Parallelism, QueueKind,
+    FaultProfile, Outcome, Parallelism,
 };
 use behind_the_curtain::measure::{ExperimentSpec, WorldConfig};
 use behind_the_curtain::obs::sha256_hex;
@@ -232,55 +232,6 @@ fn cellular_fault_profile_produces_a_failure_taxonomy() {
             "outcomes.csv missing {}",
             outcome.label()
         );
-    }
-}
-
-fn campaign_run_with_queue(
-    seed: u64,
-    par: Parallelism,
-    profile: FaultProfile,
-    queue: QueueKind,
-) -> CampaignRun {
-    let mut world = build_world(WorldConfig {
-        fault_profile: profile,
-        queue,
-        ..WorldConfig::quick(seed)
-    });
-    run_campaign_observed(&mut world, &quick_campaign_config(), par, None)
-}
-
-#[test]
-fn heap_and_wheel_queues_export_byte_identical_outputs() {
-    // The tentpole contract: swapping the engine's event queue between the
-    // reference binary heap and the timing wheel must not move a single
-    // byte of any exported table or of metrics.json — under every thread
-    // count and with the chaos layer both off and on. (The default-config
-    // path runs the wheel; the thread-sweep tests above already pin wheel
-    // runs against each other, so one wheel reference per profile here
-    // closes the heap side transitively.)
-    for profile in [FaultProfile::None, FaultProfile::Cellular] {
-        let wheel =
-            campaign_run_with_queue(20141105, Parallelism::Threads(1), profile, QueueKind::Wheel);
-        let wheel_csv = csv_bytes(&wheel.dataset);
-        let wheel_sha = sha256_hex(wheel.metrics.to_json().as_bytes());
-        for threads in [1, 4, 6] {
-            let heap = campaign_run_with_queue(
-                20141105,
-                Parallelism::Threads(threads),
-                profile,
-                QueueKind::Heap,
-            );
-            assert_eq!(
-                wheel_csv,
-                csv_bytes(&heap.dataset),
-                "{profile:?}/{threads} threads: heap and wheel queues diverged on CSV bytes"
-            );
-            assert_eq!(
-                wheel_sha,
-                sha256_hex(heap.metrics.to_json().as_bytes()),
-                "{profile:?}/{threads} threads: heap and wheel queues diverged on metrics.json"
-            );
-        }
     }
 }
 
