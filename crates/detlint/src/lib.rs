@@ -39,9 +39,9 @@
 //!   `String::from`, `Box::new`) inside `// detlint: hot` functions.
 //! - **D11** — float-order hazards: `partial_cmp` comparators in sorts,
 //!   float-keyed ordered collections, bare float→int `as` casts.
-//! - **D12** — metric cross-check: every sim-plane metric name must appear
-//!   in `ci/vitals-baseline.json` or `KNOWN_METRICS` in
-//!   `scripts/vitals_check.py`, and every declared name must be emitted.
+//! - **D12** — metric cross-check: every emitted metric name must be
+//!   declared in `crates/obs/src/catalog.rs`, and every name declared
+//!   there must be emitted.
 //!
 //! Suppression is explicit and audited: an inline
 //! `// detlint: allow(D1) -- <reason>` marker on the offending line (or
@@ -52,7 +52,6 @@
 
 #![forbid(unsafe_code)]
 
-mod cache;
 pub mod lex;
 pub mod model;
 pub mod report;
@@ -76,7 +75,7 @@ pub const SIM_CRATES: &[&str] = &[
 /// plane (`serve` binds real sockets, `loadgen` paces real traffic — both
 /// run on wall time by design). D7 fences everyone else onto the
 /// deterministic sim plane, and D2/D3 stay fully gated in sim crates.
-pub const HOST_PLANE_CRATES: &[&str] = &["repro", "bench", "obs", "serve", "loadgen"];
+pub const HOST_PLANE_CRATES: &[&str] = &["repro", "obs", "serve", "loadgen"];
 
 /// Hot-path crates where D4 (panic-freedom of library code) applies. In
 /// these crates an audited `allow(D4)` marker also discharges D9 at the
@@ -112,7 +111,7 @@ pub enum Rule {
     D10,
     /// Float-order hazard.
     D11,
-    /// Metric name missing from the baseline/allowlist, or dead there.
+    /// Metric name missing from the catalog, or dead there.
     D12,
     /// Malformed or unused allow-marker (markers are themselves linted).
     Marker,
@@ -222,8 +221,8 @@ impl FileCtx {
     }
 }
 
-/// One scanned file's cached/cacheable state: raw (pre-suppression) local
-/// findings, extracted facts, and its allow-markers.
+/// One scanned file: raw (pre-suppression) local findings, extracted
+/// facts, and its allow-markers.
 #[derive(Debug)]
 pub struct FileRecord {
     /// Workspace-relative path.
@@ -431,11 +430,10 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Scans the whole workspace rooted at `root`, with the per-file cache
-/// under `target/detlint/` enabled or not. Test targets (`tests/`,
-/// `benches/`, `examples/`) are skipped: every rule exempts test code,
-/// and D5 applies to crate roots only.
-pub fn scan_workspace_report(root: &Path, use_cache: bool) -> Report {
+/// Scans the whole workspace rooted at `root`. Test targets (`tests/`,
+/// `examples/`) are skipped: every rule exempts test code, and D5 applies
+/// to crate roots only.
+pub fn scan_workspace_report(root: &Path) -> Report {
     let mut report = Report::default();
     let pkgs = match packages(root) {
         Ok(p) => p,
@@ -444,14 +442,7 @@ pub fn scan_workspace_report(root: &Path, use_cache: bool) -> Report {
             return report;
         }
     };
-    let cached = if use_cache {
-        cache::load(root)
-    } else {
-        Default::default()
-    };
-
     let mut records: Vec<FileRecord> = Vec::new();
-    let mut hashes: Vec<u64> = Vec::new();
     for pkg in &pkgs {
         let mut files = Vec::new();
         if let Err(e) = collect_rs(&pkg.src, &mut files) {
@@ -465,25 +456,11 @@ pub fn scan_workspace_report(root: &Path, use_cache: bool) -> Report {
                 .unwrap_or(&f)
                 .to_string_lossy()
                 .replace('\\', "/");
-            let bytes = match std::fs::read(&f) {
-                Ok(b) => b,
-                Err(e) => {
-                    report.errors.push(format!("{rel}: {e}"));
-                    continue;
-                }
-            };
-            let hash = cache::fnv1a(&bytes);
-            if let Some((h, rec)) = cached.entries.get(&rel) {
-                if *h == hash && rec.crate_name == pkg.name {
-                    records.push(clone_record(rec));
-                    hashes.push(hash);
-                    continue;
-                }
-            }
-            let source = match String::from_utf8(bytes) {
+            // A non-UTF-8 file surfaces here too, as `InvalidData`.
+            let source = match std::fs::read_to_string(&f) {
                 Ok(s) => s,
                 Err(e) => {
-                    report.errors.push(format!("{rel}: not valid UTF-8 ({e})"));
+                    report.errors.push(format!("{rel}: {e}"));
                     continue;
                 }
             };
@@ -493,13 +470,7 @@ pub fn scan_workspace_report(root: &Path, use_cache: bool) -> Report {
                 && f.parent().is_some_and(|p| p == pkg.src);
             let ctx = FileCtx::new(&pkg.name, is_root);
             records.push(build_record(&rel, &source, &ctx));
-            hashes.push(hash);
         }
-    }
-
-    if use_cache {
-        let pairs: Vec<(u64, &FileRecord)> = hashes.iter().copied().zip(records.iter()).collect();
-        cache::store(root, &pairs);
     }
 
     let graph = rules::build_graph(&records);
@@ -509,35 +480,14 @@ pub fn scan_workspace_report(root: &Path, use_cache: bool) -> Report {
     report
 }
 
-/// Clones a cached record (records are cheap: strings and small vectors).
-fn clone_record(rec: &FileRecord) -> FileRecord {
-    FileRecord {
-        path: rec.path.clone(),
-        crate_name: rec.crate_name.clone(),
-        raw: rec.raw.clone(),
-        facts: model::FileFacts {
-            fns: rec.facts.fns.clone(),
-            impl_types: rec.facts.impl_types.clone(),
-            metric_sites: rec.facts.metric_sites.clone(),
-            lane_mods: rec.facts.lane_mods.clone(),
-        },
-        markers: rec.markers.clone(),
-    }
-}
-
 /// Scans the whole workspace rooted at `root`. Internal scan errors
 /// (unreadable files) surface as `Err`; lint findings are the `Ok` value.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let report = scan_workspace_report(root, true);
+    let report = scan_workspace_report(root);
     if !report.errors.is_empty() {
         return Err(std::io::Error::other(report.errors.join("; ")));
     }
     Ok(report.findings)
-}
-
-/// Renders findings as a JSON array (hand-rolled; no serde in the tree).
-pub fn to_json(findings: &[Finding]) -> String {
-    report::to_json(findings)
 }
 
 /// Locates the workspace root: the nearest ancestor of `start` whose

@@ -5,9 +5,6 @@
 //! ```text
 //! cargo run -p detlint                      # text diagnostics, exit 1 on findings
 //! cargo run -p detlint -- --format json     # JSON report (for CI artifacts)
-//! cargo run -p detlint -- --format sarif    # SARIF 2.1.0 (GitHub code scanning)
-//! cargo run -p detlint -- --format github   # ::error annotations on the PR diff
-//! cargo run -p detlint -- --no-cache        # ignore target/detlint/ scan cache
 //! cargo run -p detlint -- --root ../other   # lint another workspace
 //! ```
 //!
@@ -23,18 +20,15 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
-    let mut use_cache = true;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--format" => match args.next().as_deref() {
                 Some("json") => format = Format::Json,
                 Some("text") => format = Format::Text,
-                Some("sarif") => format = Format::Sarif,
-                Some("github") => format = Format::Github,
                 other => {
                     eprintln!(
-                        "detlint: --format expects `text`, `json`, `sarif` or `github`, got {:?}",
+                        "detlint: --format expects `text` or `json`, got {:?}",
                         other.unwrap_or("<missing>")
                     );
                     return ExitCode::from(2);
@@ -47,21 +41,19 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--no-cache" => use_cache = false,
             "--help" | "-h" => {
                 println!(
                     "detlint: workspace determinism-and-safety lint pass\n\n\
                      OPTIONS:\n  \
-                     --format <text|json|sarif|github>  output format (default: text)\n  \
-                     --root <path>    workspace root (default: discovered from manifest dir)\n  \
-                     --no-cache       ignore the target/detlint/ incremental scan cache\n\n\
+                     --format <text|json>  output format (default: text)\n  \
+                     --root <path>         workspace root (default: discovered from manifest dir)\n\n\
                      Rules: D1 hash-iteration-order escape, D2 wall clock, D3 ambient RNG,\n\
                      D4 panic in hot-path library code, D5 missing #![forbid(unsafe_code)],\n\
                      D6 discarded experiment Outcome, D7 observability-plane breach,\n\
                      D8 seed-lane provenance, D9 transitive panic reachability from\n\
                      // detlint: hot entry points, D10 hot-path allocation, D11 float-order\n\
-                     hazards, D12 metric-name cross-check against ci/vitals-baseline.json\n\
-                     and KNOWN_METRICS in scripts/vitals_check.py.\n\
+                     hazards, D12 metric-name cross-check against the catalog in\n\
+                     crates/obs/src/catalog.rs.\n\
                      Suppress with an inline comment marker: detlint: allow(D#) -- <reason>.\n\
                      A marker that suppresses nothing is itself an error.\n\n\
                      EXIT CODES: 0 clean, 1 findings, 2 internal scan error."
@@ -92,7 +84,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let report = detlint::scan_workspace_report(&root, use_cache);
+    let report = detlint::scan_workspace_report(&root);
     let findings = &report.findings;
 
     match format {
@@ -104,9 +96,7 @@ fn main() -> ExitCode {
                 eprintln!("detlint: {} finding(s)", findings.len());
             }
         }
-        Format::Json => println!("{}", detlint::to_json(findings)),
-        Format::Sarif => println!("{}", detlint::report::to_sarif(findings)),
-        Format::Github => print!("{}", detlint::report::to_github(findings)),
+        Format::Json => println!("{}", detlint::report::to_json(findings)),
     }
 
     if !report.errors.is_empty() {
@@ -125,6 +115,4 @@ fn main() -> ExitCode {
 enum Format {
     Text,
     Json,
-    Sarif,
-    Github,
 }

@@ -1,37 +1,7 @@
-//! Diagnostic emitters: rustc-style text with code frames, JSON, SARIF
-//! 2.1.0 (the shape GitHub code scanning ingests), and GitHub Actions
-//! `::error` annotations.
+//! Diagnostic emitters: rustc-style text with code frames (the gate), and
+//! JSON (the CI artifact).
 
-use crate::{Finding, Rule};
-
-/// All rules, for the SARIF rule table.
-const ALL_RULES: &[(Rule, &str)] = &[
-    (Rule::D1, "iteration-order escape from a hash collection"),
-    (Rule::D2, "wall-clock read in a simulation crate"),
-    (Rule::D3, "ambient (non-seed-lane) randomness"),
-    (Rule::D4, "unwrap/expect/panic! in hot-path library code"),
-    (Rule::D5, "missing #![forbid(unsafe_code)] in a crate root"),
-    (Rule::D6, "discarded experiment Outcome"),
-    (
-        Rule::D7,
-        "observability-plane breach or dynamic metric name",
-    ),
-    (Rule::D8, "RNG seed does not flow from a lane::* constant"),
-    (
-        Rule::D9,
-        "hot entry point transitively reaches a panic sink",
-    ),
-    (Rule::D10, "allocation inside a // detlint: hot function"),
-    (
-        Rule::D11,
-        "float-order hazard (partial_cmp sort, float key, bare as-cast)",
-    ),
-    (
-        Rule::D12,
-        "metric name missing from baseline/allowlist (or dead)",
-    ),
-    (Rule::Marker, "malformed or unused allow-marker"),
-];
+use crate::Finding;
 
 fn esc_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -83,80 +53,10 @@ pub fn to_json(findings: &[Finding]) -> String {
     out
 }
 
-/// Renders findings as a minimal SARIF 2.1.0 log: one run, one driver,
-/// the full rule table, and one result per finding with a physical
-/// location carrying line and column.
-pub fn to_sarif(findings: &[Finding]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n",
-    );
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"detlint\",\n");
-    out.push_str("          \"informationUri\": \"DESIGN.md\",\n");
-    out.push_str("          \"version\": \"2.0.0\",\n");
-    out.push_str("          \"rules\": [\n");
-    for (i, (rule, desc)) in ALL_RULES.iter().enumerate() {
-        out.push_str(&format!(
-            "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}{}\n",
-            rule,
-            esc_json(desc),
-            if i + 1 < ALL_RULES.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("          ]\n        }\n      },\n");
-    out.push_str("      \"results\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "        {{\"ruleId\": \"{}\", \"level\": \"error\", \"message\": {{\"text\": \"{}\"}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}{}\n",
-            f.rule,
-            esc_json(&f.message),
-            esc_json(&f.file),
-            f.line,
-            f.col.max(1),
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("      ]\n    }\n  ]\n}");
-    out
-}
-
-/// Escapes annotation *message data* per the GitHub Actions workflow
-/// command grammar.
-fn esc_gh_data(s: &str) -> String {
-    s.replace('%', "%25")
-        .replace('\r', "%0D")
-        .replace('\n', "%0A")
-}
-
-/// Escapes annotation *property values* (file names), which additionally
-/// reserve `:` and `,`.
-fn esc_gh_prop(s: &str) -> String {
-    esc_gh_data(s).replace(':', "%3A").replace(',', "%2C")
-}
-
-/// Renders findings as GitHub Actions `::error` workflow commands so they
-/// annotate the PR diff directly.
-pub fn to_github(findings: &[Finding]) -> String {
-    let mut out = String::new();
-    for f in findings {
-        out.push_str(&format!(
-            "::error file={},line={},col={},title=detlint {}::{}\n",
-            esc_gh_prop(&f.file),
-            f.line,
-            f.col.max(1),
-            f.rule,
-            esc_gh_data(&f.message),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Rule;
 
     fn sample() -> Vec<Finding> {
         vec![Finding {
@@ -176,30 +76,5 @@ mod tests {
         assert!(text.contains("    3 |     let t = Instant::now();"));
         let caret_line = text.lines().last().unwrap();
         assert_eq!(caret_line.find('^').unwrap(), "      | ".len() + 8);
-    }
-
-    #[test]
-    fn sarif_has_2_1_0_shape() {
-        let sarif = to_sarif(&sample());
-        for needle in [
-            "\"version\": \"2.1.0\"",
-            "sarif-schema-2.1.0.json",
-            "\"name\": \"detlint\"",
-            "\"ruleId\": \"D2\"",
-            "\"startLine\": 3",
-            "\"startColumn\": 9",
-            "\"artifactLocation\": {\"uri\": \"crates/x/src/lib.rs\"}",
-        ] {
-            assert!(sarif.contains(needle), "missing {needle} in:\n{sarif}");
-        }
-    }
-
-    #[test]
-    fn github_annotations_escape_data() {
-        let mut f = sample();
-        f[0].message = "50% of\nlines".into();
-        let gh = to_github(&f);
-        assert!(gh.starts_with("::error file=crates/x/src/lib.rs,line=3,col=9,"));
-        assert!(gh.contains("50%25 of%0Alines"));
     }
 }

@@ -462,7 +462,7 @@ pub(crate) fn local_findings(
                     lineno,
                     at + 1,
                     Rule::D7,
-                    "host-plane observability `obs::host` outside repro/bench; simulation and \
+                    "host-plane observability `obs::host` outside repro; simulation and \
                      analysis code may only use the deterministic sim plane"
                         .to_string(),
                 ));
@@ -803,8 +803,8 @@ fn file_stem(path: &str) -> &str {
 /// Declared metric names with their declaration site, for D12.
 #[derive(Debug, Default)]
 pub struct MetricDecls {
-    /// name → (file, line) of its declaration.
-    pub names: BTreeMap<String, (String, usize)>,
+    /// name → line of its declaration in the catalog.
+    pub names: BTreeMap<String, usize>,
 }
 
 /// All global raw findings over the workspace record set. `decls` is
@@ -1049,7 +1049,7 @@ fn d9_pass(records: &[FileRecord], graph: &CallGraph, out: &mut Vec<Finding>) {
 }
 
 /// D12: metric-name cross-check between obs mutator call sites and the
-/// CI baseline + allowlist.
+/// catalog.
 fn d12_pass(records: &[FileRecord], decls: &MetricDecls, out: &mut Vec<Finding>) {
     let mut used: BTreeMap<&str, Vec<(usize, usize, usize)>> = BTreeMap::new(); // name → (rec, line, col)
     for (ri, rec) in records.iter().enumerate() {
@@ -1078,18 +1078,17 @@ fn d12_pass(records: &[FileRecord], decls: &MetricDecls, out: &mut Vec<Finding>)
                     col,
                     Rule::D12,
                     format!(
-                        "metric `{name}` is emitted but declared in neither \
-                         ci/vitals-baseline.json nor KNOWN_METRICS in scripts/vitals_check.py; \
+                        "metric `{name}` is emitted but not declared in {METRIC_CATALOG}; \
                          declare it (or fix the typo)"
                     ),
                 ));
             }
         }
     }
-    for (name, (file, line)) in &decls.names {
+    for (name, line) in &decls.names {
         if !used.contains_key(name.as_str()) {
             out.push(Finding {
-                file: file.clone(),
+                file: METRIC_CATALOG.to_string(),
                 line: *line,
                 col: 1,
                 rule: Rule::D12,
@@ -1103,36 +1102,22 @@ fn d12_pass(records: &[FileRecord], decls: &MetricDecls, out: &mut Vec<Finding>)
     }
 }
 
-/// Parses metric declarations for D12 out of the baseline JSON (any quoted
-/// string containing a `.`) and the `KNOWN_METRICS` list in
-/// `scripts/vitals_check.py`.
+/// The one file that declares metric names, relative to the workspace root.
+const METRIC_CATALOG: &str = "crates/obs/src/catalog.rs";
+
+/// Parses metric declarations for D12 out of `crates/obs/src/catalog.rs`:
+/// every quoted metric name above the file's test module.
 pub fn load_metric_decls(root: &std::path::Path) -> MetricDecls {
     let mut decls = MetricDecls::default();
-    let baseline = "ci/vitals-baseline.json";
-    if let Ok(text) = std::fs::read_to_string(root.join(baseline)) {
-        collect_quoted_metric_names(&text, baseline, is_metric_name, &mut decls);
-    }
-    let allowlist = "scripts/vitals_check.py";
-    if let Ok(text) = std::fs::read_to_string(root.join(allowlist)) {
-        if let Some(at) = text.find("KNOWN_METRICS") {
-            let tail = &text[at..];
-            let end = tail.find(']').map(|e| at + e).unwrap_or(text.len());
-            let lines_before = text[..at].lines().count().saturating_sub(1);
-            let mut sub = MetricDecls::default();
-            collect_quoted_metric_names(&text[at..end], allowlist, is_metric_name, &mut sub);
-            for (name, (file, line)) in sub.names {
-                decls
-                    .names
-                    .entry(name)
-                    .or_insert((file, line + lines_before));
-            }
-        }
+    if let Ok(text) = std::fs::read_to_string(root.join(METRIC_CATALOG)) {
+        let declared = text.split("#[cfg(test)]").next().unwrap_or("");
+        collect_quoted_metric_names(declared, &mut decls);
     }
     decls
 }
 
-/// Whether a quoted string from the baseline is a metric name (dotted
-/// lowercase identifier) rather than a JSON key or prose comment.
+/// Whether a quoted string in the catalog is a metric name (dotted
+/// lowercase identifier) rather than a help text.
 fn is_metric_name(s: &str) -> bool {
     s.contains('.')
         && s.len() < 64
@@ -1140,12 +1125,7 @@ fn is_metric_name(s: &str) -> bool {
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '.' || c == '_')
 }
 
-fn collect_quoted_metric_names(
-    text: &str,
-    file: &str,
-    keep: impl Fn(&str) -> bool,
-    decls: &mut MetricDecls,
-) {
+fn collect_quoted_metric_names(text: &str, decls: &mut MetricDecls) {
     for (li, line) in text.lines().enumerate() {
         let mut rest = line;
         let mut consumed = 0;
@@ -1154,11 +1134,8 @@ fn collect_quoted_metric_names(
                 break;
             };
             let name = &rest[q1 + 1..q1 + 1 + q2];
-            if !name.is_empty() && keep(name) {
-                decls
-                    .names
-                    .entry(name.to_string())
-                    .or_insert((file.to_string(), li + 1));
+            if is_metric_name(name) {
+                decls.names.entry(name.to_string()).or_insert(li + 1);
             }
             consumed += q1 + q2 + 2;
             rest = &line[consumed..];

@@ -1,21 +1,20 @@
 //! Workspace-level behaviour over a synthetic mini-workspace on disk:
-//! the D12 metric cross-check (both directions), incremental-cache reuse
-//! and invalidation, and the scan-error path for unreadable input. The
-//! single-file rule semantics live in `rules.rs`.
+//! the D12 metric cross-check (both directions, before and after an edit)
+//! and the scan-error path for unreadable input. The single-file rule
+//! semantics live in `rules.rs`.
 
 use std::fs;
 use std::path::PathBuf;
 
 use detlint::Rule;
 
-/// Lays out a throwaway workspace with one sim crate, a CI baseline, and
-/// a vitals-check allowlist, then returns its root.
+/// Lays out a throwaway workspace with one sim crate and a metric
+/// catalog, then returns its root.
 fn mini_workspace(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("detlint-it-{}-{tag}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     fs::create_dir_all(root.join("crates/measure/src")).unwrap();
-    fs::create_dir_all(root.join("ci")).unwrap();
-    fs::create_dir_all(root.join("scripts")).unwrap();
+    fs::create_dir_all(root.join("crates/obs/src")).unwrap();
     fs::write(
         root.join("Cargo.toml"),
         "[workspace]\nmembers = [\"crates/*\"]\n",
@@ -35,14 +34,14 @@ fn mini_workspace(tag: &str) -> PathBuf {
          }\n",
     )
     .unwrap();
+    // No `Cargo.toml` beside it, so the scanner reads this file as the
+    // catalog only, not as a crate to lint.
     fs::write(
-        root.join("ci/vitals-baseline.json"),
-        "{\n  \"required_counters\": [\"sim.good\"]\n}\n",
-    )
-    .unwrap();
-    fs::write(
-        root.join("scripts/vitals_check.py"),
-        "KNOWN_METRICS = [\n    \"sim.known\",\n]\n",
+        root.join("crates/obs/src/catalog.rs"),
+        "pub const METRICS: &[MetricDef] = &[\n    \
+         def(\"sim.good\", Counter, \"a live metric\"),\n    \
+         def(\"sim.known\", Counter, \"declared, not yet emitted\"),\n\
+         ];\n",
     )
     .unwrap();
     root
@@ -62,7 +61,9 @@ fn d12_cross_checks_both_directions_and_cache_invalidates() {
     assert_eq!(rogue.file, "crates/measure/src/lib.rs");
     assert_eq!(rogue.line, 5);
     assert!(
-        rogue.message.contains("declared in neither"),
+        rogue
+            .message
+            .contains("not declared in crates/obs/src/catalog.rs"),
         "{}",
         rogue.message
     );
@@ -70,8 +71,8 @@ fn d12_cross_checks_both_directions_and_cache_invalidates() {
         .iter()
         .find(|f| f.message.contains("`sim.known`"))
         .expect("dead declaration flagged");
-    assert_eq!(dead.file, "scripts/vitals_check.py");
-    assert_eq!(dead.line, 2);
+    assert_eq!(dead.file, "crates/obs/src/catalog.rs");
+    assert_eq!(dead.line, 3);
     assert!(
         dead.message
             .contains("no sim-plane or host-plane call site"),
@@ -80,13 +81,8 @@ fn d12_cross_checks_both_directions_and_cache_invalidates() {
     );
     assert_eq!(findings.len(), 2, "only D12 should fire here: {findings:?}");
 
-    // A warm-cache rescan of the unchanged tree agrees byte for byte.
-    let rescan = detlint::scan_workspace(&root).expect("warm rescan");
-    assert_eq!(rescan, findings);
-    assert!(root.join("target/detlint/cache.tsv").is_file());
-
-    // Emitting the allowlisted name rewrites one file; the cache must
-    // notice the content change and the dead-declaration finding clears.
+    // Emitting the declared name rewrites one file; the next scan sees
+    // the edit and the dead-declaration finding clears.
     let lib = root.join("crates/measure/src/lib.rs");
     let patched = fs::read_to_string(&lib).unwrap().replace(
         "reg.inc(\"sim.rogue\", &[]);",
@@ -113,7 +109,7 @@ fn non_utf8_files_are_scan_errors_not_findings() {
     )
     .unwrap();
 
-    let report = detlint::scan_workspace_report(&root, false);
+    let report = detlint::scan_workspace_report(&root);
     assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
     assert!(report.errors[0].contains("UTF-8"), "{}", report.errors[0]);
     assert!(report.errors[0].contains("bad.rs"), "{}", report.errors[0]);

@@ -1,8 +1,8 @@
 //! High-level probing drivers built on the transaction API: multi-probe
-//! ping, traceroute, and an HTTP-lite GET matching the paper's
+//! ping, traceroute, and a TCP-lite HTTP GET matching the paper's
 //! time-to-first-byte measurements.
 
-use crate::engine::{Egress, FlowResult, Network, ServiceCtx, UdpService};
+use crate::engine::{FlowResult, Network};
 use crate::time::{SimDuration, SimTime};
 use crate::topo::NodeId;
 use std::net::Ipv4Addr;
@@ -30,15 +30,6 @@ impl PingReport {
     /// Minimum RTT (the usual latency estimator), if any probe answered.
     pub fn min_rtt(&self) -> Option<SimDuration> {
         self.rtts.iter().copied().min()
-    }
-
-    /// Mean RTT across answered probes.
-    pub fn mean_rtt(&self) -> Option<SimDuration> {
-        if self.rtts.is_empty() {
-            return None;
-        }
-        let total: u64 = self.rtts.iter().map(|r| r.as_micros()).sum();
-        Some(SimDuration::from_micros(total / self.rtts.len() as u64))
     }
 
     /// Fraction of probes lost.
@@ -74,16 +65,6 @@ impl TraceReport {
     pub fn responding_hops(&self) -> Vec<Ipv4Addr> {
         self.hops.iter().filter_map(|h| h.addr).collect()
     }
-}
-
-/// Result of an HTTP-lite GET.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpReport {
-    /// Server address.
-    pub server: Ipv4Addr,
-    /// Time to first byte (connection setup + request/response), or `None`
-    /// if the exchange failed.
-    pub ttfb: Option<SimDuration>,
 }
 
 impl Network {
@@ -166,85 +147,14 @@ impl Network {
             reached,
         }
     }
-
-    /// HTTP-lite GET: a connection-setup exchange followed by the request
-    /// itself, so TTFB costs two round trips plus server time — the shape of
-    /// TCP-based time-to-first-byte the paper measures.
-    pub fn http_get(&mut self, node: NodeId, server: Ipv4Addr, path: &str) -> HttpReport {
-        let start = self.now();
-        let syn = self.udp_request(node, server, HTTP_PORT, b"SYN".to_vec(), PROBE_TIMEOUT);
-        let syn_out = self.run_until(syn);
-        if !matches!(syn_out.result, FlowResult::Response { .. }) {
-            return HttpReport { server, ttfb: None };
-        }
-        let req = format!("GET {path}");
-        let get = self.udp_request(node, server, HTTP_PORT, req.into_bytes(), PROBE_TIMEOUT);
-        let get_out = self.run_until(get);
-        match get_out.result {
-            FlowResult::Response { .. } => HttpReport {
-                server,
-                ttfb: Some(self.now().since(start)),
-            },
-            _ => HttpReport { server, ttfb: None },
-        }
-    }
 }
 
-/// Well-known HTTP port for the HTTP-lite service.
+/// Well-known HTTP port, where `tcplite::TcpHttpServer` listens.
 pub const HTTP_PORT: u16 = 80;
 
 /// Base destination port for UDP traceroute probes (the traceroute tool's
 /// classic 33434).
 pub const TRACEROUTE_BASE_PORT: u16 = 33_434;
-
-/// A minimal HTTP-lite origin/replica server: acknowledges connection setup
-/// immediately and serves GETs after a configurable service time.
-#[derive(Debug)]
-pub struct HttpLiteServer {
-    /// Server processing time added to GET responses.
-    pub service_time: SimDuration,
-    /// Requests served (diagnostics).
-    pub hits: u64,
-}
-
-impl HttpLiteServer {
-    /// A server with the given processing time.
-    pub fn new(service_time: SimDuration) -> Self {
-        HttpLiteServer {
-            service_time,
-            hits: 0,
-        }
-    }
-}
-
-impl UdpService for HttpLiteServer {
-    fn handle(
-        &mut self,
-        _ctx: &mut ServiceCtx<'_>,
-        from: Ipv4Addr,
-        from_port: u16,
-        payload: &[u8],
-    ) -> Vec<Egress> {
-        if payload == b"SYN" {
-            return vec![Egress::reply(
-                from,
-                from_port,
-                b"SYN-ACK".to_vec(),
-                SimDuration::ZERO,
-            )];
-        }
-        if payload.starts_with(b"GET ") {
-            self.hits += 1;
-            return vec![Egress::reply(
-                from,
-                from_port,
-                b"200 OK".to_vec(),
-                self.service_time,
-            )];
-        }
-        Vec::new()
-    }
-}
 
 /// Result of a TCP-lite HTTP GET.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -359,13 +269,7 @@ mod tests {
         t.add_link(a, r1, LatencyModel::constant_ms(2));
         t.add_link(r1, r2, LatencyModel::constant_ms(3));
         t.add_link(r2, b, LatencyModel::constant_ms(2));
-        let mut net = Network::new(t, 99);
-        net.register_service(
-            b,
-            HTTP_PORT,
-            Box::new(HttpLiteServer::new(SimDuration::from_millis(5))),
-        );
-        (net, a, ip(10, 0, 0, 4))
+        (Network::new(t, 99), a, ip(10, 0, 0, 4))
     }
 
     #[test]
@@ -376,7 +280,6 @@ mod tests {
         assert_eq!(report.rtts.len(), 3);
         assert!(report.reachable());
         assert_eq!(report.loss(), 0.0);
-        assert!(report.min_rtt().unwrap() <= report.mean_rtt().unwrap());
         // 2*(2+3+2)=14ms nominal
         let m = report.min_rtt().unwrap().as_millis_f64();
         assert!((14.0..15.0).contains(&m), "min rtt {m}");
@@ -397,28 +300,11 @@ mod tests {
     }
 
     #[test]
-    fn http_get_ttfb_is_two_rtts_plus_service() {
-        let (mut net, a, target) = network();
-        let report = net.http_get(a, target, "/index.html");
-        // 2 RTTs (28 ms) + 5 ms service, plus proc delays.
-        let ttfb = report.ttfb.expect("served").as_millis_f64();
-        assert!((33.0..36.0).contains(&ttfb), "ttfb {ttfb}");
-    }
-
-    #[test]
-    fn http_get_fails_cleanly_without_server() {
-        let (mut net, a, _) = network();
-        let report = net.http_get(a, ip(10, 0, 0, 3), "/");
-        assert!(report.ttfb.is_none());
-    }
-
-    #[test]
     fn ping_unreachable_target_reports_loss() {
         let (mut net, a, _) = network();
         let report = net.ping_train(a, ip(203, 0, 113, 1), 2);
         assert!(!report.reachable());
         assert_eq!(report.loss(), 1.0);
         assert!(report.min_rtt().is_none());
-        assert!(report.mean_rtt().is_none());
     }
 }

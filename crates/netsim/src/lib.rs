@@ -58,9 +58,7 @@ pub mod topo;
 pub mod trace;
 
 pub use addr::{AddrAllocator, Prefix};
-pub use client::{
-    HttpLiteServer, HttpReport, PingReport, TcpGetReport, TraceHop, TraceReport, HTTP_PORT,
-};
+pub use client::{PingReport, TcpGetReport, TraceHop, TraceReport, HTTP_PORT};
 pub use engine::{
     Egress, FlowId, FlowOutcome, FlowResult, NetStats, Network, ServiceCtx, UdpService,
 };

@@ -94,11 +94,6 @@ impl Firewall {
         self.ping_allowed.push(addr);
     }
 
-    /// Overrides the established-flow timeout.
-    pub fn set_flow_timeout(&mut self, t: SimDuration) {
-        self.flow_timeout = t;
-    }
-
     fn inside(&self, addr: Ipv4Addr) -> bool {
         self.protected.iter().any(|p| p.contains(addr))
     }
@@ -310,7 +305,7 @@ mod tests {
     #[test]
     fn firewall_flow_state_expires() {
         let mut fw = Firewall::new(vec![carrier_prefix()]);
-        fw.set_flow_timeout(SimDuration::from_secs(10));
+        fw.flow_timeout = SimDuration::from_secs(10);
         let out = Packet::udp(ip(10, 1, 1, 1), 5000, ip(8, 8, 8, 8), 53, vec![]);
         fw.check(&out, SimTime::ZERO);
         let back = Packet::udp(ip(8, 8, 8, 8), 53, ip(10, 1, 1, 1), 5000, vec![]);

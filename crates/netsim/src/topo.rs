@@ -302,23 +302,6 @@ impl Topology {
     pub fn owner_of(&self, addr: Ipv4Addr) -> Option<NodeId> {
         self.addr_map.get(&addr).copied()
     }
-
-    /// The AS of the node owning `addr`, if known.
-    pub fn asn_of(&self, addr: Ipv4Addr) -> Option<Asn> {
-        self.owner_of(addr).map(|n| self.nodes[n.index()].asn)
-    }
-
-    /// All addresses within `prefix` that are assigned to some node.
-    pub fn addrs_in(&self, prefix: Prefix) -> Vec<Ipv4Addr> {
-        let mut v: Vec<Ipv4Addr> = self
-            .addr_map
-            .keys()
-            .copied()
-            .filter(|&a| prefix.contains(a))
-            .collect();
-        v.sort();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -362,7 +345,6 @@ mod tests {
         assert_eq!(t.owner_of(ip(10, 0, 0, 1)), Some(a));
         assert_eq!(t.owner_of(ip(10, 0, 0, 2)), Some(b));
         assert_eq!(t.owner_of(ip(9, 9, 9, 9)), None);
-        assert_eq!(t.asn_of(ip(10, 0, 0, 2)), Some(Asn(200)));
         assert_eq!(t.neighbors(a).len(), 1);
         assert_eq!(t.neighbors(b)[0].0, a);
     }
@@ -455,13 +437,5 @@ mod tests {
         assert_eq!(t.neighbors(c), &[(a, link)]);
         assert_eq!(t.link(link).a, a);
         assert_eq!(t.link(link).b, c);
-    }
-
-    #[test]
-    fn addrs_in_prefix() {
-        let (mut t, a, _) = two_node_topo();
-        t.add_addr(a, ip(10, 0, 0, 77));
-        let found = t.addrs_in("10.0.0.0/24".parse().unwrap());
-        assert_eq!(found.len(), 3);
     }
 }

@@ -2,15 +2,15 @@
 //!
 //! Everything in this module is **explicitly non-deterministic** — it
 //! reads the host's monotonic clock and reports throughput that varies
-//! with the machine, thread count, and load. It exists so `repro` and
-//! `bench` can report build/campaign timings without leaking wall-clock
-//! text into parseable output: host-plane readings go to stderr via
+//! with the machine, thread count, and load. It exists so `repro` can
+//! report build/campaign timings without leaking wall-clock text into
+//! parseable output: host-plane readings go to stderr via
 //! [`Profiler::report`] and are never serialized into `results/`.
 //!
-//! detlint rule D7 makes this module unusable outside `repro`/`bench`;
-//! the D2 allow-markers below are the audited exception that quarantines
-//! the wall clock here instead of scattering `Instant::now()` through
-//! driver code.
+//! detlint rule D7 makes this module unusable outside the host-plane
+//! crates (`detlint::HOST_PLANE_CRATES`); the D2 allow-markers below are
+//! the audited exception that quarantines the wall clock here instead of
+//! scattering `Instant::now()` through driver code.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -29,7 +29,7 @@ impl Stage {
         Stage {
             name,
             // detlint: allow(D2) -- the host plane is the one audited
-            // wall-clock site; D7 keeps it inside repro/bench
+            // wall-clock site; D7 keeps it inside the host-plane crates
             start: Instant::now(),
         }
     }

@@ -14,11 +14,16 @@
 //! stage profiling (build/campaign timings, events/sec, shard imbalance)
 //! for the driver binaries only. Host-plane readings are never serialized
 //! into `results/`; detlint rule D7 fences this module out of every crate
-//! except `repro` and `bench`.
+//! except the driver binary and the serving plane.
+//!
+//! **Catalog** ([`catalog`]): the one declaration of every sim-plane
+//! metric name and its instrument kind; detlint rule D12 and the tier-1
+//! tests check the call sites and the exported registries against it.
 //!
 //! The crate is dependency-free (std only), like the rest of the
 //! substrate.
 
+pub mod catalog;
 pub mod hash;
 pub mod host;
 pub mod sim;

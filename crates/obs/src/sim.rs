@@ -13,6 +13,7 @@
 //!   gauge max), so per-shard registries can be folded in canonical shard
 //!   order and the result never depends on thread count.
 
+use crate::catalog::MetricKind;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -244,6 +245,18 @@ impl Registry {
     /// Whether the registry holds no instruments.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The name and kind of every instrument, one item per label set:
+    /// counters, then gauges, then histograms, each in key order.
+    pub(crate) fn series(&self) -> impl Iterator<Item = (&'static str, MetricKind)> + '_ {
+        let counters = self.counters.keys().map(|k| (k.name, MetricKind::Counter));
+        let gauges = self.gauges.keys().map(|k| (k.name, MetricKind::Gauge));
+        let histograms = self
+            .histograms
+            .keys()
+            .map(|k| (k.name, MetricKind::Histogram));
+        counters.chain(gauges).chain(histograms)
     }
 
     /// Folds another registry in: counters and histograms add, gauges take

@@ -10,7 +10,7 @@ use behind_the_curtain::measure::{
     FaultProfile, Outcome, Parallelism,
 };
 use behind_the_curtain::measure::{ExperimentSpec, WorldConfig};
-use behind_the_curtain::obs::sha256_hex;
+use behind_the_curtain::obs::{catalog, sha256_hex};
 use behind_the_curtain::{Study, StudyConfig};
 
 fn quick_campaign_config() -> CampaignConfig {
@@ -159,8 +159,9 @@ fn metrics_json_depends_on_seed_and_fault_profile() {
 #[test]
 fn registry_vitals_match_the_dataset() {
     // Spot-check the harvest against ground truth: campaign counters must
-    // agree with the records they were read from, and the substrate
-    // families (engine, faults, caches) must all be live.
+    // agree with the records they were read from, the substrate families
+    // (engine, faults, caches) must all be live, and every exported series
+    // must be declared, under its kind, in the metric catalog.
     let run = observed_with_profile(20141105, Parallelism::Threads(6), FaultProfile::Cellular);
     let m = &run.metrics;
     let ds = &run.dataset;
@@ -174,12 +175,21 @@ fn registry_vitals_match_the_dataset() {
     assert!(m.counter_total("net.events") > 0, "engine counters missing");
     assert!(m.counter_total("fault.injected") > 0, "chaos layer unread");
     assert!(
+        m.counter_total("net.flow_timeouts") > 0,
+        "no flow deadline fired under cellular faults"
+    );
+    assert!(
         m.counter_total("dns.cache.misses") > 0,
         "cache stats unread"
     );
     assert!(
         m.gauge_peak("net.queue_depth") > 0,
         "queue high-water unset"
+    );
+    assert_eq!(
+        catalog::undeclared(m),
+        [],
+        "exported series missing from obs::catalog::METRICS"
     );
 }
 
@@ -197,6 +207,13 @@ fn fig7_cache_miss_rate_from_registry_stays_in_band() {
     let hits = m.counter_total("dns.cache.hits") + m.counter_total("dns.cache.ambient_hits");
     let misses = m.counter_total("dns.cache.misses");
     assert!(hits + misses > 0, "no cache traffic harvested");
+    // Fault-free vitals: fresh hits happen, and flows that complete cancel
+    // their deadline.
+    assert!(m.counter_total("dns.cache.hits") > 0, "no fresh cache hit");
+    assert!(
+        m.counter_total("net.flow_timeouts_cancelled") > 0,
+        "no flow deadline was ever cancelled"
+    );
     let frac = misses as f64 / (hits + misses) as f64;
     // Quick study at seed 20141105 measures 0.427; the registry rate runs
     // above Fig 7's timing-inferred ~20-30% because it also counts probe

@@ -29,8 +29,8 @@ fn workspace_is_detlint_clean() {
 
 /// The flow rules only bite if their inputs stay wired: the engine's
 /// dispatch/parse hot paths must keep their `// detlint: hot` annotations
-/// (D9/D10 roots), and the D12 cross-check must find both declaration
-/// sources. Deleting any of these would silently disarm the lint while
+/// (D9/D10 roots), and the D12 cross-check must still parse the metric
+/// catalog. Deleting any of these would silently disarm the lint while
 /// `workspace_is_detlint_clean` kept passing.
 #[test]
 fn flow_rule_inputs_stay_wired() {
@@ -48,13 +48,16 @@ fn flow_rule_inputs_stay_wired() {
         );
     }
     let decls = detlint::load_metric_decls(root);
-    assert!(
-        decls.names.keys().any(|n| n == "net.events"),
-        "KNOWN_METRICS in scripts/vitals_check.py no longer parses"
-    );
-    assert!(
-        decls.names.keys().any(|n| n == "campaign.experiments"),
-        "ci/vitals-baseline.json counters no longer parse"
+    for name in ["net.events", "campaign.experiments"] {
+        assert!(
+            decls.names.contains_key(name),
+            "crates/obs/src/catalog.rs no longer parses: {name} not found"
+        );
+    }
+    assert_eq!(
+        decls.names.len(),
+        behind_the_curtain::obs::catalog::METRICS.len(),
+        "D12 reads a different set of names than the catalog declares"
     );
 }
 

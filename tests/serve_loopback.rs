@@ -10,6 +10,7 @@ use dnswire::builder::QueryBuilder;
 use dnswire::message::{Message, MessageView, Opcode, Rcode};
 use dnswire::rdata::RecordType;
 use loadgen::{build_script, run, ChaosProfile, DriverConfig, MixConfig};
+use obs::catalog;
 use serve::{DnsServer, FaultProfile, ServeCore, Transport, WorldConfig};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, TcpStream, UdpSocket};
@@ -294,4 +295,8 @@ fn chaos_stress_soak_keeps_ground_truth_and_loses_no_answers() {
     assert!(report.registry.counter_total("serve.conn_evicted") > 0);
     assert!(report.shed > 0);
     assert!(report.evicted > 0);
+
+    // Both ends export only names the metric catalog declares.
+    assert_eq!(catalog::undeclared(&report.registry), []);
+    assert_eq!(catalog::undeclared(&stats.registry), []);
 }

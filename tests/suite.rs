@@ -6,7 +6,7 @@ use behind_the_curtain::analysis::{
     resolution_cdf,
 };
 use behind_the_curtain::figures;
-use behind_the_curtain::measure::{Dataset, ResolverKind};
+use behind_the_curtain::measure::{CampaignConfig, Dataset, ExperimentSpec, ResolverKind};
 use behind_the_curtain::{Study, StudyConfig};
 use std::sync::OnceLock;
 
@@ -157,6 +157,38 @@ fn cache_misses_in_the_expected_band() {
         (0.05..=0.5).contains(&miss),
         "miss fraction {:.2} outside band",
         miss
+    );
+}
+
+#[test]
+fn ambient_cache_model_is_what_keeps_first_lookups_warm() {
+    // The ablation behind Fig. 7 (DESIGN.md §3, EXPERIMENTS.md): resolver
+    // caches are kept warm by the rest of the carrier's subscribers, not
+    // by our few devices. Switch that ambient load off and first-lookup
+    // misses at least double.
+    let miss_fraction = |ambient: bool| {
+        let mut config = StudyConfig::quick(11);
+        config.campaign = CampaignConfig {
+            days: 2,
+            experiments_per_day: 3,
+            spec: ExperimentSpec::light(),
+            external_probe_day: None,
+        };
+        if !ambient {
+            config.world.ambient_period = None;
+        }
+        let ds = Study::new(config).run();
+        cache_miss_fraction(&ds, &figures::us_carriers(&ds), 20.0)
+    };
+    let with = miss_fraction(true);
+    let without = miss_fraction(false);
+    assert!(
+        (0.05..=0.5).contains(&with),
+        "miss fraction {with:.2} with the ambient model left Fig. 7's band"
+    );
+    assert!(
+        without >= 2.0 * with,
+        "ambient model off: miss fraction {without:.2} is not 2x the {with:.2} with it"
     );
 }
 
