@@ -16,6 +16,7 @@ use std::net::Ipv4Addr;
 
 use crate::authority::DNS_PORT;
 use crate::cache::{AmbientModel, CacheOutcome, DnsCache};
+use crate::txn::TxnTable;
 use netsim::addr::Prefix;
 
 /// How the forwarder maps clients to external resolvers.
@@ -75,7 +76,6 @@ struct PendingRelay {
     reply_from: Ipv4Addr,
     /// ECS scope announced upstream (partition key for the cache).
     scope: Option<Prefix>,
-    deadline: SimTime,
 }
 
 /// The forwarding service.
@@ -95,8 +95,7 @@ pub struct Forwarder {
     /// set, relayed queries carry ECS and the cache partitions by subnet.
     ecs_map: BTreeMap<Prefix, Ipv4Addr>,
     leases: BTreeMap<Ipv4Addr, (usize, SimTime)>,
-    pending: BTreeMap<u16, PendingRelay>,
-    next_txn: u16,
+    pending: TxnTable<PendingRelay>,
     timeout: SimDuration,
     proc_delay: SimDuration,
     /// Activity counters.
@@ -114,8 +113,7 @@ impl Forwarder {
             cache: None,
             ecs_map: BTreeMap::new(),
             leases: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            next_txn: 1,
+            pending: TxnTable::default(),
             timeout: SimDuration::from_secs(4),
             proc_delay: SimDuration::from_micros(150),
             stats: ForwarderStats::default(),
@@ -262,24 +260,6 @@ impl Forwarder {
         };
         self.upstreams[idx]
     }
-
-    fn alloc_txn(&mut self) -> u16 {
-        for _ in 0..u16::MAX {
-            let id = self.next_txn;
-            self.next_txn = self.next_txn.wrapping_add(1).max(1);
-            if !self.pending.contains_key(&id) {
-                return id;
-            }
-        }
-        // detlint: allow(D4) -- exhausting all 65k transaction ids means the
-        // driver leaked relays; continuing would mis-route upstream replies to
-        // the wrong client
-        panic!("forwarder transaction ids exhausted");
-    }
-
-    fn expire(&mut self, now: SimTime) {
-        self.pending.retain(|_, p| p.deadline >= now);
-    }
 }
 
 impl UdpService for Forwarder {
@@ -294,14 +274,18 @@ impl UdpService for Forwarder {
         from_port: u16,
         payload: &[u8],
     ) -> Vec<Egress> {
-        self.expire(ctx.now);
+        // Forget relays whose upstream never answered. Lazily: the
+        // forwarder arms no timer.
+        for txn in self.pending.expired(ctx.now) {
+            self.pending.take(txn);
+        }
         // Zero-copy precheck: an upstream response whose transaction id is
         // not pending (late duplicate, spoof) is dropped on the header peek
         // alone, before paying for a full record decode.
         let Ok(view) = MessageView::new(payload) else {
             return Vec::new();
         };
-        if view.is_response() && !self.pending.contains_key(&view.id()) {
+        if view.is_response() && !self.pending.contains(view.id()) {
             return Vec::new();
         }
         let Ok(mut msg) = Message::decode(payload) else {
@@ -309,7 +293,7 @@ impl UdpService for Forwarder {
         };
         if msg.header.flags.response {
             // A response from an upstream: cache it, relay to the client.
-            let Some(relay) = self.pending.remove(&msg.header.id) else {
+            let Some((_, relay)) = self.pending.take(msg.header.id) else {
                 return Vec::new();
             };
             self.absorb(&msg, relay.scope, ctx.now);
@@ -341,16 +325,16 @@ impl UdpService for Forwarder {
             )];
         }
         let upstream = self.pick_upstream(from, ctx);
-        let txn = self.alloc_txn();
+        let txn = self.pending.alloc();
         self.pending.insert(
             txn,
+            ctx.now + self.timeout,
             PendingRelay {
                 client: from,
                 client_port: from_port,
                 client_id: msg.header.id,
                 reply_from: ctx.local_addr,
                 scope,
-                deadline: ctx.now + self.timeout,
             },
         );
         self.stats.relayed += 1;

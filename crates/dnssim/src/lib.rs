@@ -24,6 +24,7 @@ pub mod hierarchy;
 pub mod parse;
 pub mod recursive;
 pub mod tcp;
+pub mod txn;
 pub mod zone;
 
 pub use authority::{AuthoritativeServer, DynamicZone, WhoamiZone, DNS_PORT};
@@ -37,8 +38,7 @@ pub use hierarchy::{BuiltHierarchy, HierarchyBuilder};
 pub use parse::{parse_zone, ParseError};
 pub use recursive::{RecursiveResolver, ResolverConfig, ServerFaults};
 pub use tcp::{
-    frame, require_frame, split_frame, FrameError, TcpDnsServer, TcpDnsStats, DNS_TCP_PORT,
-    MAX_FRAME_LEN,
+    frame, require_frame, split_frame, FrameError, TcpDnsServer, DNS_TCP_PORT, MAX_FRAME_LEN,
 };
 pub use zone::{Zone, ZoneAnswer};
 

@@ -5,6 +5,7 @@
 
 use crate::authority::DNS_PORT;
 use crate::cache::{AmbientModel, CacheKey, CacheOutcome, DnsCache};
+use crate::txn::TxnTable;
 use dnswire::builder::ResponseBuilder;
 use dnswire::message::{Header, Message, Question, Rcode, ResourceRecord};
 use dnswire::name::DnsName;
@@ -147,9 +148,6 @@ struct InFlight {
     steps: u8,
     /// Retries spent on unresponsive servers.
     retries: u8,
-    /// Deadline of the *current* upstream attempt; blowing it triggers a
-    /// retry against the next candidate server.
-    deadline: SimTime,
     /// Fault injection decided this reply must come back truncated.
     truncate: bool,
 }
@@ -163,8 +161,9 @@ const MAX_RETRIES: u8 = 2;
 pub struct RecursiveResolver {
     config: ResolverConfig,
     cache: DnsCache,
-    inflight: BTreeMap<u16, InFlight>,
-    next_txn: u16,
+    /// In-flight recursions by upstream txn id, due when the current attempt
+    /// times out (then the next candidate server is tried).
+    inflight: TxnTable<InFlight>,
     /// Activity counters.
     pub stats: ResolverStats,
 }
@@ -179,8 +178,7 @@ impl RecursiveResolver {
         RecursiveResolver {
             config,
             cache,
-            inflight: BTreeMap::new(),
-            next_txn: 1,
+            inflight: TxnTable::default(),
             stats: ResolverStats::default(),
         }
     }
@@ -188,19 +186,6 @@ impl RecursiveResolver {
     /// Read access to the cache (tests, Fig. 7 analysis).
     pub fn cache(&self) -> &DnsCache {
         &self.cache
-    }
-
-    fn alloc_txn(&mut self) -> u16 {
-        for _ in 0..u16::MAX {
-            let id = self.next_txn;
-            self.next_txn = self.next_txn.wrapping_add(1).max(1);
-            if !self.inflight.contains_key(&id) {
-                return id;
-            }
-        }
-        // detlint: allow(D4) -- exhausting all 65k transaction ids means the
-        // driver leaked queries; continuing would mis-match upstream answers
-        panic!("resolver transaction ids exhausted");
     }
 
     /// Follows the CNAME chain for `question` entirely from cache (within
@@ -356,14 +341,14 @@ impl RecursiveResolver {
         .from_addr(fl.reply_from)
     }
 
-    /// Sends the next upstream query for an in-flight recursion.
-    fn query_upstream(&mut self, mut fl: InFlight, out: &mut Vec<Egress>) {
+    /// Sends the next upstream query for `fl`, its attempt due at `deadline`.
+    fn query_upstream(&mut self, mut fl: InFlight, deadline: SimTime, out: &mut Vec<Egress>) {
         let Some(&server) = fl.servers.first() else {
             let chain = std::mem::take(&mut fl.chain);
             out.push(self.reply(&fl, Rcode::ServFail, chain));
             return;
         };
-        let txn = self.alloc_txn();
+        let txn = self.inflight.alloc();
         self.stats.upstream_queries += 1;
         let mut header = Header::query(txn);
         header.flags.recursion_desired = false;
@@ -387,7 +372,7 @@ impl RecursiveResolver {
             egress = egress.from_addr(src);
         }
         out.push(egress);
-        self.inflight.insert(txn, fl);
+        self.inflight.insert(txn, deadline, fl);
     }
 
     fn on_client_query(
@@ -443,7 +428,6 @@ impl RecursiveResolver {
                 servers: Vec::new(),
                 steps: 0,
                 retries: 0,
-                deadline: ctx.now,
                 truncate: false,
             };
             out.push(self.reply(&fl, Rcode::ServFail, Vec::new()));
@@ -481,7 +465,6 @@ impl RecursiveResolver {
                 servers: Vec::new(),
                 steps: 0,
                 retries: 0,
-                deadline: ctx.now,
                 truncate,
             };
             out.push(self.reply(&fl, rcode, answers));
@@ -509,10 +492,9 @@ impl RecursiveResolver {
             servers,
             steps: 0,
             retries: 0,
-            deadline: ctx.now + self.config.inflight_deadline,
             truncate,
         };
-        self.query_upstream(fl, out);
+        self.query_upstream(fl, ctx.now + self.config.inflight_deadline, out);
     }
 
     fn on_upstream_response(
@@ -521,7 +503,7 @@ impl RecursiveResolver {
         response: Message,
         out: &mut Vec<Egress>,
     ) {
-        let Some(mut fl) = self.inflight.remove(&response.header.id) else {
+        let Some((deadline, mut fl)) = self.inflight.take(response.header.id) else {
             return; // late or spoofed; ignore
         };
         let fl_scope = fl.ecs.map(Prefix::slash24_of);
@@ -607,7 +589,7 @@ impl RecursiveResolver {
                     return;
                 }
                 fl.servers = self.servers_for(&fl.current, ctx.now);
-                self.query_upstream(fl, out);
+                self.query_upstream(fl, deadline, out);
                 return;
             }
             // Answers we did not ask about; treat as lame.
@@ -640,7 +622,7 @@ impl RecursiveResolver {
                 return;
             }
             fl.servers = glue;
-            self.query_upstream(fl, out);
+            self.query_upstream(fl, deadline, out);
             return;
         }
         // Authoritative NODATA.
@@ -663,21 +645,16 @@ impl RecursiveResolver {
     /// Handles recursions whose current upstream attempt outlived its
     /// deadline: rotate to the next candidate server (bounded retries),
     /// then fail with ServFail.
+    /// Expired ids are taken one at a time, so a retry's fresh id skips the
+    /// ones not yet taken.
     fn expire_inflight(&mut self, now: SimTime, out: &mut Vec<Egress>) {
-        let dead: Vec<u16> = self
-            .inflight
-            .iter()
-            .filter(|(_, fl)| fl.deadline < now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in dead {
-            if let Some(mut fl) = self.inflight.remove(&id) {
+        for id in self.inflight.expired(now) {
+            if let Some((_, mut fl)) = self.inflight.take(id) {
                 if fl.retries < MAX_RETRIES && fl.servers.len() > 1 {
                     // Rotate the unresponsive server to the back and retry.
                     fl.servers.rotate_left(1);
                     fl.retries += 1;
-                    fl.deadline = now + self.config.inflight_deadline;
-                    self.query_upstream(fl, out);
+                    self.query_upstream(fl, now + self.config.inflight_deadline, out);
                 } else {
                     let chain = std::mem::take(&mut fl.chain);
                     out.push(self.reply(&fl, Rcode::ServFail, chain));
@@ -690,9 +667,8 @@ impl RecursiveResolver {
 impl RecursiveResolver {
     /// Requests a timer tick covering the earliest in-flight deadline.
     fn arm_timer(&self, ctx: &mut ServiceCtx<'_>) {
-        if let Some(earliest) = self.inflight.values().map(|fl| fl.deadline).min() {
-            let wait = earliest.since(ctx.now).max(SimDuration::from_millis(1));
-            ctx.wake_after = Some(wait);
+        if let Some(earliest) = self.inflight.next_deadline() {
+            ctx.wake_at(earliest);
         }
     }
 }

@@ -1,7 +1,7 @@
-//! DNS-over-TCP front end: a TCP-lite listener that accepts a
-//! length-prefixed query (RFC 1035 §4.2.2 framing), relays it over UDP to
-//! the DNS service on its own node, and streams the answer back over the
-//! connection.
+//! DNS-over-TCP front end: an app on `netsim::tcplite`'s server machine
+//! that accepts a length-prefixed query (RFC 1035 §4.2.2 framing), relays
+//! it over UDP to the DNS service on its own node, and streams the answer
+//! back over the connection.
 //!
 //! This is the server half of the stub resolver's TC-bit fallback: when a
 //! UDP answer comes back truncated, the client reconnects over TCP to the
@@ -16,11 +16,11 @@
 //! byte-identical to worlds that never load this module.
 
 use crate::authority::DNS_PORT;
+use crate::txn::TxnTable;
 use dnswire::message::Message;
 use netsim::engine::{Egress, ServiceCtx, UdpService};
-use netsim::tcplite::{Segment, ACK, FIN, MSS, RST, SYN};
+use netsim::tcplite::{ConnKey, Reply, ServerApp, TcpServer};
 use netsim::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Well-known port of the DNS-over-TCP front end (the simulator keeps TCP
@@ -120,291 +120,117 @@ pub fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, FrameError> {
 /// `TcpFetch`, a fully read socket): every shortfall is a typed error,
 /// never a wait. Trailing bytes beyond the first frame are ignored.
 pub fn require_frame(buf: &[u8]) -> Result<&[u8], FrameError> {
-    if buf.len() < 2 {
-        return Err(FrameError::Partial {
+    match split_frame(buf)? {
+        Some((payload, _consumed)) => Ok(payload),
+        None => Err(FrameError::Partial {
             have: buf.len(),
-            need: 2,
-        });
+            need: 2 + buf
+                .get(..2)
+                .map_or(0, |p| u16::from_be_bytes([p[0], p[1]]) as usize),
+        }),
     }
-    let len = u16::from_be_bytes([buf[0], buf[1]]) as usize;
-    if len == 0 {
-        return Err(FrameError::ZeroLength);
-    }
-    if buf.len() < 2 + len {
-        return Err(FrameError::Partial {
-            have: buf.len(),
-            need: 2 + len,
-        });
-    }
-    Ok(&buf[2..2 + len])
 }
 
-/// Retransmission timeout (mirrors `tcplite`'s).
-const RTO: SimDuration = SimDuration::from_millis(250);
-/// Retransmission attempts before a connection is abandoned.
-const MAX_RETRIES: u32 = 6;
 /// How long a relayed query may stay unanswered before its connection is
 /// torn down (the local resolver answers or SERVFAILs well before this).
 const RELAY_DEADLINE: SimDuration = SimDuration::from_secs(6);
 
-#[derive(Debug, PartialEq, Eq)]
-enum ConnState {
-    SynRcvd,
-    Established,
-    /// Response fully sent, FIN emitted, waiting for its ACK.
-    FinWait,
-}
-
+/// The relay's per-connection state.
 #[derive(Debug)]
-struct Conn {
-    state: ConnState,
-    /// The local address the connection was opened to. Segments must keep
-    /// this exact source for the connection's whole life: on an anycast
-    /// VIP, timer-tick retransmissions would otherwise leave from the
-    /// node's primary address and the peer's TCP state would drop them.
-    local: Ipv4Addr,
-    /// Next sequence number made available to send (ISN 0, SYN takes 1).
-    next_seq: u32,
-    /// First unacknowledged sequence number.
-    send_base: u32,
-    /// Next byte expected from the peer.
-    peer_next: u32,
-    /// Request bytes accepted in order.
-    buf: Vec<u8>,
-    /// Length-prefixed response, once the relay answered.
-    response: Option<Vec<u8>>,
-    /// Relay transaction id, once the query has been forwarded.
-    txn: Option<u16>,
+struct RelayConn {
     /// When the connection was opened (relay-deadline anchor).
     opened: SimTime,
-    rto_at: Option<SimTime>,
-    retries: u32,
-}
-
-#[derive(Debug)]
-struct PendingRelay {
-    key: (Ipv4Addr, u16),
-    /// The client's original query id, restored on the way back.
+    /// Request bytes accepted in order.
+    buf: Vec<u8>,
+    /// Relay transaction id while the answer is outstanding.
+    txn: Option<u16>,
+    /// The client's query id, restored on the way back.
     orig_id: u16,
 }
 
-/// Counters describing what the TCP front end did.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TcpDnsStats {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Queries relayed to the local UDP resolver.
-    pub relayed: u64,
-    /// Responses streamed back to clients.
-    pub answered: u64,
-    /// Connections abandoned (retry exhaustion or relay deadline).
-    pub aborts: u64,
-    /// Connections reset because the client sent a malformed frame
-    /// (zero-length prefix or a complete frame that is not DNS).
-    pub bad_frames: u64,
+/// The listener's app on the shared TCP-lite machine: frame in, UDP relay
+/// out, framed answer back. Each relayed query's txn maps to its connection.
+#[derive(Debug, Default)]
+struct Relay {
+    txns: TxnTable<ConnKey>,
+}
+
+impl ServerApp for Relay {
+    type Conn = RelayConn;
+
+    fn open(&mut self, now: SimTime) -> RelayConn {
+        RelayConn {
+            opened: now,
+            buf: Vec::new(),
+            txn: None,
+            orig_id: 0,
+        }
+    }
+
+    /// Buffers bytes until a length-prefixed query is complete, then relays
+    /// it to the UDP resolver on this node under a fresh txn id. A malformed
+    /// frame (zero-length prefix, undecodable payload) resets the connection
+    /// instead of holding it open until the relay deadline.
+    fn on_data(
+        &mut self,
+        ctx: &mut ServiceCtx<'_>,
+        key: ConnKey,
+        conn: &mut RelayConn,
+        data: &[u8],
+        out: &mut Vec<Egress>,
+    ) -> Reply {
+        if conn.txn.is_some() {
+            return Reply::Ack;
+        }
+        conn.buf.extend_from_slice(data);
+        let payload = match split_frame(&conn.buf) {
+            // Prefix or body still in flight: wait for more segments.
+            Ok(None) => return Reply::Ack,
+            Ok(Some((payload, _consumed))) => payload,
+            Err(_) => return Reply::Reset,
+        };
+        let Ok(mut query) = Message::decode(payload) else {
+            // A complete frame that is not DNS: the stream is garbage.
+            return Reply::Reset;
+        };
+        let txn = self.txns.alloc();
+        self.txns.insert(txn, conn.opened + RELAY_DEADLINE, key);
+        conn.txn = Some(txn);
+        conn.orig_id = query.header.id;
+        query.header.id = txn;
+        // TCP framing has no UDP size ceiling; advertise accordingly.
+        query.advertise_udp_size(u16::MAX);
+        if let Ok(bytes) = query.encode() {
+            out.push(Egress::reply(
+                ctx.local_addr,
+                DNS_PORT,
+                bytes,
+                SimDuration::ZERO,
+            ));
+        }
+        Reply::Ack
+    }
+
+    fn on_close(&mut self, conn: RelayConn) {
+        if let Some(txn) = conn.txn {
+            self.txns.take(txn);
+        }
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.txns.next_deadline()
+    }
 }
 
 /// The DNS-over-TCP listener; see the module docs.
 #[derive(Debug, Default)]
-pub struct TcpDnsServer {
-    conns: BTreeMap<(Ipv4Addr, u16), Conn>,
-    pending: BTreeMap<u16, PendingRelay>,
-    next_txn: u16,
-    /// Endpoint statistics.
-    pub stats: TcpDnsStats,
-}
+pub struct TcpDnsServer(TcpServer<Relay>);
 
 impl TcpDnsServer {
     /// A fresh listener.
     pub fn new() -> Self {
         TcpDnsServer::default()
     }
-
-    fn alloc_txn(&mut self) -> u16 {
-        // Linear scan is fine: a node has at most a handful of connections
-        // in flight at once.
-        loop {
-            self.next_txn = self.next_txn.wrapping_add(1);
-            if !self.pending.contains_key(&self.next_txn) {
-                return self.next_txn;
-            }
-        }
-    }
-
-    /// Emits unsent response segments for a connection (go-back-N window
-    /// of one frame: DNS answers fit a few MSS at most).
-    fn pump(
-        conn: &mut Conn,
-        stats: &mut TcpDnsStats,
-        peer: Ipv4Addr,
-        peer_port: u16,
-        now: SimTime,
-        out: &mut Vec<Egress>,
-    ) {
-        let Some(response) = &conn.response else {
-            return;
-        };
-        let total = response.len() as u32;
-        while conn.next_seq - 1 < total {
-            let start = (conn.next_seq - 1) as usize;
-            let end = (start + MSS).min(response.len());
-            let seg = Segment {
-                flags: ACK,
-                seq: conn.next_seq,
-                ack: conn.peer_next,
-                data: response[start..end].to_vec(),
-            };
-            conn.next_seq += (end - start) as u32;
-            out.push(seg_reply(conn.local, peer, peer_port, &seg));
-        }
-        if conn.next_seq > total && conn.state == ConnState::Established {
-            let fin = Segment::ctl(FIN | ACK, conn.next_seq, conn.peer_next);
-            conn.next_seq += 1;
-            conn.state = ConnState::FinWait;
-            stats.answered += 1;
-            out.push(seg_reply(conn.local, peer, peer_port, &fin));
-        }
-        if conn.rto_at.is_none() && conn.send_base < conn.next_seq {
-            conn.rto_at = Some(now + RTO);
-        }
-    }
-
-    /// Retransmits everything from `send_base` (go-back-N).
-    fn retransmit(
-        conn: &mut Conn,
-        peer: Ipv4Addr,
-        peer_port: u16,
-        now: SimTime,
-        out: &mut Vec<Egress>,
-    ) {
-        conn.retries += 1;
-        match conn.state {
-            ConnState::SynRcvd => {
-                out.push(seg_reply(
-                    conn.local,
-                    peer,
-                    peer_port,
-                    &Segment::ctl(SYN | ACK, 0, conn.peer_next),
-                ));
-            }
-            ConnState::Established | ConnState::FinWait => {
-                if let Some(response) = &conn.response {
-                    let total = response.len() as u32;
-                    let mut seq = conn.send_base.max(1);
-                    while seq - 1 < total {
-                        let start = (seq - 1) as usize;
-                        let end = (start + MSS).min(response.len());
-                        let seg = Segment {
-                            flags: ACK,
-                            seq,
-                            ack: conn.peer_next,
-                            data: response[start..end].to_vec(),
-                        };
-                        seq += (end - start) as u32;
-                        out.push(seg_reply(conn.local, peer, peer_port, &seg));
-                    }
-                    if conn.state == ConnState::FinWait && seq > total {
-                        out.push(seg_reply(
-                            conn.local,
-                            peer,
-                            peer_port,
-                            &Segment::ctl(FIN | ACK, seq, conn.peer_next),
-                        ));
-                    }
-                }
-            }
-        }
-        conn.rto_at = Some(now + RTO);
-    }
-
-    /// Resets a connection whose stream is unrecoverable (malformed
-    /// framing or a non-DNS payload), counting it in the stats.
-    fn reset_conn(&mut self, key: (Ipv4Addr, u16), out: &mut Vec<Egress>) {
-        if let Some(conn) = self.conns.remove(&key) {
-            if let Some(txn) = conn.txn {
-                self.pending.remove(&txn);
-            }
-            self.stats.bad_frames += 1;
-            self.stats.aborts += 1;
-            let (peer, peer_port) = key;
-            out.push(seg_reply(
-                conn.local,
-                peer,
-                peer_port,
-                &Segment::ctl(RST, conn.next_seq, conn.peer_next),
-            ));
-        }
-    }
-
-    /// Tries to parse a complete length-prefixed query out of `conn.buf`
-    /// and relay it to the UDP resolver on this node. A malformed frame
-    /// (zero-length prefix, undecodable payload) resets the connection
-    /// instead of silently holding it open until the relay deadline.
-    fn try_relay(&mut self, key: (Ipv4Addr, u16), local_addr: Ipv4Addr, out: &mut Vec<Egress>) {
-        let Some(conn) = self.conns.get_mut(&key) else {
-            return;
-        };
-        if conn.txn.is_some() {
-            return;
-        }
-        let payload = match split_frame(&conn.buf) {
-            // Prefix or body still in flight: wait for more segments.
-            Ok(None) => return,
-            Ok(Some((payload, _consumed))) => payload.to_vec(),
-            Err(_) => {
-                self.reset_conn(key, out);
-                return;
-            }
-        };
-        let Ok(mut query) = Message::decode(&payload) else {
-            // A complete frame that is not DNS: the stream is garbage.
-            self.reset_conn(key, out);
-            return;
-        };
-        let orig_id = query.header.id;
-        let txn = self.alloc_txn();
-        // Re-borrow: alloc_txn needed &mut self.
-        if let Some(conn) = self.conns.get_mut(&key) {
-            conn.txn = Some(txn);
-        }
-        self.pending.insert(txn, PendingRelay { key, orig_id });
-        query.header.id = txn;
-        // TCP framing has no UDP size ceiling; advertise accordingly.
-        query.advertise_udp_size(u16::MAX);
-        if let Ok(bytes) = query.encode() {
-            self.stats.relayed += 1;
-            out.push(Egress::reply(
-                local_addr,
-                DNS_PORT,
-                bytes,
-                SimDuration::ZERO,
-            ));
-        }
-    }
-
-    fn arm(&self, ctx: &mut ServiceCtx<'_>) {
-        let rto = self.conns.values().filter_map(|c| c.rto_at).min();
-        let relay = if self.pending.is_empty() {
-            None
-        } else {
-            self.conns
-                .values()
-                .filter(|c| c.txn.is_some() && c.response.is_none())
-                .map(|c| c.opened + RELAY_DEADLINE)
-                .min()
-        };
-        let earliest = match (rto, relay) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if let Some(at) = earliest {
-            ctx.wake_after = Some(at.since(ctx.now).max(SimDuration::from_millis(1)));
-        }
-    }
-}
-
-fn seg_reply(src: Ipv4Addr, to: Ipv4Addr, to_port: u16, seg: &Segment) -> Egress {
-    Egress::reply(to, to_port, seg.encode(), SimDuration::ZERO).from_addr(src)
 }
 
 impl UdpService for TcpDnsServer {
@@ -415,148 +241,39 @@ impl UdpService for TcpDnsServer {
         from_port: u16,
         payload: &[u8],
     ) -> Vec<Egress> {
-        let mut out = Vec::new();
+        let tcp = &mut self.0;
         // Answers from the co-located UDP resolver come back on port 53;
         // everything else is a client's TCP segment.
-        if from_port == DNS_PORT {
-            if let Ok(mut msg) = Message::decode(payload) {
-                if let Some(relay) = self.pending.remove(&msg.header.id) {
-                    msg.header.id = relay.orig_id;
-                    if let Ok(framed) = msg
-                        .encode()
-                        .map_err(drop)
-                        .and_then(|b| frame(&b).map_err(drop))
-                    {
-                        if let Some(conn) = self.conns.get_mut(&relay.key) {
-                            conn.response = Some(framed);
-                            let (peer, peer_port) = relay.key;
-                            Self::pump(conn, &mut self.stats, peer, peer_port, ctx.now, &mut out);
-                        }
-                    }
+        if from_port != DNS_PORT {
+            return tcp.handle(ctx, from, from_port, payload);
+        }
+        let mut out = Vec::new();
+        if let Ok(mut msg) = Message::decode(payload) {
+            if let Some((_, key)) = tcp.app.txns.take(msg.header.id) {
+                if let Some(conn) = tcp.conn_mut(key) {
+                    conn.txn = None;
+                    msg.header.id = conn.orig_id;
+                }
+                match msg.encode().ok().and_then(|b| frame(&b).ok()) {
+                    Some(framed) => out = tcp.respond(key, framed, ctx.now),
+                    None => tcp.reset(key, &mut out),
                 }
             }
-            self.arm(ctx);
-            return out;
         }
-        let Some(seg) = Segment::decode(payload) else {
-            return out;
-        };
-        let key = (from, from_port);
-        if seg.flags & RST != 0 {
-            if let Some(conn) = self.conns.remove(&key) {
-                if let Some(txn) = conn.txn {
-                    self.pending.remove(&txn);
-                }
-            }
-            return out;
-        }
-        if seg.flags & SYN != 0 {
-            let now = ctx.now;
-            let local = ctx.local_addr;
-            let conn = self.conns.entry(key).or_insert_with(|| {
-                self.stats.connections += 1;
-                Conn {
-                    state: ConnState::SynRcvd,
-                    local,
-                    next_seq: 1,
-                    send_base: 1,
-                    peer_next: seg.seq + 1,
-                    buf: Vec::new(),
-                    response: None,
-                    txn: None,
-                    opened: now,
-                    rto_at: Some(now + RTO),
-                    retries: 0,
-                }
-            });
-            let syn_ack = Segment::ctl(SYN | ACK, 0, conn.peer_next);
-            out.push(seg_reply(conn.local, from, from_port, &syn_ack));
-            self.arm(ctx);
-            return out;
-        }
-        let Some(conn) = self.conns.get_mut(&key) else {
-            // No state for this peer: active refusal.
-            out.push(seg_reply(
-                ctx.local_addr,
-                from,
-                from_port,
-                &Segment::ctl(RST, 0, seg.seq),
-            ));
-            return out;
-        };
-        if seg.flags & ACK != 0 && seg.ack > conn.send_base {
-            conn.send_base = seg.ack;
-            conn.retries = 0;
-            conn.rto_at = None;
-        }
-        if conn.state == ConnState::SynRcvd && seg.flags & ACK != 0 {
-            conn.state = ConnState::Established;
-        }
-        if conn.state == ConnState::FinWait && conn.send_base >= conn.next_seq {
-            if let Some(txn) = conn.txn {
-                self.pending.remove(&txn);
-            }
-            self.conns.remove(&key);
-            self.arm(ctx);
-            return out;
-        }
-        if !seg.data.is_empty() {
-            if seg.seq == conn.peer_next {
-                conn.peer_next += seg.data.len() as u32;
-                conn.buf.extend_from_slice(&seg.data);
-            }
-            // Ack what we have (covers duplicates and reordering).
-            out.push(seg_reply(
-                conn.local,
-                from,
-                from_port,
-                &Segment::ctl(ACK, conn.next_seq, conn.peer_next),
-            ));
-            self.try_relay(key, ctx.local_addr, &mut out);
-        }
-        if let Some(conn) = self.conns.get_mut(&key) {
-            Self::pump(conn, &mut self.stats, from, from_port, ctx.now, &mut out);
-        }
-        self.arm(ctx);
+        tcp.arm(ctx);
         out
     }
 
     fn tick(&mut self, ctx: &mut ServiceCtx<'_>) -> Vec<Egress> {
-        let mut out = Vec::new();
-        let mut drop_keys = Vec::new();
-        for (&(peer, peer_port), conn) in self.conns.iter_mut() {
-            // Relay never answered: give up on the connection.
-            if conn.txn.is_some()
-                && conn.response.is_none()
-                && ctx.now >= conn.opened + RELAY_DEADLINE
-            {
-                drop_keys.push((peer, peer_port));
-                continue;
-            }
-            if let Some(at) = conn.rto_at {
-                if at <= ctx.now {
-                    if conn.retries >= MAX_RETRIES {
-                        drop_keys.push((peer, peer_port));
-                        continue;
-                    }
-                    Self::retransmit(conn, peer, peer_port, ctx.now, &mut out);
-                }
+        let tcp = &mut self.0;
+        // Relay never answered: give up. The deadline is inclusive (`now >=
+        // opened + 6 s`), the table's expiry strict: hence the microsecond.
+        for txn in tcp.app.txns.expired(ctx.now + SimDuration::from_micros(1)) {
+            if let Some((_, key)) = tcp.app.txns.take(txn) {
+                tcp.abort(key);
             }
         }
-        for key in drop_keys {
-            if let Some(conn) = self.conns.remove(&key) {
-                if let Some(txn) = conn.txn {
-                    self.pending.remove(&txn);
-                }
-            }
-            self.stats.aborts += 1;
-        }
-        self.arm(ctx);
-        out
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+        tcp.tick(ctx)
     }
 }
 
@@ -631,5 +348,151 @@ mod tests {
         assert!(FrameError::Partial { have: 3, need: 9 }
             .to_string()
             .contains("3 of 9"));
+    }
+
+    // The relay's connection lifecycle on the shared TCP-lite machine,
+    // driven the way the engine would.
+
+    use dnswire::builder::{QueryBuilder, ResponseBuilder};
+    use dnswire::name::DnsName;
+    use dnswire::rdata::RecordType;
+    use netsim::tcplite::{Segment, ACK, FIN, RST, SYN};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const VIP: Ipv4Addr = Ipv4Addr::new(8, 8, 8, 8);
+    const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 9, 9, 9);
+    const KEY: ConnKey = (CLIENT, 5_353);
+
+    fn call(ms: u64, f: impl FnOnce(&mut ServiceCtx<'_>) -> Vec<Egress>) -> Vec<Egress> {
+        let mut rng = StdRng::seed_from_u64(0);
+        f(&mut ServiceCtx {
+            now: SimTime::from_micros(ms * 1_000),
+            local_addr: VIP,
+            rng: &mut rng,
+            wake_after: None,
+        })
+    }
+
+    fn seg(flags: u8, seq: u32, ack: u32, data: &[u8]) -> Vec<u8> {
+        Segment {
+            flags,
+            seq,
+            ack,
+            data: data.to_vec(),
+        }
+        .encode()
+    }
+
+    fn segments(out: &[Egress]) -> Vec<Segment> {
+        out.iter()
+            .filter(|e| e.dst == CLIENT)
+            .map(|e| Segment::decode(&e.payload).unwrap())
+            .collect()
+    }
+
+    /// Opens a connection at 0 ms and sends `stream` as its first data
+    /// segment at 10 ms; returns that segment's egress.
+    fn open_and_send(server: &mut TcpDnsServer, stream: &[u8]) -> Vec<Egress> {
+        call(0, |ctx| {
+            server.handle(ctx, KEY.0, KEY.1, &seg(SYN, 0, 0, &[]))
+        });
+        call(10, |ctx| {
+            server.handle(ctx, KEY.0, KEY.1, &seg(ACK, 1, 1, stream))
+        })
+    }
+
+    fn query_frame() -> Vec<u8> {
+        let q = QueryBuilder::new(0x4242, "m.yelp.com", RecordType::A)
+            .build()
+            .unwrap();
+        frame(&q.encode().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn malformed_frame_resets_the_connection_and_holds_no_txn() {
+        for stream in [vec![0, 0], frame(b"not dns").unwrap()] {
+            let mut server = TcpDnsServer::new();
+            let out = open_and_send(&mut server, &stream);
+            let flags: Vec<u8> = segments(&out).iter().map(|s| s.flags).collect();
+            assert_eq!(flags, [ACK, RST], "{stream:?}");
+            assert_eq!(out.len(), 2, "nothing relayed");
+            assert!(out.iter().all(|e| e.src_addr == Some(VIP)));
+            assert!(server.0.conn_mut(KEY).is_none());
+            assert!(server.0.app.txns.next_deadline().is_none());
+            assert_eq!(server.0.stats.aborts, 1);
+        }
+    }
+
+    #[test]
+    fn relay_deadline_aborts_the_connection_and_releases_its_txn() {
+        let mut server = TcpDnsServer::new();
+        let out = open_and_send(&mut server, &query_frame());
+        // The client's ACK leaves before the relay datagram.
+        assert_eq!(segments(&out[..1])[0].flags, ACK);
+        assert_eq!((out[1].dst, out[1].dst_port), (VIP, DNS_PORT));
+        let relayed = Message::decode(&out[1].payload).unwrap();
+        assert_eq!(relayed.header.id, 1);
+        assert!(server.0.app.txns.contains(1));
+        // Still waiting a microsecond before the deadline.
+        let out = call(5_999, |ctx| server.tick(ctx));
+        assert!(out.is_empty());
+        assert!(server.0.conn_mut(KEY).is_some());
+        // At the deadline (inclusive) the connection goes.
+        let out = call(6_000, |ctx| server.tick(ctx));
+        assert!(out.is_empty());
+        assert!(server.0.conn_mut(KEY).is_none());
+        assert!(server.0.app.txns.next_deadline().is_none());
+        assert_eq!(server.0.stats.aborts, 1);
+        // A late answer finds nothing to deliver to.
+        let late = ResponseBuilder::for_query(&relayed).build();
+        let out = call(6_100, |ctx| {
+            server.handle(ctx, VIP, DNS_PORT, &late.encode().unwrap())
+        });
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn answer_is_framed_back_and_teardown_closes_the_connection() {
+        let mut server = TcpDnsServer::new();
+        let query = query_frame();
+        let out = open_and_send(&mut server, &query);
+        let relayed = Message::decode(&out[1].payload).unwrap();
+        let answer = ResponseBuilder::for_query(&relayed)
+            .answer_a(
+                DnsName::parse("m.yelp.com").unwrap(),
+                30,
+                Ipv4Addr::new(192, 0, 2, 5),
+            )
+            .build();
+        let out = call(20, |ctx| {
+            server.handle(ctx, VIP, DNS_PORT, &answer.encode().unwrap())
+        });
+        assert!(server.0.app.txns.next_deadline().is_none());
+        let segs = segments(&out);
+        assert_eq!(segs.last().map(|s| s.flags), Some(FIN | ACK));
+        let stream: Vec<u8> = segs.iter().flat_map(|s| s.data.clone()).collect();
+        let back = Message::decode(require_frame(&stream).unwrap()).unwrap();
+        assert_eq!(back.header.id, 0x4242, "client id restored");
+        assert_eq!(back.answer_addrs(), vec![Ipv4Addr::new(192, 0, 2, 5)]);
+        // The client acknowledges everything, FIN included.
+        let fin = segs.last().unwrap();
+        let ack = seg(ACK, 1 + query.len() as u32, fin.seq + 1, &[]);
+        call(30, |ctx| server.handle(ctx, KEY.0, KEY.1, &ack));
+        assert!(server.0.conn_mut(KEY).is_none());
+        assert_eq!(server.0.stats.aborts, 0);
+    }
+
+    #[test]
+    fn client_reset_releases_the_relay_txn() {
+        let mut server = TcpDnsServer::new();
+        open_and_send(&mut server, &query_frame());
+        assert!(server.0.app.txns.contains(1));
+        let out = call(20, |ctx| {
+            server.handle(ctx, KEY.0, KEY.1, &seg(RST, 1, 1, &[]))
+        });
+        assert!(out.is_empty());
+        assert!(server.0.app.txns.next_deadline().is_none());
+        assert!(server.0.conn_mut(KEY).is_none());
     }
 }

@@ -131,6 +131,15 @@ pub struct ServiceCtx<'a> {
     pub wake_after: Option<SimDuration>,
 }
 
+impl ServiceCtx<'_> {
+    /// Requests a [`UdpService::tick`] at `at`, but never sooner than 1 ms
+    /// from now: a deadline that is already due is looked at again on the
+    /// next tick instead of in a zero-delay loop.
+    pub fn wake_at(&mut self, at: SimTime) {
+        self.wake_after = Some(at.since(self.now).max(SimDuration::from_millis(1)));
+    }
+}
+
 /// A UDP protocol endpoint (DNS server, resolver, HTTP-lite server, …).
 ///
 /// All datagrams addressed to the service's port are delivered to
@@ -151,7 +160,7 @@ pub trait UdpService: Send {
     ) -> Vec<Egress>;
 
     /// Timer callback, fired when the service requested a wake-up via
-    /// [`ServiceCtx::wake_after`]. Default: do nothing.
+    /// [`ServiceCtx::wake_at`]. Default: do nothing.
     fn tick(&mut self, ctx: &mut ServiceCtx<'_>) -> Vec<Egress> {
         let _ = ctx;
         Vec::new()

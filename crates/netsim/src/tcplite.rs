@@ -3,6 +3,11 @@
 //! MSS segmentation, cumulative ACKs, go-back-N retransmission with a
 //! bounded RTO, and FIN teardown.
 //!
+//! There is one machine per side. [`TcpFetch`] is the client.
+//! [`TcpServer`] is the server: it moves every connection's bytes, and a
+//! [`ServerApp`] decides what a connection answers — a page
+//! ([`TcpHttpServer`]) or a relayed DNS answer (`dnssim::tcp`).
+//!
 //! This is what makes the suite's HTTP time-to-first-byte honest: TTFB
 //! costs a real three-way handshake plus the request round trip, transfers
 //! survive radio loss through retransmission, and total fetch time grows
@@ -104,147 +109,230 @@ pub struct TcpStats {
     pub segments_sent: u64,
     /// Segments retransmitted.
     pub retransmits: u64,
-    /// Connections aborted after retry exhaustion.
+    /// Connections aborted (out of retries, or reset or aborted for the app).
     pub aborts: u64,
+}
+
+/// A server-side connection's key: the peer's address and port.
+pub type ConnKey = (Ipv4Addr, u16);
+
+/// What a [`ServerApp`] makes of a connection's request bytes so far.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reply {
+    /// Nothing to answer yet: acknowledge the bytes and keep reading.
+    Ack,
+    /// The whole response, its first byte leaving after the delay. Its
+    /// first segment acknowledges the request, so no bare ACK is sent.
+    Respond(Vec<u8>, SimDuration),
+    /// The stream can never make sense: acknowledge, then reset.
+    Reset,
+}
+
+/// The application on top of a [`TcpServer`]. The machine moves every
+/// connection's bytes; the app decides what a connection answers.
+pub trait ServerApp: Send {
+    /// Per-connection application state.
+    type Conn: Send;
+
+    /// A connection opened (its first SYN arrived) at `now`.
+    fn open(&mut self, now: SimTime) -> Self::Conn;
+
+    /// New in-order request bytes on a connection that has no response
+    /// yet. Datagrams pushed onto `out` leave after the machine's
+    /// acknowledgement of these bytes.
+    fn on_data(
+        &mut self,
+        ctx: &mut ServiceCtx<'_>,
+        key: ConnKey,
+        conn: &mut Self::Conn,
+        data: &[u8],
+        out: &mut Vec<Egress>,
+    ) -> Reply;
+
+    /// A connection is gone: torn down, reset by either side, or aborted.
+    fn on_close(&mut self, _conn: Self::Conn) {}
+
+    /// The app's earliest deadline; the machine wakes for it too.
+    fn next_deadline(&self) -> Option<SimTime> {
+        None
+    }
 }
 
 #[derive(Debug, PartialEq, Eq)]
 enum ServerConnState {
     SynRcvd,
     Established,
-    /// Response fully acked, FIN sent, waiting for its ACK.
+    /// Response fully sent, FIN sent, waiting for its ACK.
     FinWait,
 }
 
 #[derive(Debug)]
-struct ServerConn {
+struct ServerConn<C> {
     state: ServerConnState,
+    peer: ConnKey,
+    /// The local address the SYN was sent to; every segment leaves from it.
+    /// On an anycast VIP a tick's `local_addr` is the node's primary
+    /// address, and the peer would drop a retransmission sent from there.
+    local: Ipv4Addr,
     /// Next sequence number we have *made available* to send.
     next_seq: u32,
     /// First unacknowledged sequence number.
     send_base: u32,
     /// Next byte expected from the peer.
     peer_next: u32,
-    /// The full response once the request has been seen.
+    /// The full response once the app has produced it.
     response: Option<Vec<u8>>,
     /// Retransmission state.
     rto_at: Option<SimTime>,
     retries: u32,
+    app: C,
 }
 
-/// A TCP-lite HTTP server: completes the handshake, waits for a request
-/// line, and serves a page of `page_size` bytes after `service_time`.
+/// The data segment of `response` that starts at sequence `seq` (sequence
+/// 1 is the first response byte; 0 was the SYN).
+fn data_segment(response: &[u8], seq: u32, ack: u32) -> Segment {
+    let start = (seq - 1) as usize;
+    let end = (start + MSS).min(response.len());
+    Segment {
+        flags: ACK,
+        seq,
+        ack,
+        data: response[start..end].to_vec(),
+    }
+}
+
+impl<C> ServerConn<C> {
+    fn send(&self, seg: &Segment, delay: SimDuration) -> Egress {
+        reply(self.peer.0, self.peer.1, seg, delay).from_addr(self.local)
+    }
+
+    /// Emits up to a window of unsent data segments, then the FIN once all
+    /// data is out.
+    fn pump(&mut self, now: SimTime, delay: SimDuration, stats: &mut TcpStats) -> Vec<Egress> {
+        let mut out = Vec::new();
+        let Some(response) = &self.response else {
+            return out;
+        };
+        let total = response.len() as u32;
+        while self.next_seq - 1 < total && (self.next_seq - self.send_base) as usize <= WINDOW * MSS
+        {
+            let seg = data_segment(response, self.next_seq, self.peer_next);
+            self.next_seq += seg.data.len() as u32;
+            stats.segments_sent += 1;
+            out.push(self.send(&seg, delay));
+        }
+        if self.next_seq > total && self.state == ServerConnState::Established {
+            let fin = Segment::ctl(FIN | ACK, self.next_seq, self.peer_next);
+            self.next_seq += 1;
+            self.state = ServerConnState::FinWait;
+            out.push(self.send(&fin, delay));
+        }
+        if self.rto_at.is_none() && self.send_base < self.next_seq {
+            self.rto_at = Some(now + RTO);
+        }
+        out
+    }
+
+    /// Retransmits up to a window from `send_base` (go-back-N).
+    fn retransmit(&mut self, now: SimTime, stats: &mut TcpStats) -> Vec<Egress> {
+        self.retries += 1;
+        self.rto_at = Some(now + RTO);
+        let mut segs = Vec::new();
+        if self.state == ServerConnState::SynRcvd {
+            segs.push(Segment::ctl(SYN | ACK, 0, self.peer_next));
+        } else if let Some(response) = &self.response {
+            let total = response.len() as u32;
+            let mut seq = self.send_base.max(1);
+            while seq - 1 < total && segs.len() < WINDOW {
+                segs.push(data_segment(response, seq, self.peer_next));
+                seq += segs[segs.len() - 1].data.len() as u32;
+            }
+            if self.state == ServerConnState::FinWait && seq > total {
+                segs.push(Segment::ctl(FIN | ACK, seq, self.peer_next));
+            }
+        }
+        stats.retransmits += segs.len() as u64;
+        segs.iter()
+            .map(|seg| self.send(seg, SimDuration::ZERO))
+            .collect()
+    }
+}
+
+/// The server side of TCP-lite, one machine for every [`ServerApp`]:
+/// SYN/SYN-ACK, cumulative ACKs, the windowed pump, go-back-N
+/// retransmission, FIN teardown, abort after `MAX_RETRIES`, RST for an
+/// unknown peer, and each connection's source address pinned at SYN time.
 #[derive(Debug)]
-pub struct TcpHttpServer {
-    /// Bytes served per request.
-    pub page_size: usize,
-    /// Server think-time before the first byte.
-    pub service_time: SimDuration,
-    conns: BTreeMap<(Ipv4Addr, u16), ServerConn>,
+pub struct TcpServer<A: ServerApp> {
+    /// The application.
+    pub app: A,
+    conns: BTreeMap<ConnKey, ServerConn<A::Conn>>,
     /// Endpoint statistics.
     pub stats: TcpStats,
 }
 
-impl TcpHttpServer {
-    /// A server with the given page size and think time.
-    pub fn new(page_size: usize, service_time: SimDuration) -> Self {
-        TcpHttpServer {
-            page_size,
-            service_time,
+impl<A: ServerApp + Default> Default for TcpServer<A> {
+    fn default() -> Self {
+        TcpServer {
+            app: A::default(),
             conns: BTreeMap::new(),
             stats: TcpStats::default(),
         }
     }
+}
 
-    /// Emits up to a window of unsent data segments for a connection.
-    fn pump(
-        conn: &mut ServerConn,
-        stats: &mut TcpStats,
-        peer: Ipv4Addr,
-        peer_port: u16,
-        now: SimTime,
-        delay: SimDuration,
-        out: &mut Vec<Egress>,
-    ) {
-        let Some(response) = &conn.response else {
-            return;
+impl<A: ServerApp> TcpServer<A> {
+    /// Hands a connection its whole response and sends what the window
+    /// allows.
+    pub fn respond(&mut self, key: ConnKey, response: Vec<u8>, now: SimTime) -> Vec<Egress> {
+        let Some(conn) = self.conns.get_mut(&key) else {
+            return Vec::new();
         };
-        // Sequence 1 is the first response byte (0 was the SYN).
-        let total = response.len() as u32;
-        while conn.next_seq - 1 < total && (conn.next_seq - conn.send_base) as usize <= WINDOW * MSS
-        {
-            let start = (conn.next_seq - 1) as usize;
-            let end = (start + MSS).min(response.len());
-            let seg = Segment {
-                flags: ACK,
-                seq: conn.next_seq,
-                ack: conn.peer_next,
-                data: response[start..end].to_vec(),
-            };
-            conn.next_seq += (end - start) as u32;
-            stats.segments_sent += 1;
-            out.push(reply(peer, peer_port, &seg, delay));
+        conn.response = Some(response);
+        conn.pump(now, SimDuration::ZERO, &mut self.stats)
+    }
+
+    /// Resets a connection: an RST to the peer, and the state is dropped.
+    pub fn reset(&mut self, key: ConnKey, out: &mut Vec<Egress>) {
+        if let Some(conn) = self.conns.get(&key) {
+            let rst = Segment::ctl(RST, conn.next_seq, conn.peer_next);
+            out.push(conn.send(&rst, SimDuration::ZERO));
         }
-        // All data sent: append FIN once.
-        if conn.next_seq > total && conn.state == ServerConnState::Established {
-            let fin = Segment::ctl(FIN | ACK, conn.next_seq, conn.peer_next);
-            conn.next_seq += 1;
-            conn.state = ServerConnState::FinWait;
-            out.push(reply(peer, peer_port, &fin, delay));
-        }
-        if conn.rto_at.is_none() && conn.send_base < conn.next_seq {
-            conn.rto_at = Some(now + RTO);
+        self.abort(key);
+    }
+
+    /// Drops a connection without a word to the peer.
+    pub fn abort(&mut self, key: ConnKey) {
+        if let Some(conn) = self.conns.remove(&key) {
+            self.stats.aborts += 1;
+            self.app.on_close(conn.app);
         }
     }
 
-    /// Retransmits from `send_base` (go-back-N).
-    fn retransmit(
-        conn: &mut ServerConn,
-        stats: &mut TcpStats,
-        peer: Ipv4Addr,
-        peer_port: u16,
-        now: SimTime,
-        out: &mut Vec<Egress>,
-    ) {
-        conn.retries += 1;
-        match conn.state {
-            ServerConnState::SynRcvd => {
-                let syn_ack = Segment::ctl(SYN | ACK, 0, conn.peer_next);
-                stats.retransmits += 1;
-                out.push(reply(peer, peer_port, &syn_ack, SimDuration::ZERO));
-            }
-            ServerConnState::Established | ServerConnState::FinWait => {
-                if let Some(response) = &conn.response {
-                    let total = response.len() as u32;
-                    let mut seq = conn.send_base.max(1);
-                    let mut sent = 0usize;
-                    while seq - 1 < total && sent < WINDOW {
-                        let start = (seq - 1) as usize;
-                        let end = (start + MSS).min(response.len());
-                        let seg = Segment {
-                            flags: ACK,
-                            seq,
-                            ack: conn.peer_next,
-                            data: response[start..end].to_vec(),
-                        };
-                        seq += (end - start) as u32;
-                        sent += 1;
-                        stats.retransmits += 1;
-                        out.push(reply(peer, peer_port, &seg, SimDuration::ZERO));
-                    }
-                    if conn.state == ServerConnState::FinWait && seq > total {
-                        let fin = Segment::ctl(FIN | ACK, seq, conn.peer_next);
-                        stats.retransmits += 1;
-                        out.push(reply(peer, peer_port, &fin, SimDuration::ZERO));
-                    }
-                }
-            }
+    /// The app state of a live connection.
+    pub fn conn_mut(&mut self, key: ConnKey) -> Option<&mut A::Conn> {
+        self.conns.get_mut(&key).map(|c| &mut c.app)
+    }
+
+    /// Requests a tick at the earliest retransmission timeout or app
+    /// deadline.
+    pub fn arm(&self, ctx: &mut ServiceCtx<'_>) {
+        let rto = self.conns.values().filter_map(|c| c.rto_at).min();
+        if let Some(at) = rto.into_iter().chain(self.app.next_deadline()).min() {
+            ctx.wake_at(at);
         }
-        conn.rto_at = Some(now + RTO);
+    }
+
+    /// Drops a finished connection and hands its state back to the app.
+    fn close(&mut self, key: ConnKey) {
+        if let Some(conn) = self.conns.remove(&key) {
+            self.app.on_close(conn.app);
+        }
     }
 }
 
-impl UdpService for TcpHttpServer {
+impl<A: ServerApp> UdpService for TcpServer<A> {
+    /// Runs one client segment through the machine.
     fn handle(
         &mut self,
         ctx: &mut ServiceCtx<'_>,
@@ -258,7 +346,7 @@ impl UdpService for TcpHttpServer {
         };
         let key = (from, from_port);
         if seg.flags & RST != 0 {
-            self.conns.remove(&key);
+            self.close(key);
             return out;
         }
         if seg.flags & SYN != 0 {
@@ -267,122 +355,140 @@ impl UdpService for TcpHttpServer {
                 self.stats.connections += 1;
                 ServerConn {
                     state: ServerConnState::SynRcvd,
+                    peer: key,
+                    local: ctx.local_addr,
                     next_seq: 1,
                     send_base: 1,
                     peer_next: seg.seq + 1,
                     response: None,
                     rto_at: Some(ctx.now + RTO),
                     retries: 0,
+                    app: self.app.open(ctx.now),
                 }
             });
             let syn_ack = Segment::ctl(SYN | ACK, 0, conn.peer_next);
-            out.push(reply(from, from_port, &syn_ack, SimDuration::ZERO));
+            out.push(conn.send(&syn_ack, SimDuration::ZERO));
             self.arm(ctx);
             return out;
         }
-        let page_size = self.page_size;
-        let service_time = self.service_time;
         let Some(conn) = self.conns.get_mut(&key) else {
-            // No state: reset.
-            out.push(reply(
-                from,
-                from_port,
-                &Segment::ctl(RST, 0, seg.seq),
-                SimDuration::ZERO,
-            ));
+            // No state for this peer: active refusal.
+            let rst = Segment::ctl(RST, 0, seg.seq);
+            out.push(reply(from, from_port, &rst, SimDuration::ZERO));
             return out;
         };
-        // ACK processing.
         if seg.flags & ACK != 0 && seg.ack > conn.send_base {
             conn.send_base = seg.ack;
             conn.retries = 0;
             conn.rto_at = None;
-            if conn.state == ServerConnState::SynRcvd {
-                conn.state = ServerConnState::Established;
-            }
+        }
+        if seg.flags & ACK != 0 && conn.state == ServerConnState::SynRcvd {
+            conn.state = ServerConnState::Established;
         }
         // Teardown complete?
         if conn.state == ServerConnState::FinWait && conn.send_base >= conn.next_seq {
-            self.conns.remove(&key);
+            self.close(key);
             self.arm(ctx);
             return out;
         }
-        if conn.state == ServerConnState::SynRcvd && seg.flags & ACK != 0 {
-            conn.state = ServerConnState::Established;
-        }
-        // In-order request data.
+        let mut delay = SimDuration::ZERO;
         if !seg.data.is_empty() {
+            let mut reply = Reply::Ack;
             if seg.seq == conn.peer_next {
                 conn.peer_next += seg.data.len() as u32;
-                if conn.response.is_none() && seg.data.starts_with(b"GET") {
-                    // Build the page: deterministic filler.
-                    conn.response = Some(vec![b'x'; page_size]);
-                    // First bytes leave after the think time.
-                    let mut delayed = Vec::new();
-                    Self::pump(
-                        conn,
-                        &mut self.stats,
-                        from,
-                        from_port,
-                        ctx.now,
-                        service_time,
-                        &mut delayed,
-                    );
-                    out.extend(delayed);
+                if conn.response.is_none() {
+                    reply = self
+                        .app
+                        .on_data(ctx, key, &mut conn.app, &seg.data, &mut out);
+                }
+            }
+            if let Reply::Respond(response, think) = reply {
+                conn.response = Some(response);
+                delay = think;
+            } else {
+                // Ack what we have (duplicates and reordering included),
+                // ahead of anything the app sent.
+                let ack = Segment::ctl(ACK, conn.next_seq, conn.peer_next);
+                out.insert(0, conn.send(&ack, SimDuration::ZERO));
+                if reply == Reply::Reset {
+                    self.reset(key, &mut out);
                     self.arm(ctx);
                     return out;
                 }
             }
-            // Ack whatever we have (duplicate or out-of-order included).
-            out.push(reply(
-                from,
-                from_port,
-                &Segment::ctl(ACK, conn.next_seq, conn.peer_next),
-                SimDuration::ZERO,
-            ));
         }
-        // Window may have opened.
-        Self::pump(
-            conn,
-            &mut self.stats,
-            from,
-            from_port,
-            ctx.now,
-            SimDuration::ZERO,
-            &mut out,
-        );
+        // The window may have opened.
+        out.extend(conn.pump(ctx.now, delay, &mut self.stats));
         self.arm(ctx);
         out
     }
 
+    /// Retransmits every connection whose RTO is due and aborts those out
+    /// of retries.
     fn tick(&mut self, ctx: &mut ServiceCtx<'_>) -> Vec<Egress> {
         let mut out = Vec::new();
-        let mut drop_keys = Vec::new();
-        for (&(peer, peer_port), conn) in self.conns.iter_mut() {
-            if let Some(at) = conn.rto_at {
-                if at <= ctx.now {
-                    if conn.retries >= MAX_RETRIES {
-                        drop_keys.push((peer, peer_port));
-                        continue;
-                    }
-                    Self::retransmit(conn, &mut self.stats, peer, peer_port, ctx.now, &mut out);
+        let mut dead = Vec::new();
+        for (&key, conn) in self.conns.iter_mut() {
+            if conn.rto_at.is_some_and(|at| at <= ctx.now) {
+                if conn.retries >= MAX_RETRIES {
+                    dead.push(key);
+                } else {
+                    out.extend(conn.retransmit(ctx.now, &mut self.stats));
                 }
             }
         }
-        for key in drop_keys {
-            self.conns.remove(&key);
-            self.stats.aborts += 1;
+        for key in dead {
+            self.abort(key);
         }
         self.arm(ctx);
         out
     }
 }
 
+/// A TCP-lite HTTP server: completes the handshake, waits for a request
+/// line, and serves a page of `page_size` bytes after `service_time`.
+pub type TcpHttpServer = TcpServer<HttpPage>;
+
 impl TcpHttpServer {
-    fn arm(&self, ctx: &mut ServiceCtx<'_>) {
-        if let Some(earliest) = self.conns.values().filter_map(|c| c.rto_at).min() {
-            ctx.wake_after = Some(earliest.since(ctx.now).max(SimDuration::from_millis(1)));
+    /// A server with the given page size and think time.
+    pub fn new(page_size: usize, service_time: SimDuration) -> Self {
+        TcpServer {
+            app: HttpPage {
+                size: page_size,
+                service_time,
+            },
+            conns: BTreeMap::new(),
+            stats: TcpStats::default(),
         }
+    }
+}
+
+/// [`TcpHttpServer`]'s app: the same page for every `GET`.
+#[derive(Debug)]
+pub struct HttpPage {
+    size: usize,
+    /// Server think-time before the first byte.
+    service_time: SimDuration,
+}
+
+impl ServerApp for HttpPage {
+    type Conn = ();
+
+    fn open(&mut self, _now: SimTime) {}
+
+    fn on_data(
+        &mut self,
+        _ctx: &mut ServiceCtx<'_>,
+        _key: ConnKey,
+        _conn: &mut (),
+        data: &[u8],
+        _out: &mut Vec<Egress>,
+    ) -> Reply {
+        if !data.starts_with(b"GET") {
+            return Reply::Ack;
+        }
+        // Deterministic filler; the first bytes leave after the think time.
+        Reply::Respond(vec![b'x'; self.size], self.service_time)
     }
 }
 
@@ -470,17 +576,11 @@ impl TcpFetch {
         }
     }
 
-    fn send_syn(&mut self, out: &mut Vec<Egress>) {
-        let syn = Segment::ctl(SYN, 0, 0);
-        out.push(reply(
-            self.server,
-            self.server_port,
-            &syn,
-            SimDuration::ZERO,
-        ));
+    fn send(&self, seg: &Segment) -> Egress {
+        reply(self.server, self.server_port, seg, SimDuration::ZERO)
     }
 
-    fn send_request(&mut self, out: &mut Vec<Egress>) {
+    fn send_request(&mut self) -> Egress {
         let seg = Segment {
             flags: ACK,
             seq: 1,
@@ -488,12 +588,16 @@ impl TcpFetch {
             data: self.request.clone(),
         };
         self.stats.segments_sent += 1;
-        out.push(reply(
-            self.server,
-            self.server_port,
-            &seg,
-            SimDuration::ZERO,
-        ));
+        self.send(&seg)
+    }
+
+    /// An ACK of everything received so far.
+    fn send_ack(&self) -> Egress {
+        self.send(&Segment::ctl(
+            ACK,
+            1 + self.request.len() as u32,
+            self.peer_next,
+        ))
     }
 
     fn finish(&mut self, failure: Option<TcpFailure>, now: SimTime) {
@@ -517,7 +621,7 @@ impl TcpFetch {
 
     fn arm(&self, ctx: &mut ServiceCtx<'_>) {
         if let Some(at) = self.rto_at {
-            ctx.wake_after = Some(at.since(ctx.now).max(SimDuration::from_millis(1)));
+            ctx.wake_at(at);
         }
     }
 }
@@ -552,7 +656,7 @@ impl UdpService for TcpFetch {
                 self.peer_next = seg.seq + 1;
                 self.state = FetchState::Requesting;
                 self.retries = 0;
-                self.send_request(&mut out);
+                out.push(self.send_request());
                 self.rto_at = Some(ctx.now + RTO);
             }
             FetchState::Requesting | FetchState::Receiving => {
@@ -572,22 +676,12 @@ impl UdpService for TcpFetch {
                         self.bytes += seg.data.len();
                         self.data.extend_from_slice(&seg.data);
                     }
-                    out.push(reply(
-                        self.server,
-                        self.server_port,
-                        &Segment::ctl(ACK, 1 + self.request.len() as u32, self.peer_next),
-                        SimDuration::ZERO,
-                    ));
+                    out.push(self.send_ack());
                 }
                 if seg.flags & FIN != 0 && seg.seq == self.peer_next {
                     // Server is done; ack the FIN and finish.
                     self.peer_next += 1;
-                    out.push(reply(
-                        self.server,
-                        self.server_port,
-                        &Segment::ctl(ACK, 1 + self.request.len() as u32, self.peer_next),
-                        SimDuration::ZERO,
-                    ));
+                    out.push(self.send_ack());
                     self.finish(None, ctx.now);
                 }
             }
@@ -604,7 +698,7 @@ impl UdpService for TcpFetch {
                 self.started = Some(ctx.now);
                 self.state = FetchState::SynSent;
                 self.stats.connections += 1;
-                self.send_syn(&mut out);
+                out.push(self.send(&Segment::ctl(SYN, 0, 0)));
                 self.rto_at = Some(ctx.now + RTO);
             }
             FetchState::SynSent | FetchState::Requesting => {
@@ -615,11 +709,11 @@ impl UdpService for TcpFetch {
                         } else {
                             self.retries += 1;
                             self.stats.retransmits += 1;
-                            if self.state == FetchState::SynSent {
-                                self.send_syn(&mut out);
+                            out.push(if self.state == FetchState::SynSent {
+                                self.send(&Segment::ctl(SYN, 0, 0))
                             } else {
-                                self.send_request(&mut out);
-                            }
+                                self.send_request()
+                            });
                             self.rto_at = Some(ctx.now + RTO);
                         }
                     }
@@ -668,6 +762,120 @@ mod tests {
             10
         );
     }
+
     // End-to-end connection behaviour is exercised in tests/tcp.rs over a
-    // real simulated network (including lossy links).
+    // real simulated network (including lossy links). The tests below drive
+    // the server machine directly, the way the engine would.
+
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    const VIP: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 80);
+    const PRIMARY: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
+    const PEER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+
+    /// Runs one service call at `ms` with `local` as the local address;
+    /// returns its egress and the requested wake-up.
+    fn call(
+        ms: u64,
+        local: Ipv4Addr,
+        f: impl FnOnce(&mut ServiceCtx<'_>) -> Vec<Egress>,
+    ) -> (Vec<Egress>, Option<SimDuration>) {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut ctx = ServiceCtx {
+            now: SimTime::from_micros(ms * 1_000),
+            local_addr: local,
+            rng: &mut rng,
+            wake_after: None,
+        };
+        let out = f(&mut ctx);
+        (out, ctx.wake_after)
+    }
+
+    fn seg(flags: u8, seq: u32, ack: u32, data: &[u8]) -> Vec<u8> {
+        Segment {
+            flags,
+            seq,
+            ack,
+            data: data.to_vec(),
+        }
+        .encode()
+    }
+
+    fn flags(out: &[Egress]) -> Vec<u8> {
+        out.iter()
+            .map(|e| Segment::decode(&e.payload).unwrap().flags)
+            .collect()
+    }
+
+    #[test]
+    fn every_segment_leaves_from_the_address_the_syn_was_sent_to() {
+        let mut server = TcpHttpServer::new(3_000, SimDuration::from_millis(5));
+        let (out, wake) = call(0, VIP, |ctx| {
+            server.handle(ctx, PEER, 4_000, &seg(SYN, 0, 0, &[]))
+        });
+        assert_eq!(flags(&out), [SYN | ACK]);
+        assert_eq!(out[0].src_addr, Some(VIP));
+        assert_eq!(wake, Some(RTO));
+        // The SYN-ACK is lost; the tick runs on the node's primary address.
+        let (out, _) = call(250, PRIMARY, |ctx| server.tick(ctx));
+        assert_eq!(flags(&out), [SYN | ACK]);
+        assert_eq!(out[0].src_addr, Some(VIP));
+        // The GET starts the response after the think time, with no bare ACK.
+        let get = seg(ACK, 1, 1, b"GET / HTTP/1.0\r\n\r\n");
+        let (out, _) = call(300, VIP, |ctx| server.handle(ctx, PEER, 4_000, &get));
+        assert_eq!(flags(&out), [ACK, ACK, ACK, FIN | ACK]);
+        assert!(out
+            .iter()
+            .all(|e| e.src_addr == Some(VIP) && e.delay == SimDuration::from_millis(5)));
+        // All of it is lost: go-back-N resends it from the VIP.
+        let (out, _) = call(500, PRIMARY, |ctx| server.tick(ctx));
+        assert_eq!(flags(&out), [ACK, ACK, ACK, FIN | ACK]);
+        assert!(out.iter().all(|e| e.src_addr == Some(VIP)));
+        assert_eq!(server.stats.segments_sent, 3);
+        assert_eq!(server.stats.retransmits, 5);
+    }
+
+    #[test]
+    fn connection_aborts_after_max_retries() {
+        let mut server = TcpHttpServer::new(1_000, SimDuration::ZERO);
+        call(0, PRIMARY, |ctx| {
+            server.handle(ctx, PEER, 4_000, &seg(SYN, 0, 0, &[]))
+        });
+        for k in 1..=u64::from(MAX_RETRIES) {
+            let (out, wake) = call(250 * k, PRIMARY, |ctx| server.tick(ctx));
+            assert_eq!(flags(&out), [SYN | ACK], "retransmit {k}");
+            assert_eq!(wake, Some(RTO));
+        }
+        let (out, wake) = call(250 * (u64::from(MAX_RETRIES) + 1), PRIMARY, |ctx| {
+            server.tick(ctx)
+        });
+        assert!(out.is_empty());
+        assert_eq!(wake, None, "nothing left to wake for");
+        assert_eq!(server.stats.aborts, 1);
+        assert_eq!(server.stats.retransmits, u64::from(MAX_RETRIES));
+        // The peer's late request meets no state: RST.
+        let get = seg(ACK, 1, 1, b"GET /");
+        let (out, _) = call(2_000, PRIMARY, |ctx| server.handle(ctx, PEER, 4_000, &get));
+        assert_eq!(flags(&out), [RST]);
+    }
+
+    #[test]
+    fn wake_at_never_asks_for_less_than_a_millisecond() {
+        let (_, wake) = call(10, PRIMARY, |ctx| {
+            ctx.wake_at(SimTime::from_micros(10_200));
+            Vec::new()
+        });
+        assert_eq!(wake, Some(SimDuration::from_millis(1)));
+        let (_, wake) = call(10, PRIMARY, |ctx| {
+            ctx.wake_at(SimTime::from_micros(5_000));
+            Vec::new()
+        });
+        assert_eq!(wake, Some(SimDuration::from_millis(1)), "already due");
+        let (_, wake) = call(10, PRIMARY, |ctx| {
+            ctx.wake_at(SimTime::from_micros(260_000));
+            Vec::new()
+        });
+        assert_eq!(wake, Some(RTO));
+    }
 }
