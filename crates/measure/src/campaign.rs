@@ -153,20 +153,10 @@ fn run_shard_campaign(
     let mut completed_high_water = 0u64;
     for day in 0..cfg.days {
         let day_start = SimTime::ZERO + SimDuration::from_days(day as u64);
-        // Daily churn pass (commuting, bearer re-homing); route rebuilds are
-        // batched into one recompute.
-        let mut dirty = false;
-        for i in 0..shard.devices.len() {
-            let CarrierShard {
-                net,
-                carrier,
-                devices,
-                rng,
-                ..
-            } = shard;
-            dirty |= devices[i].daily_churn(net, carrier, rng);
-        }
-        for d in &shard.devices {
+        // Daily churn pass (commuting, bearer re-homing). A re-home moves
+        // one stub link; the shared core routes need no recompute.
+        for d in shard.devices.iter_mut() {
+            d.daily_churn(&mut shard.net, &mut shard.carrier, &mut shard.rng);
             visited[d.site] = true;
         }
         // Egress-coverage nudge: while any gateway site has never hosted a
@@ -176,18 +166,8 @@ fn run_shard_campaign(
         // schedules are untouched.
         if let Some(target) = visited.iter().position(|v| !v) {
             let i = shard.rotation_rng.gen_range(0..shard.devices.len());
-            let CarrierShard {
-                net,
-                carrier,
-                devices,
-                ..
-            } = shard;
-            devices[i].reattach(net, carrier, target);
+            shard.devices[i].reattach(&mut shard.net, &mut shard.carrier, target);
             visited[target] = true;
-            dirty = true;
-        }
-        if dirty {
-            shard.net.rebuild_routes();
         }
         for slot in 0..cfg.experiments_per_day {
             let slot_start = day_start + slot_offset(slot, cfg.experiments_per_day);

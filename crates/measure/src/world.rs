@@ -26,6 +26,7 @@ use dnswire::name::DnsName;
 use netsim::addr::Prefix;
 use netsim::engine::Network;
 use netsim::fault::{FaultPlan, LinkFault, Spike, Window};
+use netsim::route::CoreRoutes;
 use netsim::tcplite::TcpHttpServer;
 use netsim::time::SimDuration;
 use netsim::topo::{Asn, Coord, NodeId, NodeKind, Topology};
@@ -299,6 +300,8 @@ pub struct Backbone {
     /// all six carriers and their devices). Each shard's engine runs on a
     /// clone of this template.
     pub template: Topology,
+    /// Routes over the template's core graph, shared by every shard's engine.
+    pub routes: Arc<CoreRoutes>,
     /// Domain catalog (Table 2).
     pub catalog: Vec<CatalogEntry>,
     /// The whoami probe zone (queried with nonce labels).
@@ -325,9 +328,10 @@ impl Backbone {
     /// ADNS, CDN authorities and replicas, public-DNS resolvers + anycast)
     /// is instantiated on it. Carrier services are installed by the caller.
     fn spawn_engine(&self, index: usize) -> Network {
-        let mut net = Network::new(
+        let mut net = Network::with_routes(
             self.template.clone(),
             derive_seed(self.config.seed, lane::ENGINE, index as u64),
+            Arc::clone(&self.routes),
         );
 
         // Chaos layer: the plan draws from its own seed lane, so shards
@@ -799,6 +803,7 @@ pub fn build_world(config: WorldConfig) -> World {
     }
 
     let backbone = Arc::new(Backbone {
+        routes: Arc::new(CoreRoutes::build(&topo)),
         template: topo,
         catalog,
         probe_zone,

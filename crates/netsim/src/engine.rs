@@ -9,7 +9,7 @@
 
 use crate::packet::{IcmpMsg, Packet, ProbeKey, Transport};
 use crate::queue::{Event, EventQueue, TimingWheel};
-use crate::route::RouteTable;
+use crate::route::CoreRoutes;
 use crate::time::{SimDuration, SimTime};
 use crate::topo::{NodeId, NodeKind, Topology};
 use crate::trace::{TraceEvent, Tracer};
@@ -17,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Identifier of a client transaction (an outstanding probe or request).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -307,7 +308,7 @@ const EPHEMERAL_HI: u16 = 60_999;
 /// The simulated network: topology + routes + services + event queue.
 pub struct Network {
     topo: Topology,
-    routes: RouteTable,
+    routes: Arc<CoreRoutes>,
     anycast: HashMap<Ipv4Addr, Vec<NodeId>>,
     services: HashMap<(NodeId, u16), Box<dyn UdpService>>,
     queue: TimingWheel<EventKind>,
@@ -337,7 +338,12 @@ pub struct Network {
 impl Network {
     /// Wraps a finished topology; routes are computed immediately.
     pub fn new(topo: Topology, seed: u64) -> Self {
-        let routes = RouteTable::build(&topo);
+        let routes = Arc::new(CoreRoutes::build(&topo));
+        Self::with_routes(topo, seed, routes)
+    }
+
+    /// Wraps a finished topology with a (shareable) table of its core routes.
+    pub fn with_routes(topo: Topology, seed: u64, routes: Arc<CoreRoutes>) -> Self {
         let link_busy_until = vec![[SimTime::ZERO; 2]; topo.links().len()];
         Network {
             topo,
@@ -383,21 +389,19 @@ impl Network {
         &self.topo
     }
 
-    /// Mutable access to the topology. Changing the *shape* (nodes/links)
-    /// requires [`Network::rebuild_routes`]; retuning latency models does
-    /// not.
+    /// Mutable access to the topology, for retuning links and node
+    /// configuration. The route table is fixed at construction: the one
+    /// shape change it follows is [`Network::rehome_stub`].
     pub fn topo_mut(&mut self) -> &mut Topology {
         &mut self.topo
     }
 
-    /// Recomputes the route table after structural topology changes.
-    pub fn rebuild_routes(&mut self) {
-        self.routes = RouteTable::build(&self.topo);
-    }
-
-    /// Read access to the route table.
-    pub fn routes(&self) -> &RouteTable {
-        &self.routes
+    /// Moves `stub`'s one link onto core node `new_peer` (a bearer re-homing
+    /// to another gateway). Routes read it live: nothing is recomputed.
+    pub fn rehome_stub(&mut self, link: usize, stub: NodeId, new_peer: NodeId) {
+        assert!(!self.routes.is_core(stub), "{stub:?} is not a stub");
+        assert!(self.routes.is_core(new_peer), "{new_peer:?} is not core");
+        self.topo.rewire_link(link, stub, new_peer);
     }
 
     /// The deterministic RNG (for layers above that need randomness in the
@@ -751,11 +755,7 @@ impl Network {
             return Some(node);
         }
         let instances = self.anycast.get(&dst)?;
-        instances
-            .iter()
-            .copied()
-            .filter(|&n| self.routes.reachable(from, n))
-            .min_by_key(|&n| (self.routes.dist(from, n), n))
+        self.routes.nearest(&self.topo, from, instances)
     }
 
     fn on_arrive(&mut self, node: NodeId, mut packet: Packet) {
@@ -1014,7 +1014,7 @@ impl Network {
             self.deliver(node, packet);
             return;
         }
-        let Some(hop) = self.routes.next_hop(node, dst_node) else {
+        let Some(hop) = self.routes.next_hop(&self.topo, node, dst_node) else {
             self.stats.unreachable += 1;
             self.send_icmp_error(node, &packet, false);
             return;
@@ -1050,10 +1050,6 @@ impl Network {
         // transmissions in the same direction.
         let depart = if let Some(bps) = link.bandwidth_bps {
             let dir = usize::from(link.a != node);
-            if hop.link >= self.link_busy_until.len() {
-                self.link_busy_until
-                    .resize(self.topo.links().len(), [SimTime::ZERO; 2]);
-            }
             let busy = &mut self.link_busy_until[hop.link][dir];
             let start = (*busy).max(self.now);
             let ser_us = (packet.wire_size() as u64 * 8 * 1_000_000) / bps;
@@ -1483,5 +1479,31 @@ mod tests {
         }
         // And no timeout was counted for either.
         assert_eq!(net.stats.timeouts, 0);
+    }
+
+    #[test]
+    fn rehomed_stub_is_routed_over_its_new_link() {
+        let (mut net, a, _, r2, _) = line_network();
+        net.rehome_stub(0, a, r2);
+        let flow = net.ping(a, ip(10, 0, 0, 4), SimDuration::from_secs(5));
+        let out = net.run_until(flow);
+        assert!(matches!(out.result, FlowResult::EchoReply { .. }));
+        // 2 * (5+5) ms: the 10 ms r1-r2 link is off the path now.
+        let rtt = out.rtt().as_millis_f64();
+        assert!((20.0..22.0).contains(&rtt), "rtt {rtt}");
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a stub")]
+    fn rehoming_a_core_link_panics() {
+        let (mut net, _, r1, _, b) = line_network();
+        net.rehome_stub(1, r1, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not core")]
+    fn rehoming_onto_a_stub_panics() {
+        let (mut net, a, _, _, b) = line_network();
+        net.rehome_stub(0, a, b);
     }
 }

@@ -16,7 +16,7 @@
 //!   advances only by dispatching events, and all randomness flows from one
 //!   seeded RNG, so runs are bit-reproducible.
 //! * Packets ([`packet::Packet`]) are forwarded hop by hop over a routed
-//!   topology ([`topo::Topology`], [`route::RouteTable`]), so TTLs,
+//!   topology ([`topo::Topology`], [`route::CoreRoutes`]), so TTLs,
 //!   traceroute, anycast, and middleboxes behave like the real thing.
 //! * Protocol endpoints are state machines implementing
 //!   [`engine::UdpService`]; there is no async runtime and no interior

@@ -1,13 +1,18 @@
-//! Shortest-path routing over mean link latency.
+//! Shortest-path routing over mean link latency, on the *core* graph.
 //!
-//! The route table stores, for every (source, destination) node pair, the
-//! next hop and the link to traverse. Tables are rebuilt when the topology
-//! changes shape (not when latency models are merely retuned, since routing
-//! weights use the *structural* mean captured at build time).
+//! A *stub* (a degree-1 node on a degree-≥2 neighbour: a device, a CDN
+//! replica, a public-DNS site) is never an interior hop, and Dijkstra from it
+//! is Dijkstra from its attachment shifted by a constant, so every tie-break
+//! holds. The table covers the other, *core*, nodes only; a stub's attachment
+//! and link weight are read live, so re-homing one recomputes nothing and
+//! engines on one core graph share one table.
 
 use crate::topo::{NodeId, Topology};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Marks a stub in the core-index map and a missing hop in the table.
+const NONE: u32 = u32::MAX;
 
 /// Next-hop entry: the neighbor to forward to and the link index used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,98 +23,123 @@ pub struct NextHop {
     pub link: usize,
 }
 
-/// All-pairs next-hop table.
-#[derive(Debug, Default)]
-pub struct RouteTable {
+/// Distance and next hop between every ordered pair of core nodes.
+#[derive(Debug)]
+pub struct CoreRoutes {
+    /// core_of[node] = core index, `NONE` for a stub.
+    core_of: Vec<u32>,
+    /// Number of core nodes.
     n: usize,
-    /// next[dst * n + src] = hop from src toward dst.
-    next: Vec<Option<NextHop>>,
-    /// dist[dst * n + src] = mean-latency distance in µs (`u64::MAX` when
-    /// unreachable). Used for anycast nearest-instance selection.
-    dist: Vec<u64>,
+    /// table[dst * n + src] = (µs distance, next node, link) from core `src`
+    /// toward core `dst`; `(u64::MAX, NONE, NONE)` when unreachable.
+    table: Vec<(u64, u32, u32)>,
 }
 
-impl RouteTable {
-    /// Computes routes for the given topology by running Dijkstra from every
-    /// destination over mean link latencies.
+impl CoreRoutes {
+    /// Classifies every node as core or stub and runs Dijkstra from every
+    /// core destination over the links between core nodes.
     pub fn build(topo: &Topology) -> Self {
-        let n = topo.node_count();
-        let mut next = vec![None; n * n];
-        let mut dist_table = vec![u64::MAX; n * n];
+        let mut core_of = vec![NONE; topo.node_count()];
+        let mut core = Vec::new();
+        for v in topo.nodes().iter().map(|n| n.id) {
+            if !matches!(topo.neighbors(v), [(peer, _)] if topo.neighbors(*peer).len() >= 2) {
+                core_of[v.index()] = core.len() as u32;
+                core.push(v);
+            }
+        }
+        let n = core.len();
         let weights: Vec<u64> = topo
             .links()
             .iter()
             .map(|l| l.latency.mean_micros().max(1))
             .collect();
-        let mut dist = vec![u64::MAX; n];
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+        let mut table = vec![(u64::MAX, NONE, NONE); n * n];
+        // Keyed by core index, which orders like the node id it stands for.
+        let mut heap = BinaryHeap::new();
         for dst in 0..n {
-            dist.iter_mut().for_each(|d| *d = u64::MAX);
-            heap.clear();
-            dist[dst] = 0;
-            heap.push(Reverse((0, dst as u32)));
+            let row = &mut table[dst * n..(dst + 1) * n];
+            row[dst].0 = 0;
+            heap.push(Reverse((0, dst)));
             while let Some(Reverse((d, u))) = heap.pop() {
-                let u_idx = u as usize;
-                if d > dist[u_idx] {
+                if d > row[u].0 {
                     continue;
                 }
-                for &(v, link) in topo.neighbors(NodeId(u)) {
-                    let v_idx = v.index();
-                    let nd = d + weights[link];
-                    if nd < dist[v_idx] {
-                        dist[v_idx] = nd;
+                for &(v, link) in topo.neighbors(core[u]) {
+                    let (v, nd) = (core_of[v.index()] as usize, d + weights[link]);
+                    if v != NONE as usize && nd < row[v].0 {
                         // From v, the first hop toward dst is u over `link`.
-                        next[dst * n + v_idx] = Some(NextHop {
-                            node: NodeId(u),
-                            link,
-                        });
-                        heap.push(Reverse((nd, v.0)));
+                        row[v] = (nd, core[u].0, link as u32);
+                        heap.push(Reverse((nd, v)));
                     }
                 }
             }
-            dist_table[dst * n..(dst + 1) * n].copy_from_slice(&dist);
         }
-        RouteTable {
-            n,
-            next,
-            dist: dist_table,
-        }
+        CoreRoutes { core_of, n, table }
     }
 
-    /// Mean-latency distance in microseconds from `src` to `dst`
+    /// Number of core nodes.
+    pub fn core_count(&self) -> usize {
+        self.n
+    }
+
+    /// Whether `node` is core (a stub is not).
+    pub fn is_core(&self, node: NodeId) -> bool {
+        self.core_of[node.index()] != NONE
+    }
+
+    /// Where `node` meets the core: its core index, plus, for a stub, the hop
+    /// over its one link.
+    fn anchor(&self, topo: &Topology, node: NodeId) -> (usize, Option<NextHop>) {
+        let stub = (!self.is_core(node)).then(|| {
+            let (node, link) = topo.neighbors(node)[0];
+            NextHop { node, link }
+        });
+        let at = stub.map_or(node, |hop| hop.node);
+        (self.core_of[at.index()] as usize, stub)
+    }
+
+    /// Mean-latency distance in microseconds from `src` to `dst`: the core
+    /// distance plus the live weight of each stub link at either end
     /// (`u64::MAX` when unreachable, `0` for `src == dst`).
-    pub fn dist(&self, src: NodeId, dst: NodeId) -> u64 {
-        self.dist[dst.index() * self.n + src.index()]
+    pub fn dist(&self, topo: &Topology, src: NodeId, dst: NodeId) -> u64 {
+        let weight = |stub: Option<NextHop>| {
+            stub.map_or(0, |h| topo.link(h.link).latency.mean_micros().max(1))
+        };
+        let ((from, src_stub), (to, dst_stub)) = (self.anchor(topo, src), self.anchor(topo, dst));
+        match self.table[to * self.n + from].0 {
+            _ if src == dst => 0,
+            u64::MAX => u64::MAX,
+            d => d + weight(src_stub) + weight(dst_stub),
+        }
     }
 
     /// Next hop from `src` toward `dst`; `None` when unreachable or when
     /// `src == dst`.
-    pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NextHop> {
-        if src == dst {
-            return None;
+    pub fn next_hop(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<NextHop> {
+        let ((from, src_stub), (to, dst_stub)) = (self.anchor(topo, src), self.anchor(topo, dst));
+        let (d, next, next_link) = self.table[to * self.n + from];
+        match (src_stub, dst_stub) {
+            _ if src == dst => None,
+            // A stub leaves over its one link whenever dst is reachable.
+            (Some(hop), _) => (d != u64::MAX).then_some(hop),
+            // dst is a stub hanging off src.
+            (None, Some(hop)) if from == to => Some(NextHop { node: dst, ..hop }),
+            _ => (next != NONE).then_some(NextHop {
+                node: NodeId(next),
+                link: next_link as usize,
+            }),
         }
-        self.next[dst.index() * self.n + src.index()]
     }
 
-    /// Whether `dst` is reachable from `src`.
-    pub fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
-        src == dst || self.next_hop(src, dst).is_some()
-    }
-
-    /// The full node path from `src` to `dst` (inclusive of both), if any.
-    /// Useful for tests and debugging; the engine itself forwards hop by hop.
-    pub fn path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        let mut path = vec![src];
-        let mut cur = src;
-        while cur != dst {
-            let hop = self.next_hop(cur, dst)?;
-            cur = hop.node;
-            path.push(cur);
-            if path.len() > self.n {
-                return None; // defensive: malformed table
-            }
-        }
-        Some(path)
+    /// The reachable instance nearest to `from`, ties to the lowest node
+    /// id; `None` when none is reachable.
+    pub fn nearest(&self, topo: &Topology, from: NodeId, instances: &[NodeId]) -> Option<NodeId> {
+        instances
+            .iter()
+            .map(|&n| (self.dist(topo, from, n), n))
+            .filter(|&(d, _)| d != u64::MAX)
+            .min()
+            .map(|(_, n)| n)
     }
 }
 
@@ -130,6 +160,16 @@ mod tests {
         )
     }
 
+    /// The full node path from `src` to `dst` (inclusive of both), if any.
+    fn path(rt: &CoreRoutes, t: &Topology, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+        let mut path = vec![src];
+        while *path.last()? != dst {
+            path.push(rt.next_hop(t, *path.last()?, dst)?.node);
+            assert!(path.len() <= t.node_count(), "routing loop");
+        }
+        Some(path)
+    }
+
     #[test]
     fn line_topology_routes_through_middle() {
         let mut t = Topology::new();
@@ -138,10 +178,13 @@ mod tests {
         let c = node(&mut t, 3);
         t.add_link(a, b, LatencyModel::constant_ms(1));
         t.add_link(b, c, LatencyModel::constant_ms(1));
-        let rt = RouteTable::build(&t);
-        assert_eq!(rt.next_hop(a, c).unwrap().node, b);
-        assert_eq!(rt.next_hop(c, a).unwrap().node, b);
-        assert_eq!(rt.path(a, c).unwrap(), vec![a, b, c]);
+        let rt = CoreRoutes::build(&t);
+        // a and c are stubs on b.
+        assert_eq!((rt.core_count(), rt.is_core(b)), (1, true));
+        assert_eq!(rt.next_hop(&t, a, c).unwrap().node, b);
+        assert_eq!(rt.next_hop(&t, c, a).unwrap().node, b);
+        assert_eq!(rt.next_hop(&t, b, c).unwrap().node, c);
+        assert_eq!(path(&rt, &t, a, c).unwrap(), vec![a, b, c]);
     }
 
     #[test]
@@ -154,8 +197,8 @@ mod tests {
         t.add_link(a, c, LatencyModel::constant_ms(100));
         t.add_link(a, b, LatencyModel::constant_ms(1));
         t.add_link(b, c, LatencyModel::constant_ms(1));
-        let rt = RouteTable::build(&t);
-        assert_eq!(rt.next_hop(a, c).unwrap().node, b);
+        let rt = CoreRoutes::build(&t);
+        assert_eq!(rt.next_hop(&t, a, c).unwrap().node, b);
     }
 
     #[test]
@@ -163,20 +206,29 @@ mod tests {
         let mut t = Topology::new();
         let a = node(&mut t, 1);
         let b = node(&mut t, 2);
-        let rt = RouteTable::build(&t);
-        assert!(rt.next_hop(a, b).is_none());
-        assert!(!rt.reachable(a, b));
-        assert!(rt.reachable(a, a));
-        assert!(rt.path(a, b).is_none());
+        let rt = CoreRoutes::build(&t);
+        assert!(rt.next_hop(&t, a, b).is_none());
+        assert_eq!(rt.dist(&t, a, b), u64::MAX);
+        assert_eq!(rt.dist(&t, a, a), 0);
+        assert!(path(&rt, &t, a, b).is_none());
+        // A stub cannot reach past its own island either.
+        let s = node(&mut t, 3);
+        let c = node(&mut t, 4);
+        t.add_link(s, a, LatencyModel::constant_ms(1));
+        t.add_link(a, c, LatencyModel::constant_ms(1));
+        let rt = CoreRoutes::build(&t);
+        assert!(!rt.is_core(s));
+        assert!(rt.next_hop(&t, s, b).is_none());
+        assert_eq!(rt.nearest(&t, s, &[b]), None);
     }
 
     #[test]
     fn self_route_is_none() {
         let mut t = Topology::new();
         let a = node(&mut t, 1);
-        let rt = RouteTable::build(&t);
-        assert!(rt.next_hop(a, a).is_none());
-        assert_eq!(rt.path(a, a).unwrap(), vec![a]);
+        let rt = CoreRoutes::build(&t);
+        assert!(rt.next_hop(&t, a, a).is_none());
+        assert_eq!(path(&rt, &t, a, a).unwrap(), vec![a]);
     }
 
     #[test]
@@ -188,14 +240,14 @@ mod tests {
             t.add_link(nodes[i], nodes[(i + 1) % 20], LatencyModel::constant_ms(1));
         }
         t.add_link(nodes[0], nodes[10], LatencyModel::constant_ms(1));
-        let rt = RouteTable::build(&t);
+        let rt = CoreRoutes::build(&t);
         for &s in &nodes {
             for &d in &nodes {
-                assert!(rt.reachable(s, d));
+                assert!(path(&rt, &t, s, d).is_some());
             }
         }
         // Chord shortens the long way around.
-        let p = rt.path(nodes[0], nodes[10]).unwrap();
+        let p = path(&rt, &t, nodes[0], nodes[10]).unwrap();
         assert_eq!(p.len(), 2);
     }
 
@@ -206,13 +258,16 @@ mod tests {
         let b = node(&mut t, 2);
         let c = node(&mut t, 3);
         t.add_link(a, b, LatencyModel::constant_ms(3));
-        t.add_link(b, c, LatencyModel::constant_ms(4));
-        let rt = RouteTable::build(&t);
-        assert_eq!(rt.dist(a, a), 0);
-        assert_eq!(rt.dist(a, b), 3_000);
-        assert_eq!(rt.dist(a, c), 7_000);
+        let bc = t.add_link(b, c, LatencyModel::constant_ms(4));
+        let rt = CoreRoutes::build(&t);
+        assert_eq!(rt.dist(&t, a, a), 0);
+        assert_eq!(rt.dist(&t, a, b), 3_000);
+        assert_eq!(rt.dist(&t, a, c), 7_000);
+        // A stub link's weight is read live.
+        t.set_link_latency(bc, LatencyModel::constant_ms(9));
+        assert_eq!(rt.dist(&t, a, c), 12_000);
         let d = node(&mut t, 4); // isolated
-        let rt = RouteTable::build(&t);
-        assert_eq!(rt.dist(a, d), u64::MAX);
+        let rt = CoreRoutes::build(&t);
+        assert_eq!(rt.dist(&t, a, d), u64::MAX);
     }
 }

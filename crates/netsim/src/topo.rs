@@ -242,9 +242,9 @@ impl Topology {
         self.links[link].bandwidth_bps = bps.map(|b| b.max(1));
     }
 
-    /// Moves one end of a link to a different node (device reattachment to a
-    /// new gateway). Routes must be rebuilt afterwards.
-    pub fn rewire_link(&mut self, link: usize, keep: NodeId, new_peer: NodeId) {
+    /// Moves one end of a link to a different node; engines go through
+    /// [`crate::engine::Network::rehome_stub`], which keeps routes valid.
+    pub(crate) fn rewire_link(&mut self, link: usize, keep: NodeId, new_peer: NodeId) {
         assert_ne!(keep, new_peer, "self-link on {keep:?}");
         let (old_a, old_b) = {
             let l = &self.links[link];

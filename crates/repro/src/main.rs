@@ -298,8 +298,10 @@ fn main() {
     prof.record(build.end());
     if !args.quiet {
         eprintln!(
-            "repro: world ready ({} nodes); running campaign ({} days x {}/day x {} devices, {} threads) ...",
+            "repro: world ready ({} nodes: {} core, {} stubs); running campaign ({} days x {}/day x {} devices, {} threads) ...",
             study.world.node_count(),
+            study.world.backbone.routes.core_count(),
+            study.world.node_count() - study.world.backbone.routes.core_count(),
             study.campaign.days,
             study.campaign.experiments_per_day,
             study.world.device_count(),
