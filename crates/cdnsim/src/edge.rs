@@ -84,12 +84,11 @@ mod tests {
         ));
         let mut z = EdgeZone::new(DnsName::parse("edge.cdn-a.example").unwrap(), cdn);
         let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ServiceCtx {
-            now: netsim::time::SimTime::ZERO,
-            local_addr: Ipv4Addr::new(9, 9, 9, 9),
-            rng: &mut rng,
-            wake_after: None,
-        };
+        let mut ctx = ServiceCtx::new(
+            netsim::time::SimTime::ZERO,
+            Ipv4Addr::new(9, 9, 9, 9),
+            &mut rng,
+        );
         let out = z.answer(
             &DnsName::parse("e12345678.edge.cdn-a.example").unwrap(),
             RecordType::A,

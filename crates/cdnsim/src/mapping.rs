@@ -146,12 +146,7 @@ mod tests {
 
     fn answer(z: &mut MappingZone, qname: &str, qtype: RecordType, from: Ipv4Addr) -> ZoneAnswer {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ServiceCtx {
-            now: netsim::time::SimTime::ZERO,
-            local_addr: ip(198, 51, 100, 1),
-            rng: &mut rng,
-            wake_after: None,
-        };
+        let mut ctx = ServiceCtx::new(netsim::time::SimTime::ZERO, ip(198, 51, 100, 1), &mut rng);
         z.answer(&n(qname), qtype, from, None, &mut ctx)
     }
 

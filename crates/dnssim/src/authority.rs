@@ -262,12 +262,11 @@ mod tests {
 
     fn run(server: &mut AuthoritativeServer, query: &Message, from: Ipv4Addr) -> Message {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ServiceCtx {
-            now: SimTime::from_micros(5_000_000),
-            local_addr: ip(198, 51, 100, 53),
-            rng: &mut rng,
-            wake_after: None,
-        };
+        let mut ctx = ServiceCtx::new(
+            SimTime::from_micros(5_000_000),
+            ip(198, 51, 100, 53),
+            &mut rng,
+        );
         let out = server.handle(&mut ctx, from, 4096, &query.encode().unwrap());
         assert_eq!(out.len(), 1);
         Message::decode(&out[0].payload).unwrap()
@@ -334,12 +333,7 @@ mod tests {
     fn garbage_gets_formerr() {
         let mut s = server();
         let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ServiceCtx {
-            now: SimTime::ZERO,
-            local_addr: ip(198, 51, 100, 53),
-            rng: &mut rng,
-            wake_after: None,
-        };
+        let mut ctx = ServiceCtx::new(SimTime::ZERO, ip(198, 51, 100, 53), &mut rng);
         let out = s.handle(&mut ctx, ip(1, 1, 1, 1), 9, &[0xAB, 0xCD, 0xEF]);
         let resp = Message::decode(&out[0].payload).unwrap();
         assert_eq!(resp.header.rcode, Rcode::FormErr);
@@ -355,12 +349,7 @@ mod tests {
         let mut as_response = q.clone();
         as_response.header.flags.response = true;
         let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ServiceCtx {
-            now: SimTime::ZERO,
-            local_addr: ip(198, 51, 100, 53),
-            rng: &mut rng,
-            wake_after: None,
-        };
+        let mut ctx = ServiceCtx::new(SimTime::ZERO, ip(198, 51, 100, 53), &mut rng);
         let out = s.handle(&mut ctx, ip(1, 1, 1, 1), 9, &as_response.encode().unwrap());
         assert!(out.is_empty());
     }

@@ -370,12 +370,11 @@ mod tests {
     }
 
     fn ctx<'a>(rng: &'a mut StdRng, now_s: u64) -> ServiceCtx<'a> {
-        ServiceCtx {
-            now: SimTime::from_micros(now_s * 1_000_000),
-            local_addr: ip(10, 5, 0, 1),
+        ServiceCtx::new(
+            SimTime::from_micros(now_s * 1_000_000),
+            ip(10, 5, 0, 1),
             rng,
-            wake_after: None,
-        }
+        )
     }
 
     fn upstreams() -> Vec<Ipv4Addr> {

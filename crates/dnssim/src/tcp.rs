@@ -366,12 +366,11 @@ mod tests {
 
     fn call(ms: u64, f: impl FnOnce(&mut ServiceCtx<'_>) -> Vec<Egress>) -> Vec<Egress> {
         let mut rng = StdRng::seed_from_u64(0);
-        f(&mut ServiceCtx {
-            now: SimTime::from_micros(ms * 1_000),
-            local_addr: VIP,
-            rng: &mut rng,
-            wake_after: None,
-        })
+        f(&mut ServiceCtx::new(
+            SimTime::from_micros(ms * 1_000),
+            VIP,
+            &mut rng,
+        ))
     }
 
     fn seg(flags: u8, seq: u32, ack: u32, data: &[u8]) -> Vec<u8> {

@@ -15,7 +15,7 @@ use crate::topo::{NodeId, NodeKind, Topology};
 use crate::trace::{TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -126,18 +126,33 @@ pub struct ServiceCtx<'a> {
     pub local_addr: Ipv4Addr,
     /// Deterministic RNG shared by the whole simulation.
     pub rng: &'a mut StdRng,
-    /// Set by the service to request a [`UdpService::tick`] callback after
-    /// this duration (smoltcp-style `poll_at`). The engine reads it after
-    /// each `handle`/`tick` call.
-    pub wake_after: Option<SimDuration>,
+    /// The [`UdpService::tick`] requested through [`ServiceCtx::wake_at`]
+    /// (smoltcp-style `poll_at`). The engine reads it after each
+    /// `handle`/`tick` call.
+    wake: Option<SimTime>,
 }
 
-impl ServiceCtx<'_> {
+impl<'a> ServiceCtx<'a> {
+    /// A context for one service call at `now` with no wake-up requested.
+    pub fn new(now: SimTime, local_addr: Ipv4Addr, rng: &'a mut StdRng) -> Self {
+        ServiceCtx {
+            now,
+            local_addr,
+            rng,
+            wake: None,
+        }
+    }
+
     /// Requests a [`UdpService::tick`] at `at`, but never sooner than 1 ms
     /// from now: a deadline that is already due is looked at again on the
-    /// next tick instead of in a zero-delay loop.
+    /// next tick instead of in a zero-delay loop. The last call wins.
     pub fn wake_at(&mut self, at: SimTime) {
-        self.wake_after = Some(at.since(self.now).max(SimDuration::from_millis(1)));
+        self.wake = Some(at.max(self.now + SimDuration::from_millis(1)));
+    }
+
+    /// The wake-up requested so far, if any.
+    pub(crate) fn wake(&self) -> Option<SimTime> {
+        self.wake
     }
 }
 
@@ -311,6 +326,10 @@ pub struct Network {
     routes: Arc<CoreRoutes>,
     anycast: HashMap<Ipv4Addr, Vec<NodeId>>,
     services: HashMap<(NodeId, u16), Box<dyn UdpService>>,
+    /// The instants at which each `(node, port)` has a `ServiceTick`
+    /// queued: at most one tick per service and instant. Membership-checked
+    /// only.
+    wakes: HashSet<(NodeId, u16, SimTime)>,
     queue: TimingWheel<EventKind>,
     seq: u64,
     now: SimTime,
@@ -350,6 +369,7 @@ impl Network {
             routes,
             anycast: HashMap::new(),
             services: HashMap::new(),
+            wakes: HashSet::new(),
             queue: TimingWheel::new(),
             seq: 0,
             now: SimTime::ZERO,
@@ -435,7 +455,7 @@ impl Network {
     /// Schedules an immediate [`UdpService::tick`] for a service (used to
     /// start client-side state machines such as TCP-lite fetches).
     pub fn kick_service(&mut self, node: NodeId, port: u16) {
-        self.schedule(self.now, EventKind::ServiceTick { node, port });
+        self.schedule_wake(self.now, node, port);
     }
 
     /// Inspects a registered service's concrete state via its
@@ -464,6 +484,20 @@ impl Network {
         });
         self.stats.queue_high_water = self.stats.queue_high_water.max(self.queue.len() as u64);
         seq
+    }
+
+    /// Queues a `ServiceTick` for `(node, port)` at `at`, unless one is
+    /// already queued for that instant. The queued one dispatches first, so
+    /// it is the tick that does the work: by the time a second tick at the
+    /// same instant ran, the first (or a `handle` in between) would already
+    /// have expired every deadline before `at`, and anything it re-armed
+    /// would be due later. A tick left over from an unregistered service
+    /// still counts: it reaches whatever is registered there when it fires.
+    fn schedule_wake(&mut self, at: SimTime, node: NodeId, port: u16) {
+        let at = at.max(self.now);
+        if self.wakes.insert((node, port, at)) {
+            self.schedule(at, EventKind::ServiceTick { node, port });
+        }
     }
 
     fn alloc_flow(&mut self) -> FlowId {
@@ -660,7 +694,9 @@ impl Network {
             }
             EventKind::ServiceTick { node, port } => {
                 self.stats.service_ticks += 1;
-                self.on_service_tick(node, port);
+                self.wakes.remove(&(node, port, ev.time));
+                let local_addr = self.topo.node(node).primary_addr();
+                self.run_service(node, port, local_addr, |service, ctx| service.tick(ctx));
             }
             EventKind::FlowTimeout { flow } => {
                 self.stats.flow_timeouts += 1;
@@ -873,12 +909,14 @@ impl Network {
                 dst_port,
                 payload,
             } => {
-                if self.services.contains_key(&(node, dst_port)) {
-                    self.dispatch_service(
-                        node, dst_port, packet.dst, packet.src, src_port, payload,
-                    );
-                } else if let Some(&flow) = self.port_index.get(&(node, dst_port)) {
-                    let from = packet.src;
+                let from = packet.src;
+                let handled = self.run_service(node, dst_port, packet.dst, |service, ctx| {
+                    service.handle(ctx, from, src_port, &payload)
+                });
+                if handled {
+                    return;
+                }
+                if let Some(&flow) = self.port_index.get(&(node, dst_port)) {
                     self.complete(flow, FlowResult::Response { from, payload });
                 } else {
                     // Closed port: unreachable back to sender.
@@ -909,37 +947,24 @@ impl Network {
         }
     }
 
-    /// Fires a requested service timer.
-    fn on_service_tick(&mut self, node: NodeId, port: u16) {
-        let Some(mut service) = self.services.remove(&(node, port)) else {
-            return; // service was unregistered in the meantime
-        };
-        let local_addr = self.topo.node(node).primary_addr();
-        let mut ctx = ServiceCtx {
-            now: self.now,
-            local_addr,
-            rng: &mut self.rng,
-            wake_after: None,
-        };
-        let egress = service.tick(&mut ctx);
-        let wake = ctx.wake_after;
-        self.services.insert((node, port), service);
-        self.apply_service_output(node, port, local_addr, egress, wake);
-    }
-
-    /// Common tail of service dispatch: send egress datagrams and schedule
-    /// a requested wake-up.
-    fn apply_service_output(
+    /// Runs `call` on the service bound to `(node, port)`, in place, with
+    /// the engine RNG, then sends its egress and queues the wake-up it
+    /// asked for. Returns `false`, doing nothing, when no service is bound
+    /// there (a tick that outlived its service).
+    fn run_service(
         &mut self,
         node: NodeId,
         port: u16,
         local_addr: Ipv4Addr,
-        egress: Vec<Egress>,
-        wake: Option<SimDuration>,
-    ) {
-        if let Some(d) = wake {
-            let at = self.now + d;
-            self.schedule(at, EventKind::ServiceTick { node, port });
+        call: impl FnOnce(&mut dyn UdpService, &mut ServiceCtx<'_>) -> Vec<Egress>,
+    ) -> bool {
+        let Some(service) = self.services.get_mut(&(node, port)) else {
+            return false;
+        };
+        let mut ctx = ServiceCtx::new(self.now, local_addr, &mut self.rng);
+        let egress = call(service.as_mut(), &mut ctx);
+        if let Some(at) = ctx.wake() {
+            self.schedule_wake(at, node, port);
         }
         for e in egress {
             let src = e.src_addr.unwrap_or(local_addr);
@@ -955,33 +980,7 @@ impl Network {
             let at = self.now + NODE_PROC_DELAY + e.delay;
             self.schedule(at, EventKind::Send { node, packet: out });
         }
-    }
-
-    fn dispatch_service(
-        &mut self,
-        node: NodeId,
-        port: u16,
-        local_addr: Ipv4Addr,
-        from: Ipv4Addr,
-        from_port: u16,
-        payload: Vec<u8>,
-    ) {
-        // Temporarily take the service out so it can borrow the engine RNG.
-        let Some(mut service) = self.services.remove(&(node, port)) else {
-            // Caller checked presence, but a reentrant handler may have
-            // unbound the service meanwhile; the datagram is simply dropped.
-            return;
-        };
-        let mut ctx = ServiceCtx {
-            now: self.now,
-            local_addr,
-            rng: &mut self.rng,
-            wake_after: None,
-        };
-        let egress = service.handle(&mut ctx, from, from_port, &payload);
-        let wake = ctx.wake_after;
-        self.services.insert((node, port), service);
-        self.apply_service_output(node, port, local_addr, egress, wake);
+        true
     }
 
     /// Handles a locally originated packet: local delivery or transmission
@@ -1505,5 +1504,239 @@ mod tests {
     fn rehoming_onto_a_stub_panics() {
         let (mut net, a, _, _, b) = line_network();
         net.rehome_stub(0, a, b);
+    }
+
+    // Timer coalescing. The engine keeps one tick per service and instant;
+    // the reference scheduler below keeps every requested wake. A
+    // resolver-shaped service must not be able to tell the two apart.
+
+    use proptest::prelude::*;
+    use rand::Rng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// One call a service saw: when, which entry point, the payloads it
+    /// sent and the values it drew from the engine RNG.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Call {
+        at: SimTime,
+        tick: bool,
+        egress: Vec<Vec<u8>>,
+        draws: Vec<u64>,
+    }
+
+    impl Call {
+        /// A call that changed something; the rest are no-op ticks.
+        fn productive(&self) -> bool {
+            !self.tick || !self.egress.is_empty() || !self.draws.is_empty()
+        }
+    }
+
+    /// Resolver-shaped: each datagram opens an entry due its first byte in
+    /// ms from now. Expiry is strict (`deadline < now`), as the resolver's
+    /// is; an expired entry retries once, due after an RNG draw, then
+    /// fails. Every `handle` and `tick` re-arms for the earliest deadline.
+    #[derive(Default)]
+    struct Expirer {
+        /// `(deadline, id, retries left)`.
+        pending: Vec<(SimTime, u8, u8)>,
+        next_id: u8,
+        log: Vec<Call>,
+    }
+
+    /// Where the expirer's retries and failures go: a closed port on its
+    /// own host, so they cost no link and no RNG draw.
+    const SINK_PORT: u16 = 9;
+
+    /// Host `b` of [`line_network`], where the expirer runs.
+    const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 4);
+    /// A datagram from host `a` lands on `b` this many µs after it is sent:
+    /// three constant links (no RNG draw) plus 50 µs per hop.
+    const A_TO_B: u64 = 20_150;
+    /// ... and is queued on `b`'s side when `r2` forwards it, this many µs
+    /// before it lands.
+    const LAST_HOP: u64 = 5_050;
+
+    impl Expirer {
+        fn call(&mut self, ctx: &mut ServiceCtx<'_>, opened_in_ms: Option<u8>) -> Vec<Egress> {
+            let now = ctx.now;
+            let mut egress = Vec::new();
+            let mut draws = Vec::new();
+            let (due, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
+                .into_iter()
+                .partition(|p| p.0 < now);
+            self.pending = kept;
+            for (_, id, retries) in due {
+                if retries > 0 {
+                    let ms = ctx.rng.gen_range(0..4u64);
+                    draws.push(ms);
+                    self.pending
+                        .push((now + SimDuration::from_millis(ms), id, retries - 1));
+                    egress.push(vec![b'r', id]);
+                } else {
+                    egress.push(vec![b'f', id]);
+                }
+            }
+            if let Some(ms) = opened_in_ms {
+                let at = now + SimDuration::from_millis(u64::from(ms));
+                self.pending.push((at, self.next_id, 1));
+                self.next_id = self.next_id.wrapping_add(1);
+            }
+            if let Some(&(earliest, ..)) = self.pending.iter().min() {
+                ctx.wake_at(earliest);
+            }
+            self.log.push(Call {
+                at: now,
+                tick: opened_in_ms.is_none(),
+                egress: egress.clone(),
+                draws,
+            });
+            let sink = ctx.local_addr;
+            egress
+                .into_iter()
+                .map(|p| Egress::reply(sink, SINK_PORT, p, SimDuration::ZERO))
+                .collect()
+        }
+    }
+
+    impl UdpService for Expirer {
+        fn handle(
+            &mut self,
+            ctx: &mut ServiceCtx<'_>,
+            _from: Ipv4Addr,
+            _from_port: u16,
+            payload: &[u8],
+        ) -> Vec<Egress> {
+            self.call(ctx, Some(payload[0]))
+        }
+
+        fn tick(&mut self, ctx: &mut ServiceCtx<'_>) -> Vec<Egress> {
+            self.call(ctx, None)
+        }
+
+        fn as_any(&self) -> Option<&dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    /// Sends `sends` (`(µs, deadline offset in ms)`, ascending) from host
+    /// `a` to an [`Expirer`] on host `b` through the engine. Returns the
+    /// expirer's log and the ticks dispatched.
+    fn through_engine(seed: u64, sends: &[(u64, u8)]) -> (Vec<Call>, u64) {
+        let (mut net, a, _, _, b) = line_network();
+        *net.rng() = StdRng::seed_from_u64(seed);
+        net.register_service(b, 53, Box::new(Expirer::default()));
+        for &(us, ms) in sends {
+            net.skip_to(SimTime::from_micros(us));
+            net.udp_request(a, B, 53, vec![ms], SimDuration::from_millis(1));
+        }
+        net.run_to_quiescence(1_000_000);
+        let log = net.service_as::<Expirer>(b, 53).map(|e| e.log.clone());
+        (log.unwrap_or_default(), net.stats.service_ticks)
+    }
+
+    /// The same run with uncoalesced timers, without the engine: every
+    /// requested wake is its own tick. Calls run in engine order: by
+    /// instant, then by when each was queued, then in queueing order. A
+    /// datagram is queued when `r2` forwards it, a tick when the call that
+    /// asked for it returns. On a 500 µs send grid those two moments never
+    /// coincide (they sit 100 and 150 µs into a step), so datagrams and
+    /// ticks landing on one instant run in either order, as queued.
+    fn through_reference(seed: u64, sends: &[(u64, u8)]) -> (Vec<Call>, u64) {
+        let mut svc = Expirer::default();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut queue: BinaryHeap<_> = sends
+            .iter()
+            .enumerate()
+            .map(|(k, &(us, ms))| Reverse((us + A_TO_B, us + A_TO_B - LAST_HOP, k, Some(ms))))
+            .collect();
+        let mut queued = sends.len();
+        let mut ticks = 0;
+        while let Some(Reverse((us, _, _, datagram))) = queue.pop() {
+            let mut ctx = ServiceCtx::new(SimTime::from_micros(us), B, &mut rng);
+            match datagram {
+                Some(ms) => svc.handle(&mut ctx, B, 40_000, &[ms]),
+                None => {
+                    ticks += 1;
+                    svc.tick(&mut ctx)
+                }
+            };
+            if let Some(at) = ctx.wake() {
+                queue.push(Reverse((at.as_micros(), us, queued, None)));
+                queued += 1;
+            }
+        }
+        (svc.log, ticks)
+    }
+
+    fn productive(log: &[Call]) -> Vec<Call> {
+        log.iter().filter(|c| c.productive()).cloned().collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Coalescing is exact: the same productive calls at the same sim
+        /// times, with the same egress and the same RNG draws, for strictly
+        /// fewer ticks. Sends sit on a 500 µs grid and deadlines on a 1 ms
+        /// grid, so datagrams, deadlines and ticks collide often. The
+        /// opening pair arms one deadline twice, so there is always a
+        /// duplicate wake to drop.
+        #[test]
+        fn coalesced_wakes_do_the_same_work_as_every_wake(
+            seed in any::<u64>(),
+            first in 0u8..5,
+            steps in proptest::collection::vec((0u64..8, 0u8..5), 0..40),
+        ) {
+            let mut sends = vec![(0, first), (0, first)];
+            let mut us = 0;
+            for (gap, ms) in steps {
+                us += gap * 500;
+                sends.push((us, ms));
+            }
+            let (engine, engine_ticks) = through_engine(seed, &sends);
+            let (reference, reference_ticks) = through_reference(seed, &sends);
+            prop_assert_eq!(productive(&engine), productive(&reference));
+            prop_assert!(
+                engine_ticks < reference_ticks,
+                "{engine_ticks} ticks, reference {reference_ticks}"
+            );
+        }
+    }
+
+    #[test]
+    fn three_handles_arming_one_deadline_get_one_tick() {
+        let (log, _) = through_engine(1, &[(0, 2), (0, 2), (0, 2)]);
+        let at = |ms: u64| SimTime::from_micros(A_TO_B + ms * 1_000);
+        let ticks_at = |t| log.iter().filter(|c| c.tick && c.at == t).count();
+        assert_eq!(ticks_at(at(2)), 1, "{log:?}");
+        // Expiry is strict: the three entries expire on the next tick, 1 ms
+        // on, and each retries.
+        assert_eq!(ticks_at(at(3)), 1, "{log:?}");
+        let retries = log.iter().find(|c| c.at == at(3)).map(|c| c.egress.len());
+        assert_eq!(retries, Some(3));
+        let (reference, _) = through_reference(1, &[(0, 2), (0, 2), (0, 2)]);
+        assert_eq!(
+            reference.iter().filter(|c| c.tick && c.at == at(2)).count(),
+            3
+        );
+    }
+
+    #[test]
+    fn a_tick_outliving_its_service_reaches_the_one_registered_after_it() {
+        let (mut net, a, ..) = line_network();
+        net.register_service(a, 7, Box::new(Expirer::default()));
+        net.kick_service(a, 7);
+        let old = net.unregister_service(a, 7);
+        net.register_service(a, 7, Box::new(Expirer::default()));
+        net.kick_service(a, 7);
+        net.run_to_quiescence(1_000);
+        // The stale tick fires once, into the new service; the new kick for
+        // the same instant rides on it.
+        assert_eq!(net.stats.service_ticks, 1);
+        let new_log = net.service_as::<Expirer>(a, 7).map(|e| e.log.len());
+        assert_eq!(new_log, Some(1));
+        let old = old.and_then(|s| s.as_any()?.downcast_ref::<Expirer>().map(|e| e.log.len()));
+        assert_eq!(old, Some(0));
     }
 }

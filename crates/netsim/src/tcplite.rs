@@ -782,14 +782,10 @@ mod tests {
         f: impl FnOnce(&mut ServiceCtx<'_>) -> Vec<Egress>,
     ) -> (Vec<Egress>, Option<SimDuration>) {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ServiceCtx {
-            now: SimTime::from_micros(ms * 1_000),
-            local_addr: local,
-            rng: &mut rng,
-            wake_after: None,
-        };
+        let now = SimTime::from_micros(ms * 1_000);
+        let mut ctx = ServiceCtx::new(now, local, &mut rng);
         let out = f(&mut ctx);
-        (out, ctx.wake_after)
+        (out, ctx.wake().map(|at| at.since(now)))
     }
 
     fn seg(flags: u8, seq: u32, ack: u32, data: &[u8]) -> Vec<u8> {

@@ -553,12 +553,11 @@ mod tests {
 
         // What the sim authority puts on a classic UDP path.
         let mut rng = StdRng::seed_from_u64(0);
-        let mut ctx = ServiceCtx {
-            now: SimTime::from_micros(1_000),
-            local_addr: Ipv4Addr::new(198, 51, 100, 53),
-            rng: &mut rng,
-            wake_after: None,
-        };
+        let mut ctx = ServiceCtx::new(
+            SimTime::from_micros(1_000),
+            Ipv4Addr::new(198, 51, 100, 53),
+            &mut rng,
+        );
         let from = Ipv4Addr::new(198, 51, 100, 7);
         let out = authority.handle(&mut ctx, from, 4096, &wire);
         assert_eq!(out.len(), 1);

@@ -146,6 +146,33 @@ fn metrics_json_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
+fn stress_fault_profile_is_thread_count_invariant() {
+    // Stress is the profile that truncates answers and so drives the
+    // DNS-over-TCP fallback: the TCP-lite timers on both ends, and the
+    // relay deadline, all run through the engine's coalesced wakes.
+    let one = observed_with_profile(20141105, Parallelism::Threads(1), FaultProfile::Stress);
+    let four = observed_with_profile(20141105, Parallelism::Threads(4), FaultProfile::Stress);
+    assert_eq!(
+        csv_bytes(&one.dataset),
+        csv_bytes(&four.dataset),
+        "stress profile broke 4-thread CSV determinism"
+    );
+    assert_eq!(
+        one.metrics.to_json(),
+        four.metrics.to_json(),
+        "stress profile broke 4-thread metrics.json determinism"
+    );
+    let recovered = one
+        .dataset
+        .records
+        .iter()
+        .flat_map(|r| &r.lookups)
+        .filter(|l| l.outcome == Outcome::TruncatedRecovered)
+        .count();
+    assert!(recovered > 0, "no lookup recovered over TCP under stress");
+}
+
+#[test]
 fn metrics_json_depends_on_seed_and_fault_profile() {
     // The byte-identity above must not be vacuous: different seeds and
     // different fault profiles have to produce different registries.
@@ -185,6 +212,26 @@ fn registry_vitals_match_the_dataset() {
     assert!(
         m.gauge_peak("net.queue_depth") > 0,
         "queue high-water unset"
+    );
+    // The engine keeps one service tick per service and instant. Without
+    // that, every datagram a resolver handles starts its own chain of
+    // ticks, and ticks outnumber sends several times over.
+    let by_kind = |kind: &str| -> u64 {
+        ds.carrier_names
+            .iter()
+            .map(|c| {
+                m.counter_value(
+                    "net.events_by_kind",
+                    &[("carrier", c.as_str()), ("kind", kind)],
+                )
+            })
+            .sum()
+    };
+    let (ticks, sends) = (by_kind("service_tick"), by_kind("send"));
+    assert!(sends > 0, "no send events harvested");
+    assert!(
+        ticks < sends,
+        "{ticks} service ticks for {sends} sends: timer wakes are not coalesced"
     );
     assert_eq!(
         catalog::undeclared(m),
