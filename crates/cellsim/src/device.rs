@@ -242,6 +242,7 @@ mod tests {
     use crate::build::{build_carrier, GeoRegion};
     use crate::profile::six_carriers;
     use netsim::latency::LatencyModel;
+    use netsim::route::CoreRoutes;
     use netsim::topo::{Asn, NodeKind};
     use rand::SeedableRng;
 
@@ -327,21 +328,22 @@ mod tests {
     fn reattached_device_is_reached_through_its_new_site() {
         let (mut net, mut carrier, mut devices) = world();
         let pop = NodeId(0);
+        // Routes as they stood before the re-home; nothing recomputes them.
+        let routes = CoreRoutes::build(net.topo());
         let d = &mut devices[0];
         let new_site = (d.site + 1) % carrier.sites.len();
         d.reattach(&mut net, &mut carrier, new_site);
-        // Nothing else: no route recompute between the re-home and traffic.
-        net.tracer.enable(4096);
         let trace = net.traceroute(pop, d.ip, 16);
         assert!(trace.reached, "traceroute never reached {}", d.ip);
         // The sites' aggregation nodes are label-switched and silent in the
-        // traceroute, so read the last forwarder from the engine's own log.
-        let log: Vec<_> = net.tracer.entries().collect();
-        let delivered = log
-            .iter()
-            .position(|e| e.node == d.node && e.event == netsim::trace::TraceEvent::Delivered)
-            .expect("probe delivered to the device");
-        assert_eq!(log[delivered - 1].node, carrier.sites[new_site].agg);
+        // traceroute, so walk the old table to the device instead.
+        let mut path = vec![pop];
+        while let Some(hop) = routes.next_hop(net.topo(), *path.last().unwrap(), d.node) {
+            path.push(hop.node);
+            assert!(path.len() <= 64, "route loops: {path:?}");
+        }
+        assert_eq!(path.last(), Some(&d.node), "route stops short: {path:?}");
+        assert_eq!(path[path.len() - 2], carrier.sites[new_site].agg);
         assert_eq!(net.ping_train(pop, d.ip, 3).rtts.len(), 3);
     }
 

@@ -14,6 +14,9 @@ use std::net::Ipv4Addr;
 /// Well-known DNS port.
 pub const DNS_PORT: u16 = 53;
 
+/// Server-side processing time per query.
+const PROC_DELAY: SimDuration = SimDuration::from_micros(200);
+
 /// A zone whose answers are computed per query. The CDN's replica-mapping
 /// authority implements this; so does the whoami probe zone.
 ///
@@ -90,19 +93,16 @@ impl DynamicZone for WhoamiZone {
 pub struct AuthoritativeServer {
     zones: Vec<Zone>,
     dynamic: Vec<Box<dyn DynamicZone>>,
-    /// Server-side processing time per query.
-    proc_delay: SimDuration,
     /// Queries answered (diagnostics).
     pub queries: u64,
 }
 
 impl AuthoritativeServer {
-    /// An empty server with a default processing time.
+    /// An empty server.
     pub fn new() -> Self {
         AuthoritativeServer {
             zones: Vec::new(),
             dynamic: Vec::new(),
-            proc_delay: SimDuration::from_micros(200),
             queries: 0,
         }
     }
@@ -117,11 +117,6 @@ impl AuthoritativeServer {
     pub fn add_dynamic(&mut self, zone: Box<dyn DynamicZone>) -> &mut Self {
         self.dynamic.push(zone);
         self
-    }
-
-    /// Overrides the processing delay.
-    pub fn set_proc_delay(&mut self, d: SimDuration) {
-        self.proc_delay = d;
     }
 
     /// Longest-origin-match across static and dynamic zones. Returns
@@ -213,7 +208,7 @@ impl UdpService for AuthoritativeServer {
             // detlint: allow(D4) -- encode of a FormErr reply the server
             // itself just built; it cannot exceed wire limits
             let bytes = resp.encode().expect("formerr encodes");
-            return vec![Egress::reply(from, from_port, bytes, self.proc_delay)];
+            return vec![Egress::reply(from, from_port, bytes, PROC_DELAY)];
         };
         if query.header.flags.response {
             return Vec::new(); // stray response; ignore
@@ -226,7 +221,7 @@ impl UdpService for AuthoritativeServer {
             // detlint: allow(D4) -- encode of a FormErr reply the server
             // itself just built; it cannot exceed wire limits
             let bytes = resp.encode().expect("formerr encodes");
-            return vec![Egress::reply(from, from_port, bytes, self.proc_delay)];
+            return vec![Egress::reply(from, from_port, bytes, PROC_DELAY)];
         };
         let mut resp = self.respond(&query, &q, from, ctx);
         // RFC 6891: stay within the requester's advertised UDP capacity
@@ -240,7 +235,7 @@ impl UdpService for AuthoritativeServer {
         // detlint: allow(D4) -- truncate_for() already bounded the response to
         // the requester's UDP capacity, so encode cannot fail
         let bytes = resp.encode().expect("response encodes");
-        vec![Egress::reply(from, from_port, bytes, self.proc_delay)]
+        vec![Egress::reply(from, from_port, bytes, PROC_DELAY)]
     }
 }
 

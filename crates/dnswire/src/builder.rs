@@ -1,7 +1,7 @@
 //! Ergonomic construction of queries and responses.
 
 use crate::error::WireError;
-use crate::message::{Flags, Header, Message, Opcode, Question, Rcode, ResourceRecord};
+use crate::message::{Flags, Header, Message, Question, Rcode, ResourceRecord};
 use crate::name::DnsName;
 use crate::rdata::{RData, RecordType};
 use std::net::Ipv4Addr;
@@ -118,11 +118,6 @@ impl ResponseBuilder {
         self.answer(ResourceRecord::new(name, ttl, RData::A(addr)))
     }
 
-    /// Appends a CNAME answer for `name`.
-    pub fn answer_cname(self, name: DnsName, ttl: u32, target: DnsName) -> Self {
-        self.answer(ResourceRecord::new(name, ttl, RData::Cname(target)))
-    }
-
     /// Appends an authority record.
     pub fn authority(mut self, rr: ResourceRecord) -> Self {
         self.msg.authorities.push(rr);
@@ -151,9 +146,6 @@ pub fn response_matches(query: &Message, response: &Message) -> bool {
             _ => false,
         }
 }
-
-/// The opcode every message built here uses.
-pub const DEFAULT_OPCODE: Opcode = Opcode::Query;
 
 #[cfg(test)]
 mod tests {

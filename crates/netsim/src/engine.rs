@@ -12,7 +12,6 @@ use crate::queue::{Event, EventQueue, TimingWheel};
 use crate::route::CoreRoutes;
 use crate::time::{SimDuration, SimTime};
 use crate::topo::{NodeId, NodeKind, Topology};
-use crate::trace::{TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -350,8 +349,6 @@ pub struct Network {
     fault: Option<crate::fault::FaultPlan>,
     /// Activity counters.
     pub stats: NetStats,
-    /// Optional packet tracer (disabled by default).
-    pub tracer: Tracer,
 }
 
 impl Network {
@@ -383,7 +380,6 @@ impl Network {
             link_busy_until,
             fault: None,
             stats: NetStats::default(),
-            tracer: Tracer::new(),
         }
     }
 
@@ -794,6 +790,16 @@ impl Network {
         self.routes.nearest(&self.topo, from, instances)
     }
 
+    /// Whether `addr` terminates at `node`: one of the node's own
+    /// addresses, or an anycast address with an instance there.
+    fn is_local(&self, node: NodeId, addr: Ipv4Addr) -> bool {
+        self.topo.node(node).addrs.contains(&addr)
+            || self
+                .anycast
+                .get(&addr)
+                .is_some_and(|inst| inst.contains(&node))
+    }
+
     fn on_arrive(&mut self, node: NodeId, mut packet: Packet) {
         // 1. Un-NAT inbound packets addressed to this node's NAT pool, so the
         //    firewall sees inside-view addresses.
@@ -819,20 +825,11 @@ impl Network {
         if let Some(fw) = self.topo.node_mut(node).firewall.as_mut() {
             if fw.check(&packet, now) == crate::middlebox::Verdict::Drop {
                 self.stats.firewall_drops += 1;
-                self.tracer
-                    .record(self.now, node, TraceEvent::FirewallDrop, &packet);
                 return;
             }
         }
         // 3. Local delivery (NAT-in already restored inside addresses).
-        let local = self.topo.node(node).addrs.contains(&packet.dst)
-            || self
-                .anycast
-                .get(&packet.dst)
-                .is_some_and(|inst| inst.contains(&node));
-        if local {
-            self.tracer
-                .record(self.now, node, TraceEvent::Delivered, &packet);
+        if self.is_local(node, packet.dst) {
             self.deliver(node, packet);
             return;
         }
@@ -843,8 +840,6 @@ impl Network {
         if kind != NodeKind::TransparentRouter {
             if packet.ttl <= 1 {
                 self.stats.ttl_expired += 1;
-                self.tracer
-                    .record(self.now, node, TraceEvent::TtlExpired, &packet);
                 self.send_icmp_error(node, &packet, true);
                 return;
             }
@@ -969,11 +964,7 @@ impl Network {
         for e in egress {
             let src = e.src_addr.unwrap_or(local_addr);
             debug_assert!(
-                self.topo.node(node).addrs.contains(&src)
-                    || self
-                        .anycast
-                        .get(&src)
-                        .is_some_and(|inst| inst.contains(&node)),
+                self.is_local(node, src),
                 "service egress from unowned address {src}"
             );
             let out = Packet::udp(src, port, e.dst, e.dst_port, e.payload);
@@ -986,12 +977,7 @@ impl Network {
     /// Handles a locally originated packet: local delivery or transmission
     /// without TTL decrement.
     fn on_send(&mut self, node: NodeId, packet: Packet) {
-        let local = self.topo.node(node).addrs.contains(&packet.dst)
-            || self
-                .anycast
-                .get(&packet.dst)
-                .is_some_and(|inst| inst.contains(&node));
-        if local {
+        if self.is_local(node, packet.dst) {
             self.deliver(node, packet);
         } else {
             self.transmit(node, packet);
@@ -1002,8 +988,6 @@ impl Network {
     fn transmit(&mut self, node: NodeId, packet: Packet) {
         let Some(dst_node) = self.resolve_dst(node, packet.dst) else {
             self.stats.unreachable += 1;
-            self.tracer
-                .record(self.now, node, TraceEvent::Unroutable, &packet);
             self.send_icmp_error(node, &packet, false);
             return;
         };
@@ -1019,23 +1003,17 @@ impl Network {
             return;
         };
         self.stats.forwards += 1;
-        self.tracer
-            .record(self.now, node, TraceEvent::Forwarded, &packet);
         let loss = self.topo.link(hop.link).loss;
         if loss > 0.0 {
             use rand::Rng;
             if self.rng.gen_bool(loss) {
                 self.stats.link_losses += 1;
-                self.tracer
-                    .record(self.now, node, TraceEvent::LinkLoss, &packet);
                 return;
             }
         }
         if let Some(plan) = self.fault.as_mut() {
             if plan.should_drop(hop.link, self.now) {
                 self.stats.fault_drops += 1;
-                self.tracer
-                    .record(self.now, node, TraceEvent::LinkLoss, &packet);
                 return;
             }
         }
@@ -1388,21 +1366,23 @@ mod tests {
     }
 
     #[test]
-    fn tracer_sees_the_packet_journey() {
+    fn one_ping_pays_three_forwards_each_way() {
         let (mut net, a, ..) = line_network();
-        net.tracer.enable(64);
         let flow = net.ping(a, ip(10, 0, 0, 4), SimDuration::from_secs(5));
         net.run_until(flow);
-        let dump = net.tracer.dump();
-        assert!(dump.contains("forward"), "{dump}");
-        assert!(dump.contains("deliver"), "{dump}");
-        assert!(dump.contains("10.0.0.4"), "{dump}");
-        // Request out and reply back: at least 2 forwards per router.
-        assert!(net.tracer.len() >= 6, "{} entries", net.tracer.len());
-        net.tracer.disable();
-        let flow = net.ping(a, ip(10, 0, 0, 4), SimDuration::from_secs(5));
-        net.run_until(flow);
-        assert!(net.tracer.is_empty());
+        net.run_to_quiescence(1_000);
+        let s = &net.stats;
+        // A's send plus r1 and r2 forward the request; B's send plus r2 and
+        // r1 forward the reply: 3 + 3.
+        assert_eq!(s.forwards, 6);
+        // Request arrives at r1, r2, B; reply at r2, r1, A.
+        assert_eq!(s.arrives, 6);
+        // The request at B and the reply at A.
+        assert_eq!(s.delivered, 2);
+        // The request originates at A, the reply at B.
+        assert_eq!(s.sends, 2);
+        // Nothing else runs: the reply cancels the flow's timeout.
+        assert_eq!(s.events, 8);
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //!   mutability on the hot path.
 //! * Middleboxes ([`middlebox::Firewall`], [`middlebox::Nat`]) reproduce the
 //!   cellular opaqueness the paper keeps running into.
+//! * Probes ([`client`]: ping trains, UDP traceroute, TCP-lite GETs) are the
+//!   only view of a path, as at a real endpoint; the engine itself keeps
+//!   counters ([`engine::NetStats`]), not a packet log.
 //!
 //! # Example: ping across a routed topology
 //!
@@ -55,7 +58,6 @@ pub mod route;
 pub mod tcplite;
 pub mod time;
 pub mod topo;
-pub mod trace;
 
 pub use addr::{AddrAllocator, Prefix};
 pub use client::{PingReport, TcpGetReport, TraceHop, TraceReport, HTTP_PORT};
@@ -69,4 +71,3 @@ pub use queue::{EventQueue, TimingWheel};
 pub use tcplite::{TcpFailure, TcpFetch, TcpFetchOutcome, TcpHttpServer};
 pub use time::{SimDuration, SimTime};
 pub use topo::{Asn, Coord, NodeId, NodeKind, Topology};
-pub use trace::{TraceEntry, TraceEvent, Tracer};

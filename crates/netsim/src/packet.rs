@@ -4,7 +4,6 @@
 //! HTTP-lite requests) but elides header fields irrelevant to the study
 //! (checksums, fragmentation, IP options).
 
-use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Default initial TTL for packets originated by hosts.
@@ -93,31 +92,6 @@ impl Packet {
             Transport::Icmp(_) => 64,
         }
     }
-
-    /// A short human-readable summary for tracing.
-    pub fn summary(&self) -> String {
-        match &self.transport {
-            Transport::Udp {
-                src_port,
-                dst_port,
-                payload,
-            } => format!(
-                "UDP {}:{} -> {}:{} ({}B, ttl {})",
-                self.src,
-                src_port,
-                self.dst,
-                dst_port,
-                payload.len(),
-                self.ttl
-            ),
-            Transport::Icmp(icmp) => {
-                format!(
-                    "ICMP {} -> {} {} (ttl {})",
-                    self.src, self.dst, icmp, self.ttl
-                )
-            }
-        }
-    }
 }
 
 /// Transport content of a packet.
@@ -164,21 +138,6 @@ pub enum IcmpMsg {
         /// Identification of the rejected packet.
         original: ProbeKey,
     },
-}
-
-impl fmt::Display for IcmpMsg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IcmpMsg::EchoRequest { ident, seq } => write!(f, "echo-req {ident}/{seq}"),
-            IcmpMsg::EchoReply { ident, seq } => write!(f, "echo-rep {ident}/{seq}"),
-            IcmpMsg::TimeExceeded { original } => {
-                write!(f, "ttl-exceeded for {}", original.src)
-            }
-            IcmpMsg::DestUnreachable { original } => {
-                write!(f, "unreachable for {}", original.src)
-            }
-        }
-    }
 }
 
 /// Identification of an "original datagram" inside an ICMP error, enough
@@ -238,13 +197,5 @@ mod tests {
         let p = Packet::udp(ip(1, 1, 1, 1), 5000, ip(2, 2, 2, 2), 53, vec![]);
         let k = p.probe_key();
         assert_eq!(k.udp_ports, Some((5000, 53)));
-    }
-
-    #[test]
-    fn summary_mentions_endpoints() {
-        let p = Packet::echo_request(ip(1, 1, 1, 1), ip(2, 2, 2, 2), 1, 1);
-        let s = p.summary();
-        assert!(s.contains("1.1.1.1"));
-        assert!(s.contains("2.2.2.2"));
     }
 }

@@ -89,6 +89,7 @@ fn main() {
     let university = world.backbone.university;
     let mut ping_ok = 0;
     let mut trace_ok = 0;
+    let mut first_trace = None;
     let ext_list: Vec<_> = shard
         .carrier
         .external_resolvers
@@ -99,9 +100,11 @@ fn main() {
         if shard.net.ping_train(university, addr, 2).reachable() {
             ping_ok += 1;
         }
-        if shard.net.traceroute(university, addr, 16).reached {
+        let trace = shard.net.traceroute(university, addr, 16);
+        if trace.reached {
             trace_ok += 1;
         }
+        first_trace.get_or_insert(trace);
     }
     println!(
         "  ping reached {ping_ok}/{} external resolvers; traceroute reached {trace_ok}/{}",
@@ -110,17 +113,14 @@ fn main() {
     );
     println!("  (cellular firewalls drop unsolicited probes — the paper's §4.4)");
 
-    // 4. Show one blocked probe's journey with the packet tracer.
-    if let Some(&target) = ext_list.first() {
-        println!(
-            "
-Packet trace of one university ping into the carrier:"
-        );
-        shard.net.tracer.enable(32);
-        let _ = shard.net.ping_train(university, target, 1);
-        for entry in shard.net.tracer.entries() {
-            println!("  {entry}");
+    // 4. Where the probe stops: the hops of one of those traceroutes.
+    if let Some(trace) = first_trace {
+        println!("\nUniversity traceroute to {}:", trace.target);
+        for hop in &trace.hops {
+            match (hop.addr, hop.rtt) {
+                (Some(addr), Some(rtt)) => println!("  {:>2}  {addr:<16} {rtt}", hop.ttl),
+                _ => println!("  {:>2}  *", hop.ttl),
+            }
         }
-        shard.net.tracer.disable();
     }
 }

@@ -19,14 +19,4 @@
 //! println!("{} experiments", dataset.records.len());
 //! ```
 
-pub use cdns::figures;
-pub use cdns::{all_artifacts, artifact_by_id, Artifact, Study, StudyConfig};
-
-pub use analysis;
-pub use cdnsim;
-pub use cellsim;
-pub use dnssim;
-pub use dnswire;
-pub use measure;
-pub use netsim;
-pub use obs;
+pub use cdns::*;
