@@ -11,9 +11,9 @@
 //! et al., IMC'09).
 
 use netsim::addr::Prefix;
+use netsim::hash::FastMap;
 use netsim::topo::Coord;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
@@ -69,15 +69,15 @@ pub struct Cdn {
     pub replicas: Vec<Replica>,
     /// Prefixes the CDN measured precisely (public DNS egress /24s, wired
     /// ISPs) mapped to their true location.
-    measured: HashMap<Prefix, Coord>,
+    measured: FastMap<Prefix, Coord>,
     /// Believed anchor per unmeasurable /24: where the geo database thinks
     /// the prefix lives (the true location of one of its members — usually
     /// regionally right, and *wrong for the other members*).
-    prefix_anchors: HashMap<Prefix, Coord>,
+    prefix_anchors: FastMap<Prefix, Coord>,
     /// Believed centroid per unmeasurable address block (keyed by first
     /// octet: the carrier's public /8 in our address plan), e.g. the
     /// carrier's main peering city.
-    coarse_centroids: HashMap<u8, Coord>,
+    coarse_centroids: FastMap<u8, Coord>,
     /// Fallback centroid when nothing is known at all.
     default_centroid: Coord,
 }
@@ -94,9 +94,9 @@ impl Cdn {
         Cdn {
             config,
             replicas,
-            measured: HashMap::new(),
-            prefix_anchors: HashMap::new(),
-            coarse_centroids: HashMap::new(),
+            measured: FastMap::default(),
+            prefix_anchors: FastMap::default(),
+            coarse_centroids: FastMap::default(),
             default_centroid,
         }
     }

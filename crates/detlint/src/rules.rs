@@ -29,6 +29,10 @@ const D6_CALLS: &[&str] = &[
     "run_experiment",
 ];
 
+/// Hash collection type names (D1): std's, plus `netsim::hash`'s aliases,
+/// whose order is just as much an artifact of insertion history.
+const HASH_COLLECTIONS: &[&str] = &["HashMap", "HashSet", "FastMap", "FastSet"];
+
 /// Methods whose receiver's iteration order escapes into program behaviour.
 const D1_METHODS: &[&str] = &[
     "iter",
@@ -177,7 +181,7 @@ fn trailing_ident(s: &str) -> Option<&str> {
     Some(ident)
 }
 
-/// If the text before a `HashMap`/`HashSet` occurrence binds the collection
+/// If the text before a [`HASH_COLLECTIONS`] occurrence binds the collection
 /// to a name (`entries: HashMap<…>`, `let mut m = HashMap::new()`), returns
 /// that name.
 fn bind_target(prefix: &str) -> Option<String> {
@@ -216,7 +220,7 @@ fn hash_bound_names(sf: &SourceFile) -> BTreeSet<String> {
         if sf.is_test[i] || code.trim_start().starts_with("use ") {
             continue;
         }
-        for needle in ["HashMap", "HashSet"] {
+        for needle in HASH_COLLECTIONS {
             let mut from = 0;
             while let Some(pos) = code[from..].find(needle) {
                 let at = from + pos;

@@ -8,6 +8,8 @@
 use detlint::{scan_file, FileCtx, Finding, Rule};
 
 const D1: &str = include_str!("fixtures/d1_fires.rs");
+const D1_FAST: &str = include_str!("fixtures/d1_fast_fires.rs");
+const D1_FAST_CLEAN: &str = include_str!("fixtures/d1_fast_clean.rs");
 const D2: &str = include_str!("fixtures/d2_fires.rs");
 const D3: &str = include_str!("fixtures/d3_fires.rs");
 const D4: &str = include_str!("fixtures/d4_fires.rs");
@@ -47,6 +49,20 @@ fn d1_fires_exactly_once() {
     assert!(f[0].col > 1, "column should be inside the line: {f:?}");
     assert!(f[0].message.contains("`scores`"), "{}", f[0].message);
     assert!(f[0].snippet.is_some(), "text frames need the raw line");
+}
+
+#[test]
+fn d1_fires_on_iteration_over_a_fast_map_field() {
+    let f = scan_file("d1_fast_fires.rs", D1_FAST, &sim_hot());
+    assert_eq!(rules(&f), vec![Rule::D1], "{f:?}");
+    assert_eq!(f[0].line, 12);
+    assert!(f[0].message.contains("`flows`"), "{}", f[0].message);
+}
+
+#[test]
+fn d1_spares_membership_only_use_of_a_fast_map_field() {
+    let f = scan_file("d1_fast_clean.rs", D1_FAST_CLEAN, &sim_hot());
+    assert!(f.is_empty(), "{f:?}");
 }
 
 #[test]

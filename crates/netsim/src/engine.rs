@@ -7,6 +7,7 @@
 //! interior mutability on the hot path and runs are bit-deterministic from
 //! the seed.
 
+use crate::hash::{FastMap, FastSet};
 use crate::packet::{IcmpMsg, Packet, ProbeKey, Transport};
 use crate::queue::{Event, EventQueue, TimingWheel};
 use crate::route::CoreRoutes;
@@ -14,7 +15,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::topo::{NodeId, NodeKind, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -323,19 +324,19 @@ const EPHEMERAL_HI: u16 = 60_999;
 pub struct Network {
     topo: Topology,
     routes: Arc<CoreRoutes>,
-    anycast: HashMap<Ipv4Addr, Vec<NodeId>>,
-    services: HashMap<(NodeId, u16), Box<dyn UdpService>>,
+    anycast: FastMap<Ipv4Addr, Vec<NodeId>>,
+    services: FastMap<(NodeId, u16), Box<dyn UdpService>>,
     /// The instants at which each `(node, port)` has a `ServiceTick`
     /// queued: at most one tick per service and instant. Membership-checked
     /// only.
-    wakes: HashSet<(NodeId, u16, SimTime)>,
+    wakes: FastSet<(NodeId, u16, SimTime)>,
     queue: TimingWheel<EventKind>,
     seq: u64,
     now: SimTime,
     rng: StdRng,
-    pending: HashMap<FlowId, Pending>,
-    port_index: HashMap<(NodeId, u16), FlowId>,
-    ident_index: HashMap<u64, FlowId>,
+    pending: FastMap<FlowId, Pending>,
+    port_index: FastMap<(NodeId, u16), FlowId>,
+    ident_index: FastMap<u64, FlowId>,
     /// Completed-but-unpolled outcomes. BTree so the drain API returns in
     /// flow order; bounded by callers via [`Network::take_completed_before`].
     completed: BTreeMap<FlowId, FlowOutcome>,
@@ -364,16 +365,16 @@ impl Network {
         Network {
             topo,
             routes,
-            anycast: HashMap::new(),
-            services: HashMap::new(),
-            wakes: HashSet::new(),
+            anycast: FastMap::default(),
+            services: FastMap::default(),
+            wakes: FastSet::default(),
             queue: TimingWheel::new(),
             seq: 0,
             now: SimTime::ZERO,
             rng: StdRng::seed_from_u64(seed),
-            pending: HashMap::new(),
-            port_index: HashMap::new(),
-            ident_index: HashMap::new(),
+            pending: FastMap::default(),
+            port_index: FastMap::default(),
+            ident_index: FastMap::default(),
             completed: BTreeMap::new(),
             next_flow: 1,
             next_port: EPHEMERAL_LO,

@@ -21,6 +21,9 @@
 //! * Protocol endpoints are state machines implementing
 //!   [`engine::UdpService`]; there is no async runtime and no interior
 //!   mutability on the hot path.
+//! * Every lookup table on the per-event path is a [`hash::FastMap`] or
+//!   [`hash::FastSet`]: keys are sim-assigned, so a fixed multiply-rotate
+//!   hash replaces SipHash.
 //! * Middleboxes ([`middlebox::Firewall`], [`middlebox::Nat`]) reproduce the
 //!   cellular opaqueness the paper keeps running into.
 //! * Probes ([`client`]: ping trains, UDP traceroute, TCP-lite GETs) are the
@@ -50,6 +53,7 @@ pub mod addr;
 pub mod client;
 pub mod engine;
 pub mod fault;
+pub mod hash;
 pub mod latency;
 pub mod middlebox;
 pub mod packet;

@@ -9,9 +9,9 @@
 //! inbound packets must match an established flow or an explicit allowance.
 
 use crate::addr::Prefix;
+use crate::hash::FastMap;
 use crate::packet::{IcmpMsg, Packet, Transport};
 use crate::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// A flow signature used for "established" tracking, direction-normalized
@@ -71,7 +71,7 @@ pub struct Firewall {
     /// Addresses inside the protected range that may receive unsolicited
     /// ICMP echo (e.g. Verizon's externally pingable resolvers, Table 4).
     ping_allowed: Vec<Ipv4Addr>,
-    flows: HashMap<FlowKey, SimTime>,
+    flows: FastMap<FlowKey, SimTime>,
     flow_timeout: SimDuration,
     /// Packets dropped, for diagnostics and tests.
     pub drops: u64,
@@ -83,7 +83,7 @@ impl Firewall {
         Firewall {
             protected,
             ping_allowed: Vec::new(),
-            flows: HashMap::new(),
+            flows: FastMap::default(),
             flow_timeout: SimDuration::from_secs(120),
             drops: 0,
         }
@@ -166,9 +166,9 @@ pub struct Nat {
     inside: Vec<Prefix>,
     public_addr: Ipv4Addr,
     /// (proto, inside addr, inside id) -> public id
-    out_map: HashMap<(Proto, Ipv4Addr, u16), u16>,
+    out_map: FastMap<(Proto, Ipv4Addr, u16), u16>,
     /// public id -> (proto, inside addr, inside id)
-    in_map: HashMap<(Proto, u16), (Ipv4Addr, u16)>,
+    in_map: FastMap<(Proto, u16), (Ipv4Addr, u16)>,
     next_id: u16,
 }
 
@@ -178,8 +178,8 @@ impl Nat {
         Nat {
             inside,
             public_addr,
-            out_map: HashMap::new(),
-            in_map: HashMap::new(),
+            out_map: FastMap::default(),
+            in_map: FastMap::default(),
             next_id: 20_000,
         }
     }

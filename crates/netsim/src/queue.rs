@@ -9,8 +9,9 @@
 //! implementation: the two must pop identical sequences under any
 //! interleaving of operations.
 
+use crate::hash::FastSet;
 use crate::time::SimTime;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// A scheduled event: an opaque payload plus its dispatch key.
 ///
@@ -116,7 +117,7 @@ pub struct TimingWheel<K> {
     /// Far events: absolute slot index → unsorted event list.
     overflow: BTreeMap<u64, Vec<Event<K>>>,
     /// Tombstoned seqs awaiting reap. Membership-checked only.
-    cancelled: HashSet<u64>,
+    cancelled: FastSet<u64>,
     live: usize,
 }
 
@@ -130,7 +131,7 @@ impl<K> TimingWheel<K> {
             horizon: SLOTS as u64,
             current: Vec::new(),
             overflow: BTreeMap::new(),
-            cancelled: HashSet::new(),
+            cancelled: FastSet::default(),
             live: 0,
         }
     }
@@ -261,7 +262,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    use std::collections::{BinaryHeap, HashSet};
 
     /// The reference implementation — the dispatch structure the engine ran
     /// on before the wheel: a min-heap over `(time, seq)` with lazy tombstone

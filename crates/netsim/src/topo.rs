@@ -1,9 +1,9 @@
 //! Topology: nodes, links, geography, and autonomous-system tagging.
 
 use crate::addr::Prefix;
+use crate::hash::FastMap;
 use crate::latency::LatencyModel;
 use crate::middlebox::{Firewall, Nat};
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Who a node answers ICMP echo requests from.
@@ -137,7 +137,7 @@ pub struct Topology {
     links: Vec<Link>,
     /// adjacency[node] = list of (neighbor, link index)
     adjacency: Vec<Vec<(NodeId, usize)>>,
-    addr_map: BTreeMap<Ipv4Addr, NodeId>,
+    addr_map: FastMap<Ipv4Addr, NodeId>,
 }
 
 impl Topology {

@@ -10,8 +10,6 @@
 //! clock, no randomness, and only integer arithmetic (micro-token
 //! accounting, so refill never loses precision to rounding).
 
-use measure::WorldConfig;
-
 /// Why a query was shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
@@ -55,22 +53,29 @@ pub struct AdmitConfig {
 }
 
 impl AdmitConfig {
-    /// Sizes admission for one carrier of the world described by
-    /// `config`: capacity scales with the carrier's device population
-    /// (each device is provisioned a generous per-device query budget on
-    /// top of a base rate), so bigger worlds admit proportionally more.
-    /// The bounds are far above what a well-behaved one-in-flight client
-    /// generates, and far below what a flood can enqueue.
-    pub fn for_carrier(config: &WorldConfig, devices: usize) -> AdmitConfig {
-        // fleet_scale is already reflected in `devices`; the config is
-        // taken whole so future knobs (e.g. an explicit admission rate)
-        // have a single place to land.
-        let _ = config;
-        let d = devices as u64;
-        AdmitConfig {
-            rate_per_sec: 40_000 + 400 * d,
-            burst: 256 + 4 * d,
+    /// Sizes admission for a carrier with `devices` devices in a fleet
+    /// whose mean carrier has `mean_devices`. A mean-sized carrier gets a
+    /// base rate plus a generous per-device budget, so bigger worlds admit
+    /// proportionally more; a carrier at or below the mean gets exactly
+    /// that, and a larger one scales it by `devices / mean_devices`, so
+    /// each carrier's budget follows its share of the load. The bounds are
+    /// far above what a well-behaved client generates, and the inflight
+    /// bound stays far below what a flood can enqueue.
+    pub fn for_carrier(devices: usize, mean_devices: usize) -> AdmitConfig {
+        let mean = mean_devices as u64;
+        let base = AdmitConfig {
+            rate_per_sec: 40_000 + 400 * mean,
+            burst: 256 + 4 * mean,
             max_inflight: 32,
+        };
+        let d = devices as u64;
+        if d <= mean {
+            return base;
+        }
+        AdmitConfig {
+            rate_per_sec: base.rate_per_sec * d / mean.max(1),
+            burst: base.burst * d / mean.max(1),
+            ..base
         }
     }
 
@@ -129,17 +134,23 @@ impl TokenBucket {
 /// Admission state for every carrier shard.
 #[derive(Debug)]
 pub struct Admission {
-    cfg: AdmitConfig,
-    buckets: Vec<TokenBucket>,
+    /// Per shard: its bucket and the backlog bound it was sized with.
+    shards: Vec<(TokenBucket, u64)>,
 }
 
 impl Admission {
     /// One bucket per carrier, all sized by `cfg`, epoch at `now_us`.
     pub fn new(cfg: AdmitConfig, carriers: usize, now_us: u64) -> Admission {
+        Admission::per_carrier(&vec![cfg; carriers], now_us)
+    }
+
+    /// One bucket per carrier, shard `i` sized by `cfgs[i]`, epoch at
+    /// `now_us`.
+    pub fn per_carrier(cfgs: &[AdmitConfig], now_us: u64) -> Admission {
         Admission {
-            cfg,
-            buckets: (0..carriers)
-                .map(|_| TokenBucket::new(&cfg, now_us))
+            shards: cfgs
+                .iter()
+                .map(|cfg| (TokenBucket::new(cfg, now_us), cfg.max_inflight))
                 .collect(),
         }
     }
@@ -149,21 +160,16 @@ impl Admission {
     /// including this one); `now_us` is the caller's clock. Unknown
     /// shards are shed (queue-full) rather than panicking.
     pub fn admit(&mut self, shard: usize, now_us: u64, inflight: u64) -> Verdict {
-        let Some(bucket) = self.buckets.get_mut(shard) else {
+        let Some((bucket, max_inflight)) = self.shards.get_mut(shard) else {
             return Verdict::Shed(ShedReason::QueueFull);
         };
-        if inflight > self.cfg.max_inflight {
+        if inflight > *max_inflight {
             return Verdict::Shed(ShedReason::QueueFull);
         }
         if !bucket.try_take(now_us) {
             return Verdict::Shed(ShedReason::RateExceeded);
         }
         Verdict::Admit
-    }
-
-    /// The config these buckets were sized with.
-    pub fn config(&self) -> AdmitConfig {
-        self.cfg
     }
 }
 
@@ -244,9 +250,8 @@ mod tests {
 
     #[test]
     fn world_sizing_scales_with_devices_and_never_throttles_a_stub() {
-        let config = WorldConfig::quick(1);
-        let small = AdmitConfig::for_carrier(&config, 10);
-        let big = AdmitConfig::for_carrier(&config, 1_000);
+        let small = AdmitConfig::for_carrier(10, 10);
+        let big = AdmitConfig::for_carrier(1_000, 1_000);
         assert!(big.rate_per_sec > small.rate_per_sec);
         assert!(big.burst > small.burst);
         // A well-behaved one-in-flight stub (backlog ≤ 1, modest rate)
@@ -255,6 +260,61 @@ mod tests {
         for i in 0..10_000u64 {
             // 10k queries over 1 second.
             assert_eq!(adm.admit(0, i * 100, 1), Verdict::Admit, "query {i}");
+        }
+    }
+
+    /// The quick world's fleet: 25 devices over 6 carriers, so the mean
+    /// carrier has 4 (integer mean) and the largest, with 10, carries 40 %
+    /// of the scripted load.
+    const QUICK_MEAN: usize = 25 / 6;
+
+    #[test]
+    fn carriers_at_or_below_the_mean_keep_the_flat_budget() {
+        let flat = cfg(41_600, 272, 32);
+        assert_eq!(AdmitConfig::for_carrier(1, QUICK_MEAN), flat);
+        assert_eq!(AdmitConfig::for_carrier(QUICK_MEAN, QUICK_MEAN), flat);
+        assert_eq!(
+            AdmitConfig::for_carrier(10, QUICK_MEAN),
+            cfg(104_000, 680, 32)
+        );
+        // An empty fleet neither divides by zero nor starves a carrier.
+        assert_eq!(AdmitConfig::for_carrier(1, 0), cfg(40_000, 256, 32));
+    }
+
+    #[test]
+    fn the_largest_carrier_admits_its_share_of_the_fleet_load() {
+        let adm_cfg = AdmitConfig::for_carrier(10, QUICK_MEAN);
+        // One second of the fleet's stream, of which this carrier sees
+        // 40 %; 250 k q/s is a serving plane 2.5× faster.
+        for fleet_qps in [100_000u64, 250_000] {
+            let mut adm = Admission::per_carrier(&[adm_cfg], 0);
+            let gap_us = 1_000_000 / fleet_qps;
+            for i in (0..fleet_qps).filter(|i| i % 5 < 2) {
+                assert_eq!(
+                    adm.admit(0, i * gap_us, 1),
+                    Verdict::Admit,
+                    "{fleet_qps} q/s, query {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_floods_still_shed_queue_full_at_every_size() {
+        let cfgs = [
+            AdmitConfig::for_carrier(1, QUICK_MEAN),
+            AdmitConfig::for_carrier(10, QUICK_MEAN),
+        ];
+        let mut adm = Admission::per_carrier(&cfgs, 0);
+        for shard in 0..cfgs.len() {
+            // 96 back-to-back copies, each arriving behind the last.
+            for depth in 33..33 + 96 {
+                assert_eq!(
+                    adm.admit(shard, 0, depth),
+                    Verdict::Shed(ShedReason::QueueFull),
+                    "shard {shard}, depth {depth}"
+                );
+            }
         }
     }
 

@@ -154,11 +154,7 @@ impl DnsServer {
                 .collect(),
         );
         let clock = WallClock::new();
-        let admission = Admission::new(
-            AdmitConfig::for_carrier(&config, avg_devices(&core)),
-            core.carrier_count(),
-            clock.now_us(),
-        );
+        let admission = Admission::per_carrier(&admit_configs(&core), clock.now_us());
 
         let mut carriers = Vec::new();
         let mut udp_socks = Vec::new();
@@ -265,11 +261,17 @@ impl DnsServer {
     }
 }
 
-/// Mean device population per shard (admission sizing).
-fn avg_devices(core: &ServeCore) -> usize {
-    let shards = core.carrier_count().max(1);
-    let total: usize = (0..shards).map(|s| core.carrier_devices(s)).sum();
-    total / shards
+/// Admission sizing: each carrier by its device count against the
+/// fleet's mean per carrier.
+fn admit_configs(core: &ServeCore) -> Vec<AdmitConfig> {
+    let devices: Vec<usize> = (0..core.carrier_count())
+        .map(|s| core.carrier_devices(s))
+        .collect();
+    let mean = devices.iter().sum::<usize>() / devices.len().max(1);
+    devices
+        .iter()
+        .map(|&d| AdmitConfig::for_carrier(d, mean))
+        .collect()
 }
 
 fn udp_recv_loop(
