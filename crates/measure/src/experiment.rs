@@ -99,11 +99,10 @@ pub fn run_experiment_in_shard(
     // replica addr -> every (domain, via) that returned it this experiment.
     let mut replica_seen: BTreeMap<Ipv4Addr, Vec<(u8, ResolverKind)>> = BTreeMap::new();
     let mut replica_order: Vec<Ipv4Addr> = Vec::new();
-    let attempts = if spec.double_lookup { 2 } else { 1 };
     for (d_idx, entry) in catalog.iter().enumerate() {
         for &(kind, raddr) in &resolvers {
             let policy = policy_for(backbone, raddr);
-            for attempt in 1..=attempts {
+            for attempt in 1..=2 {
                 let lookup = resolve_with(
                     net,
                     device.node,
@@ -195,18 +194,15 @@ pub fn run_experiment_in_shard(
             let entry = measured.entry(addr).or_insert_with(|| {
                 let ping = net.ping_train(device.node, addr, spec.ping_count);
                 let rtt = ping.min_rtt().map(|r| r.as_micros() as u32);
-                let ttfb = if spec.http_probes {
-                    net.tcp_get(
+                let ttfb = net
+                    .tcp_get(
                         device.node,
                         addr,
                         "/index.html",
                         netsim::time::SimDuration::from_secs(20),
                     )
                     .ttfb
-                    .map(|t| t.as_micros() as u32)
-                } else {
-                    None
-                };
+                    .map(|t| t.as_micros() as u32);
                 (rtt, ttfb)
             });
             *entry

@@ -13,10 +13,6 @@ pub struct ExperimentSpec {
     pub replica_trace_sample: usize,
     /// Run resolver traceroutes every Nth experiment of a device.
     pub resolver_trace_every: u32,
-    /// Issue the back-to-back second lookup (Fig. 7).
-    pub double_lookup: bool,
-    /// Probe replicas with HTTP GETs.
-    pub http_probes: bool,
 }
 
 impl Default for ExperimentSpec {
@@ -26,8 +22,6 @@ impl Default for ExperimentSpec {
             trace_max_ttl: 16,
             replica_trace_sample: 2,
             resolver_trace_every: 4,
-            double_lookup: true,
-            http_probes: true,
         }
     }
 }
@@ -40,8 +34,6 @@ impl ExperimentSpec {
             trace_max_ttl: 12,
             replica_trace_sample: 1,
             resolver_trace_every: 8,
-            double_lookup: true,
-            http_probes: true,
         }
     }
 }
@@ -55,7 +47,6 @@ mod tests {
         let s = ExperimentSpec::default();
         assert!(s.ping_count <= 3);
         assert!(s.replica_trace_sample <= 3);
-        assert!(s.double_lookup);
     }
 
     #[test]

@@ -259,10 +259,11 @@ pub mod lane {
     pub const CARRIER: u64 = 1;
     /// Per-shard campaign stream (churn, bearer reassignment).
     pub const CAMPAIGN: u64 = 2;
-    /// Per-shard engine stream (link latency sampling, loss).
+    /// Per-shard engine seed: the services' and clients' RNG, and the seed
+    /// of the per-hop keyed loss and latency draws (`netsim::draw`).
     pub const ENGINE: u64 = 3;
-    /// Per-shard fault-injection stream (chaos Bernoulli draws). A
-    /// dedicated lane so enabling faults never perturbs the engine RNG.
+    /// Per-shard fault-injection seed (chaos Bernoulli draws, keyed per
+    /// hop). A dedicated lane so enabling faults perturbs no other draw.
     pub const FAULT: u64 = 4;
     /// Per-shard device-rotation stream (§5.2 egress-coverage nudge). A
     /// dedicated lane so the nudge never perturbs churn or engine draws.
@@ -334,9 +335,9 @@ impl Backbone {
             Arc::clone(&self.routes),
         );
 
-        // Chaos layer: the plan draws from its own seed lane, so shards
-        // with no faults configured are byte-identical to a build without
-        // the fault module.
+        // Chaos layer: the plan keys its draws by its own seed lane, so
+        // shards with no faults configured are byte-identical to a build
+        // without the fault module.
         if let Some(fault) = self.config.fault_profile.link_fault() {
             net.install_fault_plan(
                 FaultPlan::new(derive_seed(self.config.seed, lane::FAULT, index as u64))
@@ -384,12 +385,12 @@ impl Backbone {
             )));
             net.register_service(cdn_net.adns.0, DNS_PORT, Box::new(adns));
             for &(node, _) in &cdn_net.replicas {
-                // Index pages of ~16 KiB served over TCP-lite: TTFB pays the
-                // real handshake and the transfer pays segmentation + loss.
+                // TTFB over TCP-lite pays the real handshake, the request
+                // and the think time.
                 net.register_service(
                     node,
                     HTTP_PORT,
-                    Box::new(TcpHttpServer::new(16 * 1024, SimDuration::from_millis(8))),
+                    Box::new(TcpHttpServer::new(PAGE_BYTES, SimDuration::from_millis(8))),
                 );
             }
         }
@@ -454,6 +455,13 @@ pub struct World {
 pub const GOOGLE_VIP: Ipv4Addr = Ipv4Addr::new(8, 8, 8, 8);
 /// OpenDNS VIP.
 pub const OPENDNS_VIP: Ipv4Addr = Ipv4Addr::new(208, 67, 222, 222);
+
+/// Size of every replica's index page. It fits one TCP-lite segment, so a
+/// GET is the handshake, the request, one data segment and the teardown:
+/// TTFB is all the study reads of it, and body segments would add only
+/// events.
+const PAGE_BYTES: usize = 1024;
+const _: () = assert!(PAGE_BYTES <= netsim::tcplite::MSS);
 
 /// Backbone POP locations: a US mesh plus a Korean cluster.
 fn backbone_coords() -> Vec<Coord> {

@@ -7,6 +7,9 @@
 //! interior mutability on the hot path and runs are bit-deterministic from
 //! the seed.
 
+use crate::draw::{
+    mix, splitmix, HopRng, HOP_SEED, TAG_ECHO, TAG_EXPIRED, TAG_FLOW, TAG_TICK, TAG_UNREACHABLE,
+};
 use crate::hash::{FastMap, FastSet};
 use crate::packet::{IcmpMsg, Packet, ProbeKey, Transport};
 use crate::queue::{Event, EventQueue, TimingWheel};
@@ -14,7 +17,7 @@ use crate::route::CoreRoutes;
 use crate::time::{SimDuration, SimTime};
 use crate::topo::{NodeId, NodeKind, Topology};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -124,7 +127,9 @@ pub struct ServiceCtx<'a> {
     /// anycast: the service sees which identity was queried). For timer
     /// ticks this is the node's primary address.
     pub local_addr: Ipv4Addr,
-    /// Deterministic RNG shared by the whole simulation.
+    /// Deterministic RNG shared by the whole simulation's services and
+    /// clients. Link loss and latency never draw from it (see
+    /// [`crate::draw`]).
     pub rng: &'a mut StdRng,
     /// The [`UdpService::tick`] requested through [`ServiceCtx::wake_at`]
     /// (smoltcp-style `poll_at`). The engine reads it after each
@@ -313,6 +318,16 @@ struct Pending {
     timeout_seq: u64,
 }
 
+/// A registered service, with what keys the draws of the packets it sends
+/// on a timer tick.
+struct Registered {
+    service: Box<dyn UdpService>,
+    /// Registration number, unique within the [`Network`].
+    id: u64,
+    /// Ticks dispatched to this registration so far.
+    ticks: u64,
+}
+
 /// Per-hop forwarding/processing delay added on top of link latency.
 const NODE_PROC_DELAY: SimDuration = SimDuration::from_micros(50);
 
@@ -325,7 +340,9 @@ pub struct Network {
     topo: Topology,
     routes: Arc<CoreRoutes>,
     anycast: FastMap<Ipv4Addr, Vec<NodeId>>,
-    services: FastMap<(NodeId, u16), Box<dyn UdpService>>,
+    services: FastMap<(NodeId, u16), Registered>,
+    /// The id the next [`Network::register_service`] hands out.
+    next_registration: u64,
     /// The instants at which each `(node, port)` has a `ServiceTick`
     /// queued: at most one tick per service and instant. Membership-checked
     /// only.
@@ -333,7 +350,10 @@ pub struct Network {
     queue: TimingWheel<EventKind>,
     seq: u64,
     now: SimTime,
+    /// Services' and clients' RNG. Per-hop draws come from `draw_seed`.
     rng: StdRng,
+    /// Seed of every per-hop draw (see [`crate::draw`]).
+    draw_seed: u64,
     pending: FastMap<FlowId, Pending>,
     port_index: FastMap<(NodeId, u16), FlowId>,
     ident_index: FastMap<u64, FlowId>,
@@ -367,11 +387,13 @@ impl Network {
             routes,
             anycast: FastMap::default(),
             services: FastMap::default(),
+            next_registration: 0,
             wakes: FastSet::default(),
             queue: TimingWheel::new(),
             seq: 0,
             now: SimTime::ZERO,
             rng: StdRng::seed_from_u64(seed),
+            draw_seed: splitmix(seed ^ HOP_SEED),
             pending: FastMap::default(),
             port_index: FastMap::default(),
             ident_index: FastMap::default(),
@@ -384,9 +406,9 @@ impl Network {
         }
     }
 
-    /// Installs a fault-injection plan. The plan draws from its own seed
-    /// lane, so runs without one are byte-identical to builds without the
-    /// fault subsystem at all.
+    /// Installs a fault-injection plan. The plan keys its draws by its own
+    /// seed lane and each hop's key, so runs without one are byte-identical
+    /// to builds without the fault subsystem at all.
     pub fn install_fault_plan(&mut self, plan: crate::fault::FaultPlan) {
         self.fault = Some(plan);
     }
@@ -421,8 +443,9 @@ impl Network {
         self.topo.rewire_link(link, stub, new_peer);
     }
 
-    /// The deterministic RNG (for layers above that need randomness in the
-    /// same stream).
+    /// The deterministic RNG of services and clients (for layers above that
+    /// need randomness in the same stream). Drawing from it moves no link
+    /// sample.
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.rng
     }
@@ -440,13 +463,20 @@ impl Network {
 
     /// Registers a service on `(node, port)`.
     pub fn register_service(&mut self, node: NodeId, port: u16, service: Box<dyn UdpService>) {
-        let prior = self.services.insert((node, port), service);
+        let id = self.next_registration;
+        self.next_registration += 1;
+        let registered = Registered {
+            service,
+            id,
+            ticks: 0,
+        };
+        let prior = self.services.insert((node, port), registered);
         assert!(prior.is_none(), "duplicate service on {node:?}:{port}");
     }
 
     /// Removes a service, returning it.
     pub fn unregister_service(&mut self, node: NodeId, port: u16) -> Option<Box<dyn UdpService>> {
-        self.services.remove(&(node, port))
+        self.services.remove(&(node, port)).map(|r| r.service)
     }
 
     /// Schedules an immediate [`UdpService::tick`] for a service (used to
@@ -460,6 +490,7 @@ impl Network {
     pub fn service_as<T: 'static>(&self, node: NodeId, port: u16) -> Option<&T> {
         self.services
             .get(&(node, port))?
+            .service
             .as_any()?
             .downcast_ref::<T>()
     }
@@ -536,7 +567,8 @@ impl Network {
         let flow = self.alloc_flow();
         let src_port = self.alloc_port(node);
         let src = self.topo.node(node).primary_addr();
-        let packet = Packet::udp(src, src_port, dst, dst_port, payload);
+        let mut packet = Packet::udp(src, src_port, dst, dst_port, payload);
+        packet.draw = mix(TAG_FLOW, flow.0);
         self.port_index.insert((node, src_port), flow);
         self.schedule(self.now, EventKind::Send { node, packet });
         let timeout_seq = self.schedule(self.now + timeout, EventKind::FlowTimeout { flow });
@@ -567,6 +599,7 @@ impl Network {
         let src = self.topo.node(node).primary_addr();
         let mut packet = Packet::udp(src, src_port, dst, dst_port, b"probe".to_vec());
         packet.ttl = ttl;
+        packet.draw = mix(TAG_FLOW, flow.0);
         self.port_index.insert((node, src_port), flow);
         self.schedule(self.now, EventKind::Send { node, packet });
         let timeout_seq = self.schedule(self.now + timeout, EventKind::FlowTimeout { flow });
@@ -602,6 +635,7 @@ impl Network {
         let src = self.topo.node(node).primary_addr();
         let mut packet = Packet::echo_request(src, dst, ident, 0);
         packet.ttl = ttl;
+        packet.draw = mix(TAG_FLOW, flow.0);
         self.ident_index.insert(flow.0, flow);
         self.schedule(self.now, EventKind::Send { node, packet });
         let timeout_seq = self.schedule(self.now + timeout, EventKind::FlowTimeout { flow });
@@ -693,7 +727,9 @@ impl Network {
                 self.stats.service_ticks += 1;
                 self.wakes.remove(&(node, port, ev.time));
                 let local_addr = self.topo.node(node).primary_addr();
-                self.run_service(node, port, local_addr, |service, ctx| service.tick(ctx));
+                self.run_service(node, port, local_addr, None, |service, ctx| {
+                    service.tick(ctx)
+                });
             }
             EventKind::FlowTimeout { flow } => {
                 self.stats.flow_timeouts += 1;
@@ -870,6 +906,7 @@ impl Network {
                         dst: packet.src,
                         ttl: crate::packet::DEFAULT_TTL,
                         transport: Transport::Icmp(IcmpMsg::EchoReply { ident, seq }),
+                        draw: mix(TAG_ECHO, packet.draw),
                     };
                     let at = self.now + NODE_PROC_DELAY;
                     self.schedule(
@@ -906,9 +943,13 @@ impl Network {
                 payload,
             } => {
                 let from = packet.src;
-                let handled = self.run_service(node, dst_port, packet.dst, |service, ctx| {
-                    service.handle(ctx, from, src_port, &payload)
-                });
+                let handled = self.run_service(
+                    node,
+                    dst_port,
+                    packet.dst,
+                    Some(packet.draw),
+                    |service, ctx| service.handle(ctx, from, src_port, &payload),
+                );
                 if handled {
                     return;
                 }
@@ -928,6 +969,7 @@ impl Network {
                         dst: packet.src,
                         ttl: crate::packet::DEFAULT_TTL,
                         transport: Transport::Icmp(IcmpMsg::DestUnreachable { original: key }),
+                        draw: mix(TAG_UNREACHABLE, packet.draw),
                     };
                     let at = self.now + NODE_PROC_DELAY;
                     self.schedule(at, EventKind::Send { node, packet: err });
@@ -945,30 +987,39 @@ impl Network {
 
     /// Runs `call` on the service bound to `(node, port)`, in place, with
     /// the engine RNG, then sends its egress and queues the wake-up it
-    /// asked for. Returns `false`, doing nothing, when no service is bound
-    /// there (a tick that outlived its service).
+    /// asked for. `handled_draw` is the draw of the packet being handled,
+    /// `None` on a timer tick; egress `i` draws `mix(cause, i)` from it.
+    /// Returns `false`, doing nothing, when no service is bound there (a
+    /// tick that outlived its service).
     fn run_service(
         &mut self,
         node: NodeId,
         port: u16,
         local_addr: Ipv4Addr,
+        handled_draw: Option<u64>,
         call: impl FnOnce(&mut dyn UdpService, &mut ServiceCtx<'_>) -> Vec<Egress>,
     ) -> bool {
-        let Some(service) = self.services.get_mut(&(node, port)) else {
+        let Some(registered) = self.services.get_mut(&(node, port)) else {
             return false;
         };
+        let cause = handled_draw.unwrap_or_else(|| {
+            let tick = mix(TAG_TICK ^ registered.id, registered.ticks);
+            registered.ticks += 1;
+            tick
+        });
         let mut ctx = ServiceCtx::new(self.now, local_addr, &mut self.rng);
-        let egress = call(service.as_mut(), &mut ctx);
+        let egress = call(registered.service.as_mut(), &mut ctx);
         if let Some(at) = ctx.wake() {
             self.schedule_wake(at, node, port);
         }
-        for e in egress {
+        for (i, e) in (0u64..).zip(egress) {
             let src = e.src_addr.unwrap_or(local_addr);
             debug_assert!(
                 self.is_local(node, src),
                 "service egress from unowned address {src}"
             );
-            let out = Packet::udp(src, port, e.dst, e.dst_port, e.payload);
+            let mut out = Packet::udp(src, port, e.dst, e.dst_port, e.payload);
+            out.draw = mix(cause, i);
             let at = self.now + NODE_PROC_DELAY + e.delay;
             self.schedule(at, EventKind::Send { node, packet: out });
         }
@@ -1004,22 +1055,23 @@ impl Network {
             return;
         };
         self.stats.forwards += 1;
-        let loss = self.topo.link(hop.link).loss;
-        if loss > 0.0 {
-            use rand::Rng;
-            if self.rng.gen_bool(loss) {
-                self.stats.link_losses += 1;
-                return;
-            }
+        let hop_key =
+            splitmix(self.draw_seed ^ packet.draw ^ ((hop.link as u64) << 32 | u64::from(node.0)));
+        let mut draws = HopRng::new(hop_key);
+        // The first word decides link loss whether or not the link is lossy,
+        // so a latency sample never depends on the loss setting.
+        let link = self.topo.link(hop.link);
+        if draws.gen::<f64>() < link.loss {
+            self.stats.link_losses += 1;
+            return;
         }
         if let Some(plan) = self.fault.as_mut() {
-            if plan.should_drop(hop.link, self.now) {
+            if plan.should_drop(hop.link, self.now, hop_key) {
                 self.stats.fault_drops += 1;
                 return;
             }
         }
-        let link = self.topo.link(hop.link);
-        let latency = link.latency.sample(&mut self.rng);
+        let latency = link.latency.sample(&mut draws);
         let latency = match self.fault.as_mut() {
             Some(plan) => latency + plan.extra_latency(hop.link, self.now, latency),
             None => latency,
@@ -1060,16 +1112,17 @@ impl Network {
             return;
         }
         let original = offending.probe_key();
-        let msg = if expired {
-            IcmpMsg::TimeExceeded { original }
+        let (msg, tag) = if expired {
+            (IcmpMsg::TimeExceeded { original }, TAG_EXPIRED)
         } else {
-            IcmpMsg::DestUnreachable { original }
+            (IcmpMsg::DestUnreachable { original }, TAG_UNREACHABLE)
         };
         let err = Packet {
             src: self.topo.node(node).primary_addr(),
             dst: offending.src,
             ttl: crate::packet::DEFAULT_TTL,
             transport: Transport::Icmp(msg),
+            draw: mix(tag, offending.draw),
         };
         let at = self.now + NODE_PROC_DELAY;
         self.schedule(at, EventKind::Send { node, packet: err });
@@ -1719,5 +1772,135 @@ mod tests {
         assert_eq!(new_log, Some(1));
         let old = old.and_then(|s| s.as_any()?.downcast_ref::<Expirer>().map(|e| e.log.len()));
         assert_eq!(old, Some(0));
+    }
+
+    // Keyed draws (`crate::draw`): a packet's link samples follow from its
+    // cause alone, and no two causes share a draw.
+
+    /// host a -- r -- host b over heavy-tailed links.
+    fn lognormal_line() -> (Network, NodeId) {
+        let mut t = Topology::new();
+        let mut host = |name, kind, last| {
+            t.add_node(
+                name,
+                kind,
+                Asn(1),
+                Coord::default(),
+                vec![ip(10, 0, 0, last)],
+            )
+        };
+        let a = host("a", NodeKind::Host, 1);
+        let r = host("r", NodeKind::Router, 2);
+        let b = host("b", NodeKind::Host, 3);
+        let jitter = || LatencyModel::LogNormal {
+            mu: 8.0,
+            sigma: 1.0,
+            floor: SimDuration::from_millis(1),
+        };
+        t.add_link(a, r, jitter());
+        t.add_link(r, b, jitter());
+        (Network::new(t, 11), a)
+    }
+
+    #[test]
+    fn drawing_from_the_engine_rng_moves_no_link_sample() {
+        let rtts = |draw_between: bool| -> Vec<SimDuration> {
+            let (mut net, a) = lognormal_line();
+            (0..20)
+                .map(|_| {
+                    if draw_between {
+                        let _: u64 = net.rng().gen();
+                    }
+                    let flow = net.ping(a, ip(10, 0, 0, 3), SimDuration::from_secs(120));
+                    net.run_until(flow).rtt()
+                })
+                .collect()
+        };
+        let plain = rtts(false);
+        assert_eq!(plain, rtts(true));
+        // Real samples, not a constant path.
+        assert!(plain.windows(2).any(|w| w[0] != w[1]), "{plain:?}");
+    }
+
+    /// Runs `net` to quiescence and returns every packet a node sent, with
+    /// the node.
+    fn sent_packets(net: &mut Network) -> Vec<(NodeId, Packet)> {
+        let mut sent = Vec::new();
+        while let Some(ev) = net.queue.pop() {
+            if let EventKind::Send { node, packet } = &ev.kind {
+                sent.push((*node, packet.clone()));
+            }
+            // Back at the head (same time, same seq) for `step` to run.
+            net.queue.push(ev);
+            net.step();
+        }
+        sent
+    }
+
+    /// The draws of the UDP datagrams `node` sent from `port`.
+    fn draws_from(sent: &[(NodeId, Packet)], node: NodeId, port: u16) -> Vec<u64> {
+        sent.iter()
+            .filter(|(n, p)| {
+                *n == node
+                    && matches!(p.transport, Transport::Udp { src_port, .. } if src_port == port)
+            })
+            .map(|(_, p)| p.draw)
+            .collect()
+    }
+
+    /// Sends the same datagram on each of `left` ticks, 1 ms apart.
+    struct Ticker {
+        left: u8,
+    }
+
+    impl UdpService for Ticker {
+        fn handle(
+            &mut self,
+            _ctx: &mut ServiceCtx<'_>,
+            _from: Ipv4Addr,
+            _from_port: u16,
+            _payload: &[u8],
+        ) -> Vec<Egress> {
+            Vec::new()
+        }
+
+        fn tick(&mut self, ctx: &mut ServiceCtx<'_>) -> Vec<Egress> {
+            if self.left == 0 {
+                return Vec::new();
+            }
+            self.left -= 1;
+            ctx.wake_at(ctx.now + SimDuration::from_millis(1));
+            let to = ip(10, 0, 0, 1);
+            vec![Egress::reply(
+                to,
+                SINK_PORT,
+                b"same".to_vec(),
+                SimDuration::ZERO,
+            )]
+        }
+    }
+
+    #[test]
+    fn successive_ticks_send_with_distinct_draws() {
+        let (mut net, _, _, _, b) = line_network();
+        net.register_service(b, 7, Box::new(Ticker { left: 2 }));
+        net.kick_service(b, 7);
+        let sent = sent_packets(&mut net);
+        let draws = draws_from(&sent, b, 7);
+        assert_eq!(draws.len(), 2, "{sent:?}");
+        assert_ne!(draws[0], draws[1]);
+    }
+
+    #[test]
+    fn replies_to_two_copies_of_one_request_draw_differently() {
+        let (mut net, a, _, _, b) = line_network();
+        net.register_service(b, 53, Box::new(Parrot));
+        for _ in 0..2 {
+            net.udp_request(a, B, 53, vec![1, 2, 3], SimDuration::from_secs(5));
+        }
+        let sent = sent_packets(&mut net);
+        let replies = draws_from(&sent, b, 53);
+        assert_eq!(replies.len(), 2, "{sent:?}");
+        assert_ne!(replies[0], replies[1]);
     }
 }

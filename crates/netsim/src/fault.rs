@@ -1,12 +1,14 @@
 //! Deterministic fault injection: a [`FaultPlan`] the engine consults on
 //! every link transmission.
 //!
-//! The plan owns its **own** seeded [`StdRng`] — a dedicated seed lane —
-//! so installing (or removing) a plan never perturbs the engine's RNG
-//! stream: a run with no plan installed is byte-identical to a run on a
-//! build without this module, and a faulted run replays byte-identically
-//! from its seed. Scheduled windows (outages, latency spikes) are pure
-//! functions of simulated time and draw nothing from any RNG.
+//! The plan holds its **own** seed — a dedicated seed lane — and no RNG
+//! state: its Bernoulli loss is a pure function of that seed and the hop
+//! key the engine derives from the packet's cause ([`crate::draw`]). So
+//! installing (or removing) a plan perturbs no other draw, a run with no
+//! plan installed is byte-identical to a run on a build without this
+//! module, and adding or removing a packet moves no other packet's fault.
+//! Scheduled windows (outages, latency spikes) are pure functions of
+//! simulated time and draw nothing.
 //!
 //! Three fault classes, mirroring what cellular paths actually do to
 //! packets (loss bursts on the RAN, gateway maintenance windows,
@@ -19,9 +21,9 @@
 //! * **Latency spikes** — periodic intervals during which sampled link
 //!   latency is scaled and/or padded.
 
+use crate::draw::HopRng;
 use crate::time::{SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::BTreeMap;
 
 /// A periodic time window: active for `duration` once every `period`,
@@ -125,8 +127,8 @@ pub struct FaultPlan {
     /// Per-link overrides, keyed by link index (BTreeMap: deterministic
     /// iteration order if anyone ever walks it).
     links: BTreeMap<usize, LinkFault>,
-    /// Dedicated RNG lane for the Bernoulli draws.
-    rng: StdRng,
+    /// Dedicated seed lane for the Bernoulli draws.
+    seed: u64,
     /// What the plan has injected so far.
     pub stats: FaultStats,
 }
@@ -137,7 +139,7 @@ impl FaultPlan {
         FaultPlan {
             global: None,
             links: BTreeMap::new(),
-            rng: StdRng::seed_from_u64(seed),
+            seed,
             stats: FaultStats::default(),
         }
     }
@@ -158,10 +160,11 @@ impl FaultPlan {
         self.links.get(&link).or(self.global.as_ref())
     }
 
-    /// Whether a packet crossing `link` at `now` should be dropped.
-    /// Outage windows are checked first (no RNG); only a configured
-    /// Bernoulli loss consumes a draw, so inert links cost nothing.
-    pub fn should_drop(&mut self, link: usize, now: SimTime) -> bool {
+    /// Whether a packet crossing `link` at `now`, with per-hop key
+    /// `hop_key`, should be dropped. Outage windows are checked first;
+    /// only a configured Bernoulli loss makes a draw, keyed by the plan's
+    /// seed and `hop_key`, so inert links cost nothing.
+    pub fn should_drop(&mut self, link: usize, now: SimTime, hop_key: u64) -> bool {
         let Some(fault) = self.fault_for(link) else {
             return false;
         };
@@ -172,7 +175,7 @@ impl FaultPlan {
             }
         }
         let loss = fault.loss;
-        if loss > 0.0 && self.rng.gen_bool(loss) {
+        if loss > 0.0 && HopRng::new(self.seed ^ hop_key).gen::<f64>() < loss {
             self.stats.chaos_losses += 1;
             return true;
         }
@@ -240,11 +243,11 @@ mod tests {
     fn inert_plan_drops_nothing_and_draws_nothing() {
         let mut a = FaultPlan::new(7);
         for link in 0..100 {
-            assert!(!a.should_drop(link, SimTime::ZERO));
+            assert!(!a.should_drop(link, SimTime::ZERO, link as u64));
         }
         assert_eq!(a.stats, FaultStats::default());
-        // The RNG was never touched: a fresh plan with the same seed
-        // produces the same first draw afterwards.
+        // Nothing was consumed: a fresh plan with the same seed makes the
+        // same draws afterwards.
         let mut b = FaultPlan::new(7);
         let fault = LinkFault {
             loss: 0.5,
@@ -252,8 +255,12 @@ mod tests {
         };
         a = a.with_global(fault);
         b = b.with_global(fault);
-        let da: Vec<bool> = (0..32).map(|_| a.should_drop(0, SimTime::ZERO)).collect();
-        let db: Vec<bool> = (0..32).map(|_| b.should_drop(0, SimTime::ZERO)).collect();
+        let da: Vec<bool> = (0..32)
+            .map(|k| a.should_drop(0, SimTime::ZERO, k))
+            .collect();
+        let db: Vec<bool> = (0..32)
+            .map(|k| b.should_drop(0, SimTime::ZERO, k))
+            .collect();
         assert_eq!(da, db);
         assert!(da.iter().any(|&d| d) && da.iter().any(|&d| !d));
     }
@@ -266,8 +273,8 @@ mod tests {
             ..LinkFault::default()
         };
         let mut always_out = FaultPlan::new(3).with_global(fault);
-        for _ in 0..10 {
-            assert!(always_out.should_drop(0, SimTime::ZERO));
+        for k in 0..10 {
+            assert!(always_out.should_drop(0, SimTime::ZERO, k));
         }
         assert_eq!(always_out.stats.outage_drops, 10);
         assert_eq!(always_out.stats.chaos_losses, 0);
@@ -280,8 +287,8 @@ mod tests {
             ..LinkFault::default()
         });
         plan.set_link(3, LinkFault::default());
-        assert!(plan.should_drop(0, SimTime::ZERO));
-        assert!(!plan.should_drop(3, SimTime::ZERO));
+        assert!(plan.should_drop(0, SimTime::ZERO, 0));
+        assert!(!plan.should_drop(3, SimTime::ZERO, 0));
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!
 //! * [`engine::Network`] owns an event queue (a hierarchical timing wheel,
 //!   [`queue::TimingWheel`], dispatching in `(time, seq)` order); time
-//!   advances only by dispatching events, and all randomness flows from one
-//!   seeded RNG, so runs are bit-reproducible.
+//!   advances only by dispatching events, and all randomness flows from the
+//!   seed, so runs are bit-reproducible. A packet's per-hop loss and latency
+//!   are keyed to what caused it ([`draw`]); services and clients share the
+//!   engine's one seeded RNG.
 //! * Packets ([`packet::Packet`]) are forwarded hop by hop over a routed
 //!   topology ([`topo::Topology`], [`route::CoreRoutes`]), so TTLs,
 //!   traceroute, anycast, and middleboxes behave like the real thing.
@@ -51,6 +53,7 @@
 
 pub mod addr;
 pub mod client;
+pub mod draw;
 pub mod engine;
 pub mod fault;
 pub mod hash;

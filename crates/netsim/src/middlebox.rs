@@ -332,6 +332,7 @@ mod tests {
             dst: ip(10, 1, 1, 1),
             ttl: 60,
             transport: Transport::Icmp(IcmpMsg::TimeExceeded { original }),
+            draw: 0,
         };
         assert_eq!(fw.check(&err, SimTime::ZERO), Verdict::Accept);
     }
@@ -380,6 +381,7 @@ mod tests {
                 ident: pub_ident,
                 seq: 2,
             }),
+            draw: 0,
         };
         let restored = nat.translate(back).unwrap();
         assert_eq!(restored.dst, ip(10, 1, 1, 1));

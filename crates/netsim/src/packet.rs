@@ -20,6 +20,11 @@ pub struct Packet {
     pub ttl: u8,
     /// Transport-layer content.
     pub transport: Transport,
+    /// Sim-only key of this packet's per-hop loss and latency draws, set
+    /// where the packet is born from what caused it and carried unchanged
+    /// through forwarding and NAT. Never part of the wire image (see
+    /// [`crate::draw`]).
+    pub draw: u64,
 }
 
 impl Packet {
@@ -40,6 +45,7 @@ impl Packet {
                 dst_port,
                 payload,
             },
+            draw: 0,
         }
     }
 
@@ -50,6 +56,7 @@ impl Packet {
             dst,
             ttl: DEFAULT_TTL,
             transport: Transport::Icmp(IcmpMsg::EchoRequest { ident, seq }),
+            draw: 0,
         }
     }
 
