@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! `cdnsim` — the content-delivery substrate of the *Behind the Curtain*

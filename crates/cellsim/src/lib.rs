@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! `cellsim` — the cellular-network substrate of the *Behind the Curtain*

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! `cdns` — the cellular DNS measurement suite: the public API of the

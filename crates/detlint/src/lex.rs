@@ -39,8 +39,6 @@ pub struct SourceFile {
     pub is_test: Vec<bool>,
     /// Rules suppressed per line by valid allow-markers.
     pub allowed: Vec<BTreeSet<Rule>>,
-    /// Index into `markers` of the marker targeting each line (if any).
-    pub marker_of_line: Vec<Option<usize>>,
     /// All valid allow-markers, in line order.
     pub markers: Vec<AllowMarker>,
     /// Lines carrying a `// detlint: hot` annotation.
@@ -289,7 +287,6 @@ pub fn prepare(source: &str) -> SourceFile {
     let is_test = mark_test_regions(&code);
 
     let mut allowed: Vec<BTreeSet<Rule>> = vec![BTreeSet::new(); code.len()];
-    let mut marker_of_line: Vec<Option<usize>> = vec![None; code.len()];
     let mut markers = Vec::new();
     let mut hot_lines = Vec::new();
     let mut marker_errors = Vec::new();
@@ -316,7 +313,6 @@ pub fn prepare(source: &str) -> SourceFile {
                     };
                     if let Some(t) = target {
                         allowed[t].extend(rules.iter().copied());
-                        marker_of_line[t] = Some(markers.len());
                     }
                     markers.push(AllowMarker {
                         line: i + 1,
@@ -336,7 +332,6 @@ pub fn prepare(source: &str) -> SourceFile {
         comments,
         is_test,
         allowed,
-        marker_of_line,
         markers,
         hot_lines,
         marker_errors,
@@ -396,9 +391,9 @@ mod tests {
 
     #[test]
     fn allow_marker_records_target_and_col() {
-        let sf = prepare("// detlint: allow(D2) -- test fixture reason\nlet t = Instant::now();\n");
+        let sf = prepare("// detlint: allow(D1) -- fixture reason\nlet n = m.keys().count();\n");
         assert_eq!(sf.markers.len(), 1);
         assert_eq!(sf.markers[0].target, 2);
-        assert!(sf.allowed[1].contains(&Rule::D2));
+        assert!(sf.allowed[1].contains(&Rule::D1));
     }
 }

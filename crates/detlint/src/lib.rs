@@ -3,10 +3,19 @@
 //! The campaign's headline guarantee is *byte-identical CSVs and metrics
 //! for every thread count, seed, and queue implementation* (DESIGN.md §4,
 //! §8). That invariant is easy to break silently: one `for` loop over a
-//! `HashMap`, one `Instant::now()`, one `thread_rng()` in a simulation
-//! path and replays diverge while every unit test stays green. `detlint`
-//! makes those hazards a compile gate instead of a hope — zero deps, no
-//! syn, in the spirit of the vendored stubs.
+//! `HashMap` or one literal RNG seed in a simulation path and replays
+//! diverge while every unit test stays green. `detlint` makes those
+//! hazards a compile gate instead of a hope — zero deps, no syn, in the
+//! spirit of the vendored stubs.
+//!
+//! It keeps only what the compiler cannot check. The rest has a home in
+//! the toolchain: clippy's `disallowed_methods` (`clippy.toml`) bans
+//! `Instant::now`/`SystemTime::now`; clippy's `unwrap_used`, `expect_used`
+//! and `panic` are denied in the [`HOT_CRATES`]' lint tables;
+//! `unsafe_code = "forbid"` sits in `[workspace.lints.rust]`; the vendored
+//! `rand` has no `thread_rng`, `from_entropy` or `random` to call; and a
+//! float-keyed `BTreeMap`/`BTreeSet` does not compile (`f64: !Ord`). Rule
+//! numbers D2–D5 are retired with those checks, not reused.
 //!
 //! Since v2 the scanner is a real pipeline (DESIGN.md §9): a spanned,
 //! length-preserving lexer ([`lex`], line *and* column), an item tree with
@@ -16,13 +25,6 @@
 //! - **D1** — no iteration-order escape from hash collections (`for … in`,
 //!   `.iter()`, `.keys()`, `.drain()`, …) in the simulation/analysis
 //!   crates. Use `BTreeMap`/`BTreeSet`, or sort before iterating.
-//! - **D2** — no wall clock (`Instant::now`, `SystemTime::now`) in
-//!   simulation crates; only the simulated clock may drive behaviour.
-//! - **D3** — no ambient randomness (`thread_rng`, `from_entropy`,
-//!   `rand::random`); all RNG must flow from the seed lanes.
-//! - **D4** — no `unwrap()`/`expect()`/`panic!` in non-test library code of
-//!   the hot-path crates (`netsim`, `dnssim`, `measure`) without a marker.
-//! - **D5** — every crate root carries `#![forbid(unsafe_code)]`.
 //! - **D6** — no `let _ =` discarding an experiment result's typed
 //!   `Outcome` in `measure`/`analysis`.
 //! - **D7** — the observability planes stay separated: `obs::host` only in
@@ -34,11 +36,13 @@
 //! - **D9** — transitive panic reachability: functions annotated
 //!   `// detlint: hot` must not reach `unwrap`/`expect`/`panic!`/
 //!   `unreachable!` through the call graph; the diagnostic names the
-//!   shortest offending chain and is suppressible only at the sink.
+//!   shortest offending chain and is suppressible only at the sink. In the
+//!   [`HOT_CRATES`] it leaves `unwrap`/`expect`/`panic!` to clippy, which
+//!   already demands a reasoned `#[expect]` at each one.
 //! - **D10** — no allocation (`Vec::new`, `to_vec`, `clone`, `format!`,
 //!   `String::from`, `Box::new`) inside `// detlint: hot` functions.
-//! - **D11** — float-order hazards: `partial_cmp` comparators in sorts,
-//!   float-keyed ordered collections, bare float→int `as` casts.
+//! - **D11** — float-order hazards: `partial_cmp` comparators in sorts and
+//!   bare float→int `as` casts.
 //! - **D12** — metric cross-check: every emitted metric name must be
 //!   declared in `crates/obs/src/catalog.rs`, and every name declared
 //!   there must be emitted.
@@ -49,8 +53,6 @@
 //! reason follows the `--`*. A marker without a reason is an error, and —
 //! new in v2 — a marker that suppresses nothing is an error too, so stale
 //! justifications cannot outlive the code they excused.
-
-#![forbid(unsafe_code)]
 
 pub mod lex;
 pub mod model;
@@ -63,23 +65,25 @@ use std::path::{Path, PathBuf};
 
 pub use rules::{load_metric_decls, MetricDecls};
 
-/// Crates whose behaviour feeds the simulation or its analysis: D1–D3,
-/// D7b, D8, D11, D12 apply here. Names are the directory names under
+/// Crates whose behaviour feeds the simulation or its analysis: D1, D7b,
+/// D8, D11, D12 apply here. Names are the directory names under
 /// `crates/`.
 pub const SIM_CRATES: &[&str] = &[
     "netsim", "dnswire", "dnssim", "cellsim", "cdnsim", "measure", "analysis", "core", "obs",
 ];
 
-/// Crates allowed to touch the host plane (`obs::host`, wall clocks): the
-/// driver binaries, `obs` itself (the implementation), and the serving
-/// plane (`serve` binds real sockets, `loadgen` paces real traffic — both
-/// run on wall time by design). D7 fences everyone else onto the
-/// deterministic sim plane, and D2/D3 stay fully gated in sim crates.
+/// Crates allowed to touch the host plane (`obs::host`): the `repro`
+/// binary, `obs` itself (the implementation), and the serving plane
+/// (`serve` binds real sockets, `loadgen` paces real traffic — both run on
+/// wall time by design). D7 fences everyone else onto the deterministic sim
+/// plane.
 pub const HOST_PLANE_CRATES: &[&str] = &["repro", "obs", "serve", "loadgen"];
 
-/// Hot-path crates where D4 (panic-freedom of library code) applies. In
-/// these crates an audited `allow(D4)` marker also discharges D9 at the
-/// same sink — one audit, not two.
+/// Hot-path crates whose lint tables deny clippy's `unwrap_used`,
+/// `expect_used` and `panic`, so every such sink there already carries a
+/// reasoned `#[expect]`. D9 leaves those sinks to clippy and still reports
+/// `unreachable!`. The workspace's `tests/lint.rs` ties this list to the
+/// manifests.
 pub const HOT_CRATES: &[&str] = &["netsim", "dnssim", "measure"];
 
 /// Crates where D6 (no discarded experiment outcomes) applies.
@@ -90,14 +94,6 @@ pub const OUTCOME_CRATES: &[&str] = &["measure", "analysis"];
 pub enum Rule {
     /// Iteration-order escape from a hash collection.
     D1,
-    /// Wall-clock read in a simulation crate.
-    D2,
-    /// Ambient (non-seed-lane) randomness.
-    D3,
-    /// `unwrap`/`expect`/`panic!` in hot-path library code.
-    D4,
-    /// Missing `#![forbid(unsafe_code)]` in a crate root.
-    D5,
     /// `let _ =` discarding an experiment result's typed `Outcome`.
     D6,
     /// Observability-plane breach: host-plane APIs outside the drivers, or
@@ -122,10 +118,6 @@ impl Rule {
     pub fn id(self) -> &'static str {
         match self {
             Rule::D1 => "D1",
-            Rule::D2 => "D2",
-            Rule::D3 => "D3",
-            Rule::D4 => "D4",
-            Rule::D5 => "D5",
             Rule::D6 => "D6",
             Rule::D7 => "D7",
             Rule::D8 => "D8",
@@ -141,10 +133,6 @@ impl Rule {
     pub fn from_id(s: &str) -> Option<Rule> {
         match s.trim().to_ascii_uppercase().as_str() {
             "D1" => Some(Rule::D1),
-            "D2" => Some(Rule::D2),
-            "D3" => Some(Rule::D3),
-            "D4" => Some(Rule::D4),
-            "D5" => Some(Rule::D5),
             "D6" => Some(Rule::D6),
             "D7" => Some(Rule::D7),
             "D8" => Some(Rule::D8),
@@ -195,25 +183,18 @@ impl fmt::Display for Finding {
 pub struct FileCtx {
     /// Crate directory name (`netsim`, `analysis`, …).
     pub crate_name: String,
-    /// Whether this file is the crate root (`src/lib.rs` / `src/main.rs`).
-    pub is_crate_root: bool,
 }
 
 impl FileCtx {
     /// Context for a file of the named crate.
-    pub fn new(crate_name: &str, is_crate_root: bool) -> Self {
+    pub fn new(crate_name: &str) -> Self {
         FileCtx {
             crate_name: crate_name.to_string(),
-            is_crate_root,
         }
     }
 
     fn sim(&self) -> bool {
         SIM_CRATES.contains(&self.crate_name.as_str())
-    }
-
-    fn hot(&self) -> bool {
-        HOT_CRATES.contains(&self.crate_name.as_str())
     }
 
     fn outcome(&self) -> bool {
@@ -273,7 +254,6 @@ fn suppress_and_audit(records: &[FileRecord], global: Vec<Finding>) -> Vec<Findi
         /// target line → (rules allowed, marker indices targeting it).
         by_line: BTreeMap<usize, (BTreeSet<Rule>, Vec<usize>)>,
         consumed: Vec<bool>,
-        hot_crate: bool,
     }
     let mut allow: BTreeMap<&str, FileAllow> = BTreeMap::new();
     for rec in records {
@@ -288,7 +268,6 @@ fn suppress_and_audit(records: &[FileRecord], global: Vec<Finding>) -> Vec<Findi
             FileAllow {
                 by_line,
                 consumed: vec![false; rec.markers.len()],
-                hot_crate: HOT_CRATES.contains(&rec.crate_name.as_str()),
             },
         );
     }
@@ -308,28 +287,18 @@ fn suppress_and_audit(records: &[FileRecord], global: Vec<Finding>) -> Vec<Findi
             out.push(f);
             continue;
         };
-        // An audited D4 marker in a hot crate also discharges D9 at the
-        // same sink: the panic there has already been justified once.
-        let effective = if rules.contains(&f.rule) {
-            Some(f.rule)
-        } else if f.rule == Rule::D9 && fa.hot_crate && rules.contains(&Rule::D4) {
-            Some(Rule::D4)
-        } else {
-            None
-        };
-        match effective {
-            Some(via) => {
-                for &mi in idxs {
-                    if records
-                        .iter()
-                        .find(|r| r.path == f.file)
-                        .is_some_and(|r| r.markers[mi].rules.contains(&via))
-                    {
-                        fa.consumed[mi] = true;
-                    }
-                }
+        if !rules.contains(&f.rule) {
+            out.push(f);
+            continue;
+        }
+        for &mi in idxs {
+            if records
+                .iter()
+                .find(|r| r.path == f.file)
+                .is_some_and(|r| r.markers[mi].rules.contains(&f.rule))
+            {
+                fa.consumed[mi] = true;
             }
-            None => out.push(f),
         }
     }
 
@@ -431,8 +400,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Scans the whole workspace rooted at `root`. Test targets (`tests/`,
-/// `examples/`) are skipped: every rule exempts test code, and D5 applies
-/// to crate roots only.
+/// `examples/`) are skipped: every rule exempts test code.
 pub fn scan_workspace_report(root: &Path) -> Report {
     let mut report = Report::default();
     let pkgs = match packages(root) {
@@ -464,12 +432,7 @@ pub fn scan_workspace_report(root: &Path) -> Report {
                     continue;
                 }
             };
-            let is_root = f
-                .file_name()
-                .is_some_and(|n| n == "lib.rs" || n == "main.rs")
-                && f.parent().is_some_and(|p| p == pkg.src);
-            let ctx = FileCtx::new(&pkg.name, is_root);
-            records.push(build_record(&rel, &source, &ctx));
+            records.push(build_record(&rel, &source, &FileCtx::new(&pkg.name)));
         }
     }
 

@@ -12,8 +12,6 @@
 //! arguments, unreadable or non-UTF-8 files — printed to stderr, never
 //! folded into the findings stream).
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -47,13 +45,15 @@ fn main() -> ExitCode {
                      OPTIONS:\n  \
                      --format <text|json>  output format (default: text)\n  \
                      --root <path>         workspace root (default: discovered from manifest dir)\n\n\
-                     Rules: D1 hash-iteration-order escape, D2 wall clock, D3 ambient RNG,\n\
-                     D4 panic in hot-path library code, D5 missing #![forbid(unsafe_code)],\n\
-                     D6 discarded experiment Outcome, D7 observability-plane breach,\n\
-                     D8 seed-lane provenance, D9 transitive panic reachability from\n\
-                     // detlint: hot entry points, D10 hot-path allocation, D11 float-order\n\
-                     hazards, D12 metric-name cross-check against the catalog in\n\
-                     crates/obs/src/catalog.rs.\n\
+                     Rules: D1 hash-iteration-order escape, D6 discarded experiment Outcome,\n\
+                     D7 observability-plane breach, D8 seed-lane provenance, D9 transitive\n\
+                     panic reachability from // detlint: hot entry points, D10 hot-path\n\
+                     allocation, D11 float-order hazards, D12 metric-name cross-check\n\
+                     against the catalog in crates/obs/src/catalog.rs.\n\
+                     Retired, now checked by the toolchain: D2 wall clock (clippy\n\
+                     disallowed-methods), D3 ambient RNG (vendored rand has none), D4 panics\n\
+                     in hot crates (clippy unwrap_used/expect_used/panic), D5 unsafe code\n\
+                     (unsafe_code = \"forbid\" in the lint tables).\n\
                      Suppress with an inline comment marker: detlint: allow(D#) -- <reason>.\n\
                      A marker that suppresses nothing is itself an error.\n\n\
                      EXIT CODES: 0 clean, 1 findings, 2 internal scan error."

@@ -63,17 +63,17 @@ mod tests {
             file: "crates/x/src/lib.rs".into(),
             line: 3,
             col: 9,
-            rule: Rule::D2,
-            message: "wall-clock \"read\"".into(),
-            snippet: Some("    let t = Instant::now();".into()),
+            rule: Rule::D1,
+            message: "hash \"order\" escapes".into(),
+            snippet: Some("    let k = m.keys();".into()),
         }]
     }
 
     #[test]
     fn text_includes_code_frame_with_caret_at_col() {
         let text = to_text(&sample());
-        assert!(text.contains("crates/x/src/lib.rs:3:9: rule[D2]"));
-        assert!(text.contains("    3 |     let t = Instant::now();"));
+        assert!(text.contains("crates/x/src/lib.rs:3:9: rule[D1]"));
+        assert!(text.contains("    3 |     let k = m.keys();"));
         let caret_line = text.lines().last().unwrap();
         assert_eq!(caret_line.find('^').unwrap(), "      | ".len() + 8);
     }

@@ -1,7 +1,7 @@
 //! Rule passes: per-file (local) checks and workspace-wide (global) flow
 //! analyses over the facts extracted by [`crate::model`].
 //!
-//! Local rules (D1–D7, D10, D11, marker shape) need one prepared file;
+//! Local rules (D1, D6, D7, D10, D11, marker shape) need one prepared file;
 //! global rules need the whole record set: **D8** seed-lane provenance
 //! follows seed parameters backwards through the call graph, **D9** panic
 //! reachability walks forward from `// detlint: hot` entry points to
@@ -11,8 +11,8 @@
 //! crate root.
 
 use crate::lex::SourceFile;
-use crate::model::{CallKind, FileFacts, SeedArg};
-use crate::{FileCtx, FileRecord, Finding, Rule, HOST_PLANE_CRATES, SIM_CRATES};
+use crate::model::{CallKind, FileFacts, SeedArg, Sink};
+use crate::{FileCtx, FileRecord, Finding, Rule, HOST_PLANE_CRATES, HOT_CRATES, SIM_CRATES};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Sim-plane registry mutators whose first argument is the metric name and
@@ -66,17 +66,7 @@ const D11_SORTS: &[&str] = &[
     ".binary_search_by(",
 ];
 
-/// Ordered collections that must not be keyed by floats (D11b).
-const D11_FLOAT_KEYS: &[&str] = &[
-    "BTreeMap<f32",
-    "BTreeMap<f64",
-    "BTreeSet<f32",
-    "BTreeSet<f64",
-    "BinaryHeap<f32",
-    "BinaryHeap<f64",
-];
-
-/// Integer targets of a float `as` cast (D11c).
+/// Integer targets of a float `as` cast (D11b).
 const INT_TYPES: &[&str] = &[
     "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
 ];
@@ -300,23 +290,6 @@ pub(crate) fn local_findings(
         out.push(mk(file, sf, *line, *col, Rule::Marker, msg.clone()));
     }
 
-    // D5: crate roots must forbid unsafe code.
-    if ctx.is_crate_root
-        && !sf
-            .code
-            .iter()
-            .any(|c| c.contains("#![forbid(unsafe_code)]"))
-    {
-        out.push(mk(
-            file,
-            sf,
-            1,
-            1,
-            Rule::D5,
-            "crate root is missing #![forbid(unsafe_code)]".to_string(),
-        ));
-    }
-
     let hash_names = if ctx.sim() {
         hash_bound_names(sf)
     } else {
@@ -394,37 +367,6 @@ pub(crate) fn local_findings(
                     }
                 }
             }
-            // D2: wall clock.
-            for pat in ["Instant::now", "SystemTime::now"] {
-                if let Some(at) = code.find(pat) {
-                    out.push(mk(
-                        file,
-                        sf,
-                        lineno,
-                        at + 1,
-                        Rule::D2,
-                        format!(
-                            "wall-clock read `{pat}()` in a simulation crate; use the simulated \
-                             clock"
-                        ),
-                    ));
-                }
-            }
-            // D3: ambient randomness.
-            for pat in ["thread_rng", "from_entropy", "rand::random"] {
-                if let Some(at) = code.find(pat) {
-                    out.push(mk(
-                        file,
-                        sf,
-                        lineno,
-                        at + 1,
-                        Rule::D3,
-                        format!(
-                            "ambient randomness `{pat}`; all RNG must flow from the seed lanes"
-                        ),
-                    ));
-                }
-            }
             // D7b: sim-plane registry mutators need a literal metric name.
             for m in OBS_MUTATORS {
                 let mut from = 0;
@@ -470,29 +412,6 @@ pub(crate) fn local_findings(
                      analysis code may only use the deterministic sim plane"
                         .to_string(),
                 ));
-            }
-        }
-
-        // D4: panic-freedom of hot-crate library code (line-scope).
-        if ctx.hot() {
-            for (pat, what) in [
-                (".unwrap()", "unwrap()"),
-                (".expect(", "expect()"),
-                ("panic!", "panic!"),
-            ] {
-                if let Some(at) = code.find(pat) {
-                    out.push(mk(
-                        file,
-                        sf,
-                        lineno,
-                        at + 2,
-                        Rule::D4,
-                        format!(
-                            "`{what}` in hot-path library code; return an error, restructure, \
-                             or justify with an allow-marker"
-                        ),
-                    ));
-                }
             }
         }
 
@@ -583,24 +502,7 @@ fn d11_line(file: &str, sf: &SourceFile, facts: &FileFacts, i: usize, out: &mut 
         }
     }
 
-    // D11b: float keys in ordered collections.
-    for pat in D11_FLOAT_KEYS {
-        if let Some(at) = code.find(pat) {
-            out.push(mk(
-                file,
-                sf,
-                lineno,
-                at + 1,
-                Rule::D11,
-                format!(
-                    "float-keyed ordered collection `{pat}…>`; float keys have no total order \
-                     — key by an integer quantization instead",
-                ),
-            ));
-        }
-    }
-
-    // D11c: float → integer `as` cast without an explicit rounding step.
+    // D11b: float → integer `as` cast without an explicit rounding step.
     let mut from = 0;
     while let Some(pos) = code[from..].find(" as ") {
         let at = from + pos;
@@ -969,6 +871,13 @@ fn split_args(s: &str) -> Vec<&str> {
     out
 }
 
+/// Whether D9 reports `sink`. The hot crates deny clippy's `unwrap_used`,
+/// `expect_used` and `panic`, so each such sink there already carries a
+/// reasoned `#[expect]`; only `unreachable!` is left to D9 in them.
+fn d9_reports(rec: &FileRecord, sink: &Sink) -> bool {
+    sink.what == "unreachable!" || !HOT_CRATES.contains(&rec.crate_name.as_str())
+}
+
 /// D9: transitive panic reachability. BFS from every `// detlint: hot`
 /// function over the call graph; any reachable panic sink is reported with
 /// the shortest call chain from its hot entry point.
@@ -993,7 +902,9 @@ fn d9_pass(records: &[FileRecord], graph: &CallGraph, out: &mut Vec<Finding>) {
         let mut queue = std::collections::VecDeque::from([root]);
         let mut seen = BTreeSet::from([root]);
         while let Some(id) = queue.pop_front() {
-            if !records[id.rec].facts.fns[id.idx].sinks.is_empty() {
+            let rec = &records[id.rec];
+            let sinks = &rec.facts.fns[id.idx].sinks;
+            if sinks.iter().any(|s| d9_reports(rec, s)) {
                 let mut chain = vec![id];
                 let mut cur = id;
                 while let Some(&p) = parent.get(&cur) {
@@ -1032,7 +943,7 @@ fn d9_pass(records: &[FileRecord], graph: &CallGraph, out: &mut Vec<Finding>) {
             .collect::<Vec<_>>()
             .join(" -> ");
         let root = &records[chain[0].rec].facts.fns[chain[0].idx];
-        for sink in &f.sinks {
+        for sink in f.sinks.iter().filter(|s| d9_reports(rec, s)) {
             out.push(gmk(
                 rec,
                 sink.line,

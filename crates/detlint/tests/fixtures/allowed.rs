@@ -1,21 +1,16 @@
 // Suppression fixture: the same hazards as the `*_fires` fixtures, each
 // carrying a well-formed allow-marker, so the scan reports nothing.
-#![forbid(unsafe_code)]
 use std::collections::HashMap;
-use std::time::Instant;
 
 pub fn total(scores: &HashMap<String, u64>) -> u64 {
     // detlint: allow(D1) -- fixture: order does not reach any output
     scores.values().sum()
 }
 
-pub fn stamp() -> Instant {
-    Instant::now() // detlint: allow(D2) -- fixture: value is discarded
-}
-
-pub fn roll() -> u8 {
-    // detlint: allow(D3, D4) -- fixture: both hazards on the next line
-    rand::thread_rng().gen_range(1..=6).unwrap()
+// detlint: hot
+pub fn label(scores: &HashMap<String, u64>) -> String {
+    // detlint: allow(D1, D10) -- fixture: both hazards on the next line
+    format!("{}", scores.keys().count())
 }
 
 pub fn count(reg: &mut Registry, name: &'static str) {

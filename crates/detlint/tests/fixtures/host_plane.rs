@@ -1,7 +1,7 @@
-// Host-plane fixture: wall-clock reads (line 6) and host-plane profiling
-// (line 7) are the serving plane's whole job. Clean in a host-plane crate
-// (serve, loadgen, repro, obs); the same source scanned as a sim
-// crate fires D2 and D7 by classification alone — no allow-markers.
+// Host-plane fixture: wall-clock reads (line 6, clippy's to judge) and
+// host-plane profiling (line 7) are the serving plane's whole job. Clean in
+// a host-plane crate (serve, loadgen, repro, obs); the same source scanned
+// as a sim crate fires D7 by classification alone — no allow-markers.
 pub fn serve_burst(reg: &mut obs::Registry) -> u64 {
     let started = std::time::Instant::now();
     let stage = obs::host::Stage::begin("serve.burst");

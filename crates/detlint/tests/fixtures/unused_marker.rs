@@ -2,6 +2,6 @@
 //! the stale justification is itself an error.
 
 pub fn steady() -> u32 {
-    // detlint: allow(D2) -- the wall-clock read was removed in a refactor
+    // detlint: allow(D1) -- the hash iteration was removed in a refactor
     41 + 1
 }

@@ -1,8 +1,8 @@
 // Wire-chaos fixture, shaped like `loadgen::chaos` + `serve::admit`: the
 // chaos plan draws its RNG from the dedicated WIRE_CHAOS seed lane
 // (D8-clean in every crate), while the admission path reads the wall
-// clock (line 13) and the host-plane profiler (line 14) — legal only
-// under host-plane crate classification.
+// clock (line 13, clippy's to judge) and the host-plane profiler (line 14)
+// — legal only under host-plane crate classification.
 fn plan(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }

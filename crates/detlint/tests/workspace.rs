@@ -27,7 +27,7 @@ fn mini_workspace(tag: &str) -> PathBuf {
     .unwrap();
     fs::write(
         root.join("crates/measure/src/lib.rs"),
-        "#![forbid(unsafe_code)]\n\n\
+        "//! A sim crate.\n\n\
          pub fn emit(reg: &mut Registry) {\n    \
          reg.inc(\"sim.good\", &[]);\n    \
          reg.inc(\"sim.rogue\", &[]);\n\

@@ -205,8 +205,10 @@ impl UdpService for AuthoritativeServer {
                 0
             };
             let resp = ResponseBuilder::new(id).rcode(Rcode::FormErr).build();
-            // detlint: allow(D4) -- encode of a FormErr reply the server
-            // itself just built; it cannot exceed wire limits
+            #[expect(
+                clippy::expect_used,
+                reason = "encode of a FormErr reply the server itself just built; it cannot exceed wire limits"
+            )]
             let bytes = resp.encode().expect("formerr encodes");
             return vec![Egress::reply(from, from_port, bytes, PROC_DELAY)];
         };
@@ -218,8 +220,10 @@ impl UdpService for AuthoritativeServer {
             let resp = ResponseBuilder::for_query(&query)
                 .rcode(Rcode::FormErr)
                 .build();
-            // detlint: allow(D4) -- encode of a FormErr reply the server
-            // itself just built; it cannot exceed wire limits
+            #[expect(
+                clippy::expect_used,
+                reason = "encode of a FormErr reply the server itself just built; it cannot exceed wire limits"
+            )]
             let bytes = resp.encode().expect("formerr encodes");
             return vec![Egress::reply(from, from_port, bytes, PROC_DELAY)];
         };
@@ -232,8 +236,10 @@ impl UdpService for AuthoritativeServer {
             .unwrap_or(dnswire::edns::CLASSIC_UDP_LIMIT)
             .max(dnswire::edns::CLASSIC_UDP_LIMIT);
         resp.truncate_for(limit);
-        // detlint: allow(D4) -- truncate_for() already bounded the response to
-        // the requester's UDP capacity, so encode cannot fail
+        #[expect(
+            clippy::expect_used,
+            reason = "truncate_for() already bounded the response to the requester's UDP capacity, so encode cannot fail"
+        )]
         let bytes = resp.encode().expect("response encodes");
         vec![Egress::reply(from, from_port, bytes, PROC_DELAY)]
     }

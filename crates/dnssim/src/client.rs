@@ -214,17 +214,22 @@ fn backoff_pause(attempt: u32, jitter_x1000: u64, remaining: SimDuration) -> Sim
 
 /// Builds and encodes one query, advertising the standard EDNS size.
 fn encode_query(id: u16, qname: &DnsName, qtype: RecordType) -> Vec<u8> {
+    #[expect(
+        clippy::expect_used,
+        reason = "query names come from the static experiment catalog validated at world build; \
+                  a bad name is a caller bug"
+    )]
     let mut query = QueryBuilder::new(id, qname.to_string(), qtype)
         .recursion_desired(true)
         .build()
-        // detlint: allow(D4) -- query names come from the static
-        // experiment catalog validated at world build; a bad name is a
-        // driver bug
         .expect("valid query name");
     query.advertise_udp_size(dnswire::edns::DEFAULT_UDP_PAYLOAD_SIZE);
-    // detlint: allow(D4) -- encode of a query built two lines up from an
-    // already-validated name
-    query.encode().expect("query encodes")
+    #[expect(
+        clippy::expect_used,
+        reason = "encode of a query built two lines up from an already-validated name"
+    )]
+    let bytes = query.encode().expect("query encodes");
+    bytes
 }
 
 /// Issues one A-record lookup from `node` against `resolver` with the
@@ -535,10 +540,12 @@ pub fn whoami_with(
     policy: &ClientPolicy,
 ) -> (DnsLookup, Option<Ipv4Addr>) {
     let nonce: u64 = net.rng().gen();
+    #[expect(
+        clippy::expect_used,
+        reason = "the nonce label is fixed-width hex, always a valid DNS label"
+    )]
     let qname = probe_zone
         .child(&format!("x{nonce:016x}"))
-        // detlint: allow(D4) -- the nonce label is fixed-width hex, always a
-        // valid DNS label
         .expect("nonce label is valid");
     let no_failover = ClientPolicy {
         fallbacks: Vec::new(),

@@ -299,15 +299,16 @@ impl UdpService for Forwarder {
             self.absorb(&msg, relay.scope, ctx.now);
             self.stats.returned += 1;
             msg.header.id = relay.client_id;
-            return vec![Egress::reply(
-                relay.client,
-                relay.client_port,
-                // detlint: allow(D4) -- re-encode of a response that just
-                // decoded successfully; only the id header changed
-                msg.encode().expect("relayed response encodes"),
-                self.proc_delay,
-            )
-            .from_addr(relay.reply_from)];
+            #[expect(
+                clippy::expect_used,
+                reason = "re-encode of a response that just decoded successfully; only the id \
+                          header changed"
+            )]
+            let bytes = msg.encode().expect("relayed response encodes");
+            return vec![
+                Egress::reply(relay.client, relay.client_port, bytes, self.proc_delay)
+                    .from_addr(relay.reply_from),
+            ];
         }
         // A client query: resolve the ECS announcement first (it is also
         // the cache partition key), then serve from cache or relay.
@@ -315,14 +316,12 @@ impl UdpService for Forwarder {
         let scope = ecs_subnet.map(Prefix::slash24_of);
         if let Some(cached) = self.answer_from_cache(&msg, scope, ctx.now) {
             self.stats.cache_answers += 1;
-            return vec![Egress::reply(
-                from,
-                from_port,
-                // detlint: allow(D4) -- encode of a cached response assembled
-                // from records that encoded before
-                cached.encode().expect("cached response encodes"),
-                self.proc_delay,
-            )];
+            #[expect(
+                clippy::expect_used,
+                reason = "encode of a cached response assembled from records that encoded before"
+            )]
+            let bytes = cached.encode().expect("cached response encodes");
+            return vec![Egress::reply(from, from_port, bytes, self.proc_delay)];
         }
         let upstream = self.pick_upstream(from, ctx);
         let txn = self.pending.alloc();
@@ -342,14 +341,12 @@ impl UdpService for Forwarder {
         if let Some(subnet) = ecs_subnet {
             msg.set_client_subnet(subnet, 24);
         }
-        let mut egress = Egress::reply(
-            upstream,
-            DNS_PORT,
-            // detlint: allow(D4) -- re-encode of a query that just decoded
-            // successfully; only id and ECS changed
-            msg.encode().expect("relayed query encodes"),
-            self.proc_delay,
-        );
+        #[expect(
+            clippy::expect_used,
+            reason = "re-encode of a query that just decoded successfully; only id and ECS changed"
+        )]
+        let bytes = msg.encode().expect("relayed query encodes");
+        let mut egress = Egress::reply(upstream, DNS_PORT, bytes, self.proc_delay);
         if let Some(src) = self.egress_addr {
             egress = egress.from_addr(src);
         }

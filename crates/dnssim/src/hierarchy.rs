@@ -59,8 +59,10 @@ impl HierarchyBuilder {
     /// Delegates `domain` (e.g. `example.com`) to an authoritative server at
     /// `addr`. The TLD must have been registered first.
     pub fn add_domain(&mut self, domain: &str, addr: Ipv4Addr) -> &mut Self {
-        // detlint: allow(D4) -- builder over the static zone catalog; an
-        // invalid name must abort topology construction, not limp on
+        #[expect(
+            clippy::expect_used,
+            reason = "builder over the static zone catalog; an invalid name must abort topology construction, not limp on"
+        )]
         let name = DnsName::parse(domain).expect("valid domain");
         let tld = tld_label(&name);
         assert!(
@@ -76,23 +78,35 @@ impl HierarchyBuilder {
         let mut root = Zone::new(DnsName::root());
         let mut tld_zones: BTreeMap<String, Zone> = BTreeMap::new();
         for (label, addr) in &self.tlds {
-            // detlint: allow(D4) -- builder over the static zone catalog; an
-            // invalid name must abort topology construction, not limp on
+            #[expect(
+                clippy::expect_used,
+                reason = "builder over the static zone catalog; an invalid name must abort topology construction, not limp on"
+            )]
             let tld_name = DnsName::parse(label).expect("valid tld");
-            // detlint: allow(D4) -- "ns" is a literal, always a valid label
+            #[expect(
+                clippy::expect_used,
+                reason = "\"ns\" is a literal, always a valid label"
+            )]
             let ns_host = tld_name.child("ns").expect("ns label");
             root.delegate(tld_name.clone(), vec![(ns_host, *addr)]);
             tld_zones.insert(label.clone(), Zone::new(tld_name));
         }
         for (domain, addr) in &self.domains {
-            // detlint: allow(D4) -- builder over the static zone catalog; an
-            // invalid name must abort topology construction, not limp on
+            #[expect(
+                clippy::expect_used,
+                reason = "builder over the static zone catalog; an invalid name must abort topology construction, not limp on"
+            )]
             let name = DnsName::parse(domain).expect("valid domain");
             let tld = tld_label(&name);
-            // detlint: allow(D4) -- add_domain asserted the TLD was
-            // registered, so its zone exists
+            #[expect(
+                clippy::expect_used,
+                reason = "add_domain asserted the TLD was registered, so its zone exists"
+            )]
             let zone = tld_zones.get_mut(&tld).expect("tld zone exists");
-            // detlint: allow(D4) -- "ns1" is a literal, always a valid label
+            #[expect(
+                clippy::expect_used,
+                reason = "\"ns1\" is a literal, always a valid label"
+            )]
             let ns_host = name.child("ns1").expect("ns1 label");
             zone.delegate(name, vec![(ns_host, *addr)]);
         }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! `dnssim` — DNS services over the `netsim` substrate: authoritative

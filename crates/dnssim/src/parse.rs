@@ -203,8 +203,10 @@ pub fn parse_zone(text: &str) -> Result<Zone, ParseError> {
             }
             other => return Err(err(line_no, format!("unsupported record type {other}"))),
         };
-        // detlint: allow(D4) -- a record line before $ORIGIN was already
-        // rejected with an error earlier in this loop iteration
+        #[expect(
+            clippy::expect_used,
+            reason = "a record line before $ORIGIN was already rejected with an error earlier in this loop iteration"
+        )]
         let z = zone.as_mut().expect("zone exists after $ORIGIN");
         if !owner.is_under(z.origin()) {
             return Err(err(line_no, format!("{owner} outside zone {}", z.origin())));

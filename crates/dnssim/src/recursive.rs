@@ -330,15 +330,13 @@ impl RecursiveResolver {
         } else {
             msg.answers = answers;
         }
-        Egress::reply(
-            fl.client,
-            fl.client_port,
-            // detlint: allow(D4) -- encode of a reply assembled from records
-            // that encoded before
-            msg.encode().expect("resolver reply encodes"),
-            self.config.proc_delay,
-        )
-        .from_addr(fl.reply_from)
+        #[expect(
+            clippy::expect_used,
+            reason = "encode of a reply assembled from records that encoded before"
+        )]
+        let bytes = msg.encode().expect("resolver reply encodes");
+        Egress::reply(fl.client, fl.client_port, bytes, self.config.proc_delay)
+            .from_addr(fl.reply_from)
     }
 
     /// Sends the next upstream query for `fl`, its attempt due at `deadline`.
@@ -359,12 +357,15 @@ impl RecursiveResolver {
             msg.set_client_subnet(subnet, 24);
         }
         msg.advertise_udp_size(dnswire::edns::DEFAULT_UDP_PAYLOAD_SIZE);
+        #[expect(
+            clippy::expect_used,
+            reason = "encode of a minimal upstream query the resolver itself built"
+        )]
+        let payload = msg.encode().expect("upstream query encodes");
         let mut egress = Egress {
             dst: server,
             dst_port: DNS_PORT,
-            // detlint: allow(D4) -- encode of a minimal upstream query the
-            // resolver itself built
-            payload: msg.encode().expect("upstream query encodes"),
+            payload,
             delay: self.config.proc_delay,
             src_addr: None,
         };
@@ -397,12 +398,15 @@ impl RecursiveResolver {
                 .rcode(Rcode::FormErr)
                 .recursion_available(true)
                 .build();
+            #[expect(
+                clippy::expect_used,
+                reason = "encode of a FormErr reply the resolver itself just built"
+            )]
+            let bytes = resp.encode().expect("formerr encodes");
             out.push(Egress::reply(
                 from,
                 from_port,
-                // detlint: allow(D4) -- encode of a FormErr reply the resolver
-                // itself just built
-                resp.encode().expect("formerr encodes"),
+                bytes,
                 self.config.proc_delay,
             ));
             return;
@@ -566,9 +570,10 @@ impl RecursiveResolver {
                     .cloned();
                 match cname {
                     Some(rr) => {
-                        // detlint: allow(D4) -- the record was filtered to
-                        // RecordType::Cname two lines up, so its rdata is a
-                        // CNAME
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the record was filtered to RecordType::Cname two lines up, so its rdata is a CNAME"
+                        )]
                         let target = rr.rdata.as_cname().expect("cname rdata").clone();
                         fl.chain.push(rr);
                         current = target;

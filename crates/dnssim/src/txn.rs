@@ -37,10 +37,14 @@ impl<V> TxnTable<V> {
                 return id;
             }
         }
-        // detlint: allow(D4) -- exhausting all 65k transaction ids means
-        // transactions leaked; continuing would match an answer to the wrong
-        // requester
-        panic!("transaction ids exhausted");
+        #[expect(
+            clippy::panic,
+            reason = "exhausting all 65k transaction ids means transactions leaked; continuing \
+                      would match an answer to the wrong requester"
+        )]
+        {
+            panic!("transaction ids exhausted");
+        }
     }
 
     /// Records a pending transaction under `id`, due at `deadline`.

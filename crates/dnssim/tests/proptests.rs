@@ -10,10 +10,12 @@ use netsim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
+#[expect(clippy::expect_used, reason = "strategy helper over a literal regex")]
 fn arb_label() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-z0-9][a-z0-9-]{0,12}").expect("literal regex")
 }
 
+#[expect(clippy::expect_used, reason = "labels come from the LDH regex above")]
 fn arb_name() -> impl Strategy<Value = DnsName> {
     proptest::collection::vec(arb_label(), 1..4).prop_map(|ls| {
         DnsName::from_labels(ls.iter().map(|l| l.as_bytes())).expect("labels match the LDH regex")

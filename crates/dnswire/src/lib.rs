@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! `dnswire` — a from-scratch implementation of the DNS wire format (RFC 1035,

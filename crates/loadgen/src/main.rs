@@ -10,8 +10,6 @@
 //! wire answer byte-equal to the ground truth; any mismatch makes the
 //! process exit nonzero.
 
-#![forbid(unsafe_code)]
-
 use loadgen::{build_script, render_profile_json, run, ChaosProfile, DriverConfig, MixConfig};
 use serve::Endpoints;
 use std::path::PathBuf;

@@ -255,12 +255,13 @@ fn merge_shard_runs(world: &World, cfg: &CampaignConfig, runs: Vec<ShardRun>) ->
     for _ in 0..blocks {
         for (cursor, &n) in cursors.iter_mut().zip(&sizes) {
             for _ in 0..n {
-                dataset
-                    .records
-                    // detlint: allow(D4) -- block sizes were computed from the
-                    // shard outputs being drained, so the cursor cannot run
-                    // short
-                    .push(cursor.next().expect("shard produced a full block"));
+                #[expect(
+                    clippy::expect_used,
+                    reason = "block sizes were computed from the shard outputs being drained, so \
+                              the cursor cannot run short"
+                )]
+                let record = cursor.next().expect("shard produced a full block");
+                dataset.records.push(record);
             }
         }
     }
@@ -325,10 +326,15 @@ pub fn run_campaign_observed(
         });
         slots
             .into_iter()
-            // detlint: allow(D4) -- the scope joined every worker and each
-            // worker fills its own slot; an empty slot means a panic the join
-            // already propagated
-            .map(|s| s.expect("worker covered every shard"))
+            .map(|s| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the scope joined every worker and each worker fills its own slot; \
+                              an empty slot means a panic the join already propagated"
+                )]
+                let run = s.expect("worker covered every shard");
+                run
+            })
             .collect()
     };
     let mut metrics = obs::Registry::new();

@@ -367,22 +367,25 @@ impl Backbone {
             let p = cdn_net.provider;
             let mut adns = AuthoritativeServer::new();
             for entry in self.catalog.iter().filter(|e| e.provider == p) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "zone name is a static format literal, always parseable"
+                )]
+                let suffix = DnsName::parse(&format!("edge.{}.example", PROVIDER_NAMES[p]))
+                    .expect("valid edge suffix");
                 adns.add_dynamic(Box::new(MappingZone::new(
                     entry.zone.clone(),
-                    DnsName::parse(&format!("edge.{}.example", PROVIDER_NAMES[p]))
-                        // detlint: allow(D4) -- zone name is a static format
-                        // literal, always parseable
-                        .expect("valid edge suffix"),
+                    suffix,
                     Arc::clone(&cdn_net.cdn),
                 )));
             }
-            adns.add_dynamic(Box::new(EdgeZone::new(
-                DnsName::parse(&format!("edge.{}.example", PROVIDER_NAMES[p]))
-                    // detlint: allow(D4) -- zone name is a static format
-                    // literal, always parseable
-                    .expect("valid edge zone"),
-                Arc::clone(&cdn_net.cdn),
-            )));
+            #[expect(
+                clippy::expect_used,
+                reason = "zone name is a static format literal, always parseable"
+            )]
+            let edge_zone = DnsName::parse(&format!("edge.{}.example", PROVIDER_NAMES[p]))
+                .expect("valid edge zone");
+            adns.add_dynamic(Box::new(EdgeZone::new(edge_zone, Arc::clone(&cdn_net.cdn))));
             net.register_service(cdn_net.adns.0, DNS_PORT, Box::new(adns));
             for &(node, _) in &cdn_net.replicas {
                 // TTFB over TCP-lite pays the real handshake, the request
@@ -615,10 +618,12 @@ pub fn build_world(config: WorldConfig) -> World {
             } else {
                 us_pops[s % us_pops.len()]
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "the format string constructs a syntactically valid /24 prefix"
+            )]
             let prefix: Prefix = format!("{}.{}.{}.0/24", octets[0], octets[1], s)
                 .parse()
-                // detlint: allow(D4) -- the format string constructs a
-                // syntactically valid /24 prefix
                 .expect("valid site prefix");
             let egress_addrs: Vec<Ipv4Addr> =
                 (1..=per_site).map(|k| prefix.addr(k as u32)).collect();
@@ -738,27 +743,26 @@ pub fn build_world(config: WorldConfig) -> World {
         .tlds
         .into_iter()
         .map(|(label, _, zone)| {
+            #[expect(
+                clippy::expect_used,
+                reason = "tld_nodes was built from the same TLD list being mapped here"
+            )]
             let (_, _, node) = tld_nodes
                 .iter()
                 .find(|(l, _, _)| *l == label)
-                // detlint: allow(D4) -- tld_nodes was built from the same TLD
-                // list being mapped here
                 .expect("tld node exists");
             (*node, zone)
         })
         .collect();
 
     // Probe apex (static part; the whoami zone is dynamic per engine).
-    // detlint: allow(D4) -- static zone-name literals always parse
+    #[expect(clippy::expect_used, reason = "static zone-name literals always parse")]
     let probe_zone = DnsName::parse("whoami.probe.example").expect("valid probe zone");
-    // detlint: allow(D4) -- static zone-name literals always parse
+    #[expect(clippy::expect_used, reason = "static zone-name literals always parse")]
     let mut probe_apex = Zone::new(DnsName::parse("probe.example").expect("valid"));
-    probe_apex.add_a(
-        // detlint: allow(D4) -- static zone-name literals always parse
-        DnsName::parse("probe.example").expect("valid"),
-        3600,
-        probe_addr,
-    );
+    #[expect(clippy::expect_used, reason = "static zone-name literals always parse")]
+    let apex_name = DnsName::parse("probe.example").expect("valid");
+    probe_apex.add_a(apex_name, 3600, probe_addr);
 
     // --- CDN knowledge tables (immutable once built, shared by shards) ---
     let mut cdns = Vec::new();
@@ -840,9 +844,15 @@ pub fn build_world(config: WorldConfig) -> World {
             .collect();
         handles
             .into_iter()
-            // detlint: allow(D4) -- join() propagates a shard worker's panic
-            // instead of silently dropping its devices
-            .map(|h| h.join().expect("shard assembly panicked"))
+            .map(|h| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "join() propagates a shard worker's panic instead of silently \
+                              dropping its devices"
+                )]
+                let shard = h.join().expect("shard assembly panicked");
+                shard
+            })
             .collect()
     });
 
@@ -937,9 +947,14 @@ impl World {
             }
             offset += shard.devices.len();
         }
-        // detlint: allow(D4) -- a fleet-global device index out of range is a
-        // driver bug; clamping would attribute records to the wrong device
-        panic!("device index {idx} out of range ({} devices)", offset);
+        #[expect(
+            clippy::panic,
+            reason = "a fleet-global device index out of range is a caller bug; clamping would \
+                      attribute records to the wrong device"
+        )]
+        {
+            panic!("device index {idx} out of range ({} devices)", offset);
+        }
     }
 
     /// Fleet-global indices of the devices on one carrier.

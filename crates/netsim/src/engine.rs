@@ -549,10 +549,15 @@ impl Network {
                 return p;
             }
         }
-        // detlint: allow(D4) -- exhausting the full 16k-port ephemeral range
-        // on one node means the driver leaked flows; continuing would hand
-        // out a duplicate port and silently corrupt transaction matching.
-        panic!("ephemeral ports exhausted on {node:?}");
+        #[expect(
+            clippy::panic,
+            reason = "exhausting the full 16k-port ephemeral range on one node means the caller \
+                      leaked flows; continuing would hand out a duplicate port and silently \
+                      corrupt transaction matching"
+        )]
+        {
+            panic!("ephemeral ports exhausted on {node:?}");
+        }
     }
 
     /// Sends a UDP request from `node` and tracks it as a transaction.

@@ -8,9 +8,11 @@
 //! [`Profiler::report`] and are never serialized into `results/`.
 //!
 //! detlint rule D7 makes this module unusable outside the host-plane
-//! crates (`detlint::HOST_PLANE_CRATES`); the D2 allow-markers below are
-//! the audited exception that quarantines the wall clock here instead of
-//! scattering `Instant::now()` through driver code.
+//! crates (`detlint::HOST_PLANE_CRATES`). Clippy's `disallowed_methods`
+//! (the workspace `clippy.toml`) bans `Instant::now()` everywhere, and the
+//! one `#[expect]` in [`Stage::begin`] is the audited exception that
+//! quarantines the wall clock here instead of scattering it through
+//! `repro`'s code.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -26,12 +28,13 @@ pub struct Stage {
 impl Stage {
     /// Starts timing a named stage.
     pub fn begin(name: &'static str) -> Stage {
-        Stage {
-            name,
-            // detlint: allow(D2) -- the host plane is the one audited
-            // wall-clock site; D7 keeps it inside the host-plane crates
-            start: Instant::now(),
-        }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the host plane's one audited wall-clock site; D7 keeps it inside the \
+                      host-plane crates"
+        )]
+        let start = Instant::now();
+        Stage { name, start }
     }
 
     /// Stops the clock and yields the completed span.

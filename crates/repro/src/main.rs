@@ -39,8 +39,6 @@
 //! Text goes to stdout; CSV series and the raw dataset tables go to the
 //! output directory (default `results/`).
 
-#![forbid(unsafe_code)]
-
 use cdns::measure::{
     CampaignConfig, ExperimentSpec, FaultProfile, Parallelism, ProgressEvent, WorldConfig,
 };

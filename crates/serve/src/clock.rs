@@ -1,7 +1,8 @@
 //! The serving loop's notion of time, abstracted so the socket front end
 //! and the load generator can be paced by the wall clock in production and
-//! by a hand-cranked clock in tests — without a single `Instant::now()`
-//! escaping into code a sim crate could reach.
+//! by a hand-cranked clock in tests. [`WallClock::new`] is the serving
+//! plane's only wall-clock read: clippy's `disallowed_methods` (the
+//! workspace `clippy.toml`) rejects `Instant::now()` anywhere else.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -26,9 +27,13 @@ pub struct WallClock {
 impl WallClock {
     /// A wall clock whose epoch is now.
     pub fn new() -> WallClock {
-        WallClock {
-            start: Instant::now(),
-        }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the serving plane's one wall-clock read; everything else paces itself \
+                      through `Clock`"
+        )]
+        let start = Instant::now();
+        WallClock { start }
     }
 }
 

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! `serve` — the live serving plane: a real UDP/TCP DNS service answering

@@ -32,7 +32,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long blocking socket reads wait before re-checking the stop flag.
 const POLL: Duration = Duration::from_millis(50);
@@ -343,7 +343,8 @@ fn tcp_conn_loop(
     }
     let mut buf = Vec::new();
     let mut chunk = [0u8; 2048];
-    let mut last_progress = Instant::now();
+    let clock = WallClock::new();
+    let mut last_progress = clock.now_us();
     while !stop.load(Ordering::SeqCst) {
         // Bounded pipelining: a peer may not buffer more backlog than
         // MAX_CONN_BUF unserved bytes.
@@ -390,7 +391,7 @@ fn tcp_conn_loop(
                     if stream.write_all(&framed).is_err() {
                         return;
                     }
-                    last_progress = Instant::now();
+                    last_progress = clock.now_us();
                 }
                 Ok(None) => break,
                 // Unrecoverable framing (zero-length prefix): drop the
@@ -405,10 +406,10 @@ fn tcp_conn_loop(
             Ok(0) => return, // client closed
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                last_progress = Instant::now();
+                last_progress = clock.now_us();
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                let quiet = last_progress.elapsed();
+                let quiet = Duration::from_micros(clock.now_us() - last_progress);
                 if !buf.is_empty() && quiet >= FRAME_DEADLINE {
                     // Slowloris: a partial frame this stale never
                     // completes honestly.
@@ -578,9 +579,9 @@ fn bridge_loop(
 /// quiet for [`DRAIN_POLL`] or [`DRAIN_DEADLINE`] elapses. Returns how
 /// many events were served in the drain phase.
 fn drain_remaining(state: &mut BridgeState, rx: &mpsc::Receiver<Event>) -> u64 {
-    let deadline = Instant::now() + DRAIN_DEADLINE;
+    let deadline = state.clock.now_us() + DRAIN_DEADLINE.as_micros() as u64;
     let mut drained = 0u64;
-    while Instant::now() < deadline {
+    while state.clock.now_us() < deadline {
         match rx.recv_timeout(DRAIN_POLL) {
             Ok(Event::Shutdown) => continue,
             Ok(event) => {

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! `behind-the-curtain` — reproduction of *Behind the Curtain: Cellular DNS
