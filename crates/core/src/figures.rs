@@ -698,31 +698,44 @@ pub fn failures(ds: &Dataset) -> Artifact {
     }
 }
 
+/// Renders one artifact from the dataset.
+pub type Render = fn(&Dataset) -> Artifact;
+
+/// Every artifact id with its renderer: the 21 of [`all_artifacts`] in
+/// paper order, then `report`, which renders only on request. The one
+/// list of ids: [`artifact_by_id`] and `repro`'s argument check read it.
+pub const ARTIFACTS: [(&str, Render); 22] = [
+    ("summary", summary),
+    ("table1", table1),
+    ("table2", table2),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("table3", table3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("table4", table4),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("egress", egress),
+    ("table5", table5),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("failures", failures),
+    ("report", report),
+];
+
 /// Every artifact in paper order.
 pub fn all_artifacts(ds: &Dataset) -> Vec<Artifact> {
-    vec![
-        summary(ds),
-        table1(ds),
-        table2(ds),
-        fig2(ds),
-        fig3(ds),
-        table3(ds),
-        fig4(ds),
-        fig5(ds),
-        fig6(ds),
-        fig7(ds),
-        table4(ds),
-        fig8(ds),
-        fig9(ds),
-        fig10(ds),
-        egress(ds),
-        table5(ds),
-        fig11(ds),
-        fig12(ds),
-        fig13(ds),
-        fig14(ds),
-        failures(ds),
-    ]
+    ARTIFACTS
+        .iter()
+        .filter(|(id, _)| *id != "report")
+        .map(|(_, render)| render(ds))
+        .collect()
 }
 
 /// Per-carrier profile reports (not part of `all_artifacts`; request via
@@ -737,31 +750,10 @@ pub fn report(ds: &Dataset) -> Artifact {
 
 /// Artifact by id, if known.
 pub fn artifact_by_id(ds: &Dataset, id: &str) -> Option<Artifact> {
-    match id {
-        "summary" => Some(summary(ds)),
-        "report" => Some(report(ds)),
-        "table1" => Some(table1(ds)),
-        "table2" => Some(table2(ds)),
-        "fig2" => Some(fig2(ds)),
-        "fig3" => Some(fig3(ds)),
-        "table3" => Some(table3(ds)),
-        "fig4" => Some(fig4(ds)),
-        "fig5" => Some(fig5(ds)),
-        "fig6" => Some(fig6(ds)),
-        "fig7" => Some(fig7(ds)),
-        "table4" => Some(table4(ds)),
-        "fig8" => Some(fig8(ds)),
-        "fig9" => Some(fig9(ds)),
-        "fig10" => Some(fig10(ds)),
-        "egress" => Some(egress(ds)),
-        "table5" => Some(table5(ds)),
-        "fig11" => Some(fig11(ds)),
-        "fig12" => Some(fig12(ds)),
-        "fig13" => Some(fig13(ds)),
-        "fig14" => Some(fig14(ds)),
-        "failures" => Some(failures(ds)),
-        _ => None,
-    }
+    ARTIFACTS
+        .iter()
+        .find(|(known, _)| *known == id)
+        .map(|(_, render)| render(ds))
 }
 
 #[cfg(test)]
@@ -792,6 +784,9 @@ mod tests {
             assert_eq!(looked.id, a.id);
         }
         assert!(artifact_by_id(&ds, "fig99").is_none());
+        for (id, render) in ARTIFACTS {
+            assert_eq!(render(&ds).id, id, "table key and artifact id disagree");
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! (`allow(...)` suppressions and `hot` hot-path annotations).
 
 use crate::Rule;
-use std::collections::BTreeSet;
 
 /// A `// detlint: allow(...)` suppression marker.
 #[derive(Debug, Clone)]
@@ -37,8 +36,6 @@ pub struct SourceFile {
     pub comments: Vec<Option<(usize, String)>>,
     /// Whether each line sits inside `#[cfg(test)]`-gated code.
     pub is_test: Vec<bool>,
-    /// Rules suppressed per line by valid allow-markers.
-    pub allowed: Vec<BTreeSet<Rule>>,
     /// All valid allow-markers, in line order.
     pub markers: Vec<AllowMarker>,
     /// Lines carrying a `// detlint: hot` annotation.
@@ -286,7 +283,6 @@ pub fn prepare(source: &str) -> SourceFile {
 
     let is_test = mark_test_regions(&code);
 
-    let mut allowed: Vec<BTreeSet<Rule>> = vec![BTreeSet::new(); code.len()];
     let mut markers = Vec::new();
     let mut hot_lines = Vec::new();
     let mut marker_errors = Vec::new();
@@ -311,9 +307,6 @@ pub fn prepare(source: &str) -> SourceFile {
                     } else {
                         Some(i)
                     };
-                    if let Some(t) = target {
-                        allowed[t].extend(rules.iter().copied());
-                    }
                     markers.push(AllowMarker {
                         line: i + 1,
                         col,
@@ -331,7 +324,6 @@ pub fn prepare(source: &str) -> SourceFile {
         code,
         comments,
         is_test,
-        allowed,
         markers,
         hot_lines,
         marker_errors,
@@ -394,6 +386,5 @@ mod tests {
         let sf = prepare("// detlint: allow(D1) -- fixture reason\nlet n = m.keys().count();\n");
         assert_eq!(sf.markers.len(), 1);
         assert_eq!(sf.markers[0].target, 2);
-        assert!(sf.allowed[1].contains(&Rule::D1));
     }
 }

@@ -1,9 +1,7 @@
 //! `loadgen` CLI — replay a seed-derived query mix against a running
 //! `repro serve` instance.
 //!
-//! Usage:
-//!   loadgen --endpoints FILE [--queries N] [--qps N] [--miss-per-mille N]
-//!           [--verify] [--profile-out FILE] [--quiet]
+//! Usage: see [`USAGE`] (`loadgen --help` prints it).
 //!
 //! `--endpoints` is the file `repro serve` writes. `--verify` rebuilds the
 //! server's world from the config echoed in that file and asserts every
@@ -13,6 +11,22 @@
 use loadgen::{build_script, render_profile_json, run, ChaosProfile, DriverConfig, MixConfig};
 use serve::Endpoints;
 use std::path::PathBuf;
+
+/// What `loadgen --help` prints.
+const USAGE: &str = "\
+usage: loadgen --endpoints FILE [OPTIONS]
+
+  --endpoints FILE            the handshake file `repro serve` writes (required)
+  --queries N                 scripted queries (default: 10000)
+  --qps N                     target rate across carriers (default: unpaced)
+  --miss-per-mille N          cache-busting fraction (default: 50)
+  --verify                    replay every answer into a ground-truth core;
+                              any mismatch exits nonzero
+  --chaos off|mild|stress     interleave wire chaos (default: off)
+  --profile-out FILE          write the host-plane profile JSON
+  --quiet                     silence stderr reporting
+  -h, --help                  print this help
+";
 
 struct Args {
     endpoints: PathBuf,
@@ -75,7 +89,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--quiet" => quiet = true,
             "--help" | "-h" => {
-                return Err("usage: loadgen --endpoints FILE [--queries N] [--qps N] [--miss-per-mille N] [--verify] [--chaos mild|stress] [--profile-out FILE] [--quiet]".into());
+                print!("{USAGE}");
+                std::process::exit(0);
             }
             other => return Err(format!("unknown argument '{other}'")),
         }

@@ -1,17 +1,7 @@
 //! `repro` — regenerates every table and figure of *Behind the Curtain*
 //! (IMC 2014) from a seeded simulated campaign.
 //!
-//! Usage:
-//!   repro [all|table1|table2|fig2|fig3|table3|fig4|fig5|fig6|fig7|table4|
-//!          fig8|fig9|fig10|egress|table5|fig11|fig12|fig13|fig14|failures]
-//!         [--scale quick|standard|full] [--seed N] [--out DIR]
-//!         [--threads N] [--ecs] [--era lte|3g]
-//!         [--fault-profile none|cellular|stress]
-//!         [--metrics] [--no-metrics] [--progress] [--quiet]
-//!   repro serve [--scale ...] [--seed N] [--endpoints PATH]
-//!         [--max-queries N] [--quiet]
-//!   repro soak  [--scale ...] [--seed N] [--queries N] [--qps N]
-//!         [--miss-per-mille N] [--no-verify] [--profile-out PATH] [--quiet]
+//! Usage: see [`USAGE`] (`repro --help` prints it).
 //!
 //! `serve` binds a real UDP/TCP DNS front end (loopback, kernel ports)
 //! over the simulated world and answers until `--max-queries` (or
@@ -48,6 +38,41 @@ use std::fs;
 use std::path::PathBuf;
 
 mod serving;
+
+/// What `repro --help` prints; the artifact ids follow it, from
+/// [`figures::ARTIFACTS`].
+const USAGE: &str = "\
+usage: repro [ARTIFACT... | all] [OPTIONS]
+       repro serve [OPTIONS]
+       repro soak [OPTIONS]
+
+Campaign:
+  --scale quick|standard|full            world and campaign size (default: standard)
+  --seed N                               master seed (default: 2014)
+  --out DIR                              output directory (default: results)
+  --threads N                            campaign threads (default: one per carrier shard)
+  --ecs                                  deploy EDNS client-subnet (RFC 7871)
+  --era lte|3g                           network era (default: lte)
+  --fault-profile none|cellular|stress   deterministic fault injection (default: none)
+  --metrics                              print the metrics summary table to stdout
+  --no-metrics                           do not write <out>/metrics.json
+  --progress                             one stderr line per shard-day
+  --quiet                                silence stderr reporting
+
+Serving plane (serve, soak; --scale, --seed, --ecs, --era and --fault-profile
+build the served world):
+  --endpoints PATH                       serve: endpoints handshake file
+                                         (default: <out>/serve-endpoints.txt)
+  --max-queries N                        serve: stop after N answers (default: never)
+  --queries N                            soak: scripted queries (default: 10000)
+  --qps N                                soak: target rate (default: unpaced)
+  --miss-per-mille N                     soak: cache-busting fraction (default: 50)
+  --chaos off|mild|stress                soak: wire chaos (default: off)
+  --no-verify                            soak: skip the ground-truth replay
+  --profile-out PATH                     soak: write the host-plane profile JSON
+  --metrics-out PATH                     soak: write the server's registry JSON
+  -h, --help                             print this help
+";
 
 struct Args {
     targets: Vec<String>,
@@ -182,13 +207,26 @@ fn parse_args() -> Result<Args, String> {
             }
             "--no-verify" => verify = false,
             "--help" | "-h" => {
-                return Err("usage: repro [artifact-ids|all] [--scale quick|standard|full] [--seed N] [--out DIR] [--threads N] [--fault-profile none|cellular|stress] [--metrics] [--no-metrics] [--progress] [--quiet]".into());
+                let ids: Vec<&str> = figures::ARTIFACTS.iter().map(|(id, _)| *id).collect();
+                print!("{USAGE}\nArtifacts (default: all):\n  {}\n", ids.join(" "));
+                std::process::exit(0);
+            }
+            other if other.starts_with('-') => {
+                return Err(format!("unknown option '{other}' (see --help)"));
             }
             other => targets.push(other.to_string()),
         }
     }
     if targets.is_empty() {
         targets.push("all".to_string());
+    }
+    // Every target is checked here, before a world is built or a file
+    // written. `serve` and `soak` are modes, valid only in first place.
+    let mode = usize::from(matches!(targets[0].as_str(), "serve" | "soak"));
+    for t in &targets[mode..] {
+        if t != "all" && !figures::ARTIFACTS.iter().any(|(id, _)| id == t) {
+            return Err(format!("unknown artifact '{t}' (see --help)"));
+        }
     }
     let serve = serving::ServeArgs {
         endpoints_out: endpoints_out.unwrap_or_else(|| out.join("serve-endpoints.txt")),
@@ -368,17 +406,11 @@ fn main() {
     let artifacts = if run_all {
         figures::all_artifacts(&dataset)
     } else {
-        let mut v = Vec::new();
-        for t in &args.targets {
-            match figures::artifact_by_id(&dataset, t) {
-                Some(a) => v.push(a),
-                None => {
-                    eprintln!("repro: unknown artifact '{t}'");
-                    std::process::exit(2);
-                }
-            }
-        }
-        v
+        // parse_args admitted only known ids.
+        args.targets
+            .iter()
+            .filter_map(|t| figures::artifact_by_id(&dataset, t))
+            .collect()
     };
     for a in &artifacts {
         println!("{}", a.text);

@@ -16,7 +16,8 @@
 //! through [`Admission`] and may earn a header-only REFUSED when the
 //! carrier is over its inflight bound or token rate. TCP connections get
 //! per-connection defenses: an idle timeout, a max frame size, slow-read
-//! (slowloris) eviction, and a bounded pipeline buffer. On [`DnsServer::
+//! (slowloris) eviction, a bounded pipeline buffer, and a bounded wait to
+//! write each reply. On [`DnsServer::
 //! stop`] the bridge drains everything already enqueued before exiting,
 //! so in-flight queries complete and nothing is silently dropped.
 
@@ -54,6 +55,9 @@ const MAX_UDP_QUERY: usize = 4096;
 const MAX_TCP_FRAME: usize = 4096;
 /// Largest buffered backlog per connection (bounded pipelining): more
 /// unserved bytes than this and the connection is evicted as a flood.
+/// A peer that pipelines and never reads its answers is a flood too: a
+/// reply the socket cannot take within [`FRAME_DEADLINE`] evicts it, so
+/// it cannot hold its connection thread forever.
 const MAX_CONN_BUF: usize = 16 * 1024;
 /// After stop, the bridge keeps serving whatever is still being enqueued
 /// until the channel stays quiet this long…
@@ -338,7 +342,9 @@ fn tcp_conn_loop(
     inflight: Arc<Vec<AtomicU64>>,
     guards: Arc<TcpGuards>,
 ) {
-    if stream.set_read_timeout(Some(TCP_READ_POLL)).is_err() {
+    if stream.set_read_timeout(Some(TCP_READ_POLL)).is_err()
+        || stream.set_write_timeout(Some(FRAME_DEADLINE)).is_err()
+    {
         return;
     }
     let mut buf = Vec::new();
@@ -388,8 +394,15 @@ fn tcp_conn_loop(
                         return;
                     }
                     let Ok(framed) = frame(&reply) else { return };
-                    if stream.write_all(&framed).is_err() {
-                        return;
+                    match stream.write_all(&framed) {
+                        Ok(()) => {}
+                        Err(e)
+                            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                        {
+                            guards.flood.fetch_add(1, Ordering::SeqCst);
+                            return;
+                        }
+                        Err(_) => return,
                     }
                     last_progress = clock.now_us();
                 }
@@ -460,7 +473,8 @@ impl BridgeState {
         // Admission applies only to well-formed queries: rejects are
         // answered from the pure path at negligible cost, so garbage
         // cannot burn the tokens that meter real sim work.
-        if matches!(classify(&data), WireClass::WellFormed) {
+        let class = classify(&data);
+        if class == WireClass::WellFormed {
             if let Verdict::Shed(reason) = self.admission.admit(shard, self.clock.now_us(), depth) {
                 self.shed += 1;
                 self.core
@@ -479,11 +493,11 @@ impl BridgeState {
         };
         match self.core.handle(shard, transport, &data) {
             Served::Reply(bytes) => {
-                if matches!(
-                    dnswire::message::MessageView::new(&bytes).map(|v| v.rcode()),
-                    Ok(Rcode::FormErr | Rcode::NotImp)
-                ) && bytes.len() == 12
-                {
+                // The verdict, plus the one reject it cannot see: a query
+                // that passes the precheck but fails the full decode earns
+                // a header-only FORMERR. Sim replies echo the question, so
+                // they are never header-only.
+                if matches!(class, WireClass::Reject(_)) || bytes.len() == 12 {
                     self.rejected += 1;
                 } else {
                     self.answered.fetch_add(1, Ordering::SeqCst);

@@ -11,9 +11,11 @@ use dnswire::message::{Message, MessageView, Opcode, Rcode};
 use dnswire::rdata::RecordType;
 use loadgen::{build_script, run, ChaosProfile, DriverConfig, MixConfig};
 use obs::catalog;
-use serve::{DnsServer, FaultProfile, ServeCore, Transport, WorldConfig};
-use std::io::{Read, Write};
+use serve::{Clock, DnsServer, FaultProfile, ServeCore, Transport, WallClock, WorldConfig};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, TcpStream, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn start(config: WorldConfig) -> DnsServer {
@@ -299,4 +301,88 @@ fn chaos_stress_soak_keeps_ground_truth_and_loses_no_answers() {
     // Both ends export only names the metric catalog declares.
     assert_eq!(catalog::undeclared(&report.registry), []);
     assert_eq!(catalog::undeclared(&stats.registry), []);
+}
+
+#[test]
+fn a_pipelining_peer_that_never_reads_is_evicted_as_a_flood() {
+    let server = start(WorldConfig::quick(53));
+    let ep = server.endpoints().carriers[0].clone();
+    let framed = frame(&query_bytes(0x0F0F, "m.yelp.com")).unwrap();
+    let burst: Vec<u8> = framed.repeat(100);
+
+    // A peer that pipelines queries and never reads a reply.
+    let mut peer = TcpStream::connect(ep.tcp).expect("connect");
+    peer.set_write_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    peer.write_all(&burst).expect("pipeline");
+
+    // While it is connected, the same carrier's UDP socket is still served.
+    let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+    sock.connect(ep.udp).expect("connect");
+    sock.set_read_timeout(Some(Duration::from_secs(3)))
+        .expect("timeout");
+    sock.send(&query_bytes(0x4242, "m.facebook.com"))
+        .expect("send");
+    let mut buf = [0u8; 512];
+    let n = sock.recv(&mut buf).expect("UDP answer beside the peer");
+    let view = MessageView::new(&buf[..n]).expect("parse");
+    assert_eq!(view.id(), 0x4242);
+    assert!(n > 12, "a resolved answer, not a shed marker");
+
+    // It keeps pipelining until the server evicts it: its replies back up
+    // until the server cannot write one, the connection is reset, and a
+    // write fails. A write that times out here (5 s) means the server
+    // held the connection open behind a reply it could not send, and no
+    // failure at all means it buffers replies without bound.
+    let failed = (0..10_000).find_map(|_| peer.write_all(&burst).err().map(|e| e.kind()));
+    assert!(
+        failed.is_some_and(|k| !matches!(k, ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+        "the peer was never evicted ({failed:?})"
+    );
+
+    let report = server.stop();
+    assert_eq!(
+        report
+            .registry
+            .counter_value("serve.conn_evicted", &[("reason", "flood")]),
+        1
+    );
+    assert_eq!(report.evicted, 1);
+    assert!(!report.panicked);
+}
+
+#[test]
+fn stop_returns_promptly_while_a_client_keeps_sending() {
+    let server = start(WorldConfig::quick(59));
+    let target = server.endpoints().carriers[0].udp;
+    let sending = Arc::new(AtomicBool::new(true));
+    let sender = {
+        let sending = Arc::clone(&sending);
+        std::thread::spawn(move || {
+            let sock = UdpSocket::bind("127.0.0.1:0").expect("bind");
+            for id in 0u16.. {
+                if !sending.load(Ordering::SeqCst) {
+                    break;
+                }
+                let _ = sock.send_to(&query_bytes(id, "m.yelp.com"), target);
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        })
+    };
+    while server.answered() < 50 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // The drain serves what already reached the socket; queries that keep
+    // arriving cannot hold it open until its 3 s deadline.
+    let clock = WallClock::new();
+    let report = server.stop();
+    let took_us = clock.now_us();
+    sending.store(false, Ordering::SeqCst);
+    sender.join().expect("sender");
+    assert!(!report.panicked);
+    assert!(
+        took_us < 1_000_000,
+        "stop took {took_us} us under steady traffic"
+    );
 }
