@@ -235,12 +235,11 @@ impl UdpService for AuthoritativeServer {
             .map(|s| s as usize)
             .unwrap_or(dnswire::edns::CLASSIC_UDP_LIMIT)
             .max(dnswire::edns::CLASSIC_UDP_LIMIT);
-        resp.truncate_for(limit);
         #[expect(
             clippy::expect_used,
-            reason = "truncate_for() already bounded the response to the requester's UDP capacity, so encode cannot fail"
+            reason = "an answer from the server's own zones encodes, and truncated to its question it fits any UDP capacity"
         )]
-        let bytes = resp.encode().expect("response encodes");
+        let bytes = resp.encode_within(limit).expect("response encodes");
         vec![Egress::reply(from, from_port, bytes, PROC_DELAY)]
     }
 }

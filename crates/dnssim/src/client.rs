@@ -11,12 +11,17 @@
 //!   to the next configured resolver — all under one overall deadline that
 //!   no attempt schedule may overrun.
 //!
+//! The classic ladder and the TCP-only lookup are byte-level exchanges
+//! ([`exchange`], [`exchange_tcp`]): they accept a reply on its header and
+//! hand back its bytes, which the serving plane answers with as they are
+//! and [`resolve_with`] / [`resolve_tcp`] decode once.
+//!
 //! Every resolution is classified into a typed [`Outcome`] so failed
 //! experiments are counted, not silently dropped.
 
 use crate::authority::DNS_PORT;
 use crate::tcp::{frame, require_frame, DNS_TCP_PORT};
-use dnswire::builder::QueryBuilder;
+use dnswire::builder::encode_stub_query;
 use dnswire::message::{Message, MessageView, Rcode};
 use dnswire::name::DnsName;
 use dnswire::rdata::RecordType;
@@ -212,24 +217,77 @@ fn backoff_pause(attempt: u32, jitter_x1000: u64, remaining: SimDuration) -> Sim
     jittered.min(remaining)
 }
 
-/// Builds and encodes one query, advertising the standard EDNS size.
+/// One lookup's reply as the sim carried it, undecoded: the bytes the
+/// serving plane answers with, and what [`resolve_with`] and
+/// [`resolve_tcp`] decode into a [`DnsLookup`]. Every in-sim payload is
+/// [`Message::encode`] output, so decoding `reply` and encoding it again
+/// gives the same bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RawLookup {
+    /// When the query was sent.
+    pub sent_at: SimTime,
+    /// Resolution time (send to response), `None` when no reply came.
+    pub elapsed: Option<SimDuration>,
+    /// The accepted reply, still carrying the sim's transaction id.
+    pub reply: Option<Vec<u8>>,
+    /// How the resolution concluded, read from the reply's header.
+    pub outcome: Outcome,
+}
+
+impl RawLookup {
+    /// A lookup that got no reply.
+    fn failed(sent_at: SimTime, outcome: Outcome) -> Self {
+        RawLookup {
+            sent_at,
+            elapsed: None,
+            reply: None,
+            outcome,
+        }
+    }
+
+    /// A lookup answered with `reply` at `now`.
+    fn answered(sent_at: SimTime, now: SimTime, reply: Vec<u8>) -> Self {
+        let servfail = MessageView::new(&reply).is_ok_and(|v| v.rcode() == Rcode::ServFail);
+        RawLookup {
+            sent_at,
+            elapsed: Some(now.since(sent_at)),
+            reply: Some(reply),
+            outcome: if servfail {
+                Outcome::ServFail
+            } else {
+                Outcome::Ok
+            },
+        }
+    }
+
+    /// Decodes the reply into the lookup of `qname`/`qtype` at `resolver`.
+    fn decode(self, resolver: Ipv4Addr, qname: &DnsName, qtype: RecordType) -> DnsLookup {
+        DnsLookup {
+            qname: qname.clone(),
+            qtype,
+            resolver,
+            sent_at: self.sent_at,
+            elapsed: self.elapsed,
+            response: self.reply.and_then(|b| Message::decode(&b).ok()),
+            outcome: self.outcome,
+        }
+    }
+}
+
+/// Whether `reply` is the answer to query `id`: the zero-copy header peek
+/// that rejects spoofed or garbled responses without a full decode.
+fn accepts(reply: &[u8], id: u16) -> bool {
+    let ok = MessageView::new(reply).is_ok_and(|v| v.id() == id);
+    debug_assert!(
+        !ok || Message::decode(reply).is_ok(),
+        "an accepted in-sim reply must decode"
+    );
+    ok
+}
+
+/// Encodes one query, advertising the standard EDNS size.
 fn encode_query(id: u16, qname: &DnsName, qtype: RecordType) -> Vec<u8> {
-    #[expect(
-        clippy::expect_used,
-        reason = "query names come from the static experiment catalog validated at world build; \
-                  a bad name is a caller bug"
-    )]
-    let mut query = QueryBuilder::new(id, qname.to_string(), qtype)
-        .recursion_desired(true)
-        .build()
-        .expect("valid query name");
-    query.advertise_udp_size(dnswire::edns::DEFAULT_UDP_PAYLOAD_SIZE);
-    #[expect(
-        clippy::expect_used,
-        reason = "encode of a query built two lines up from an already-validated name"
-    )]
-    let bytes = query.encode().expect("query encodes");
-    bytes
+    encode_stub_query(id, qname, qtype, dnswire::edns::DEFAULT_UDP_PAYLOAD_SIZE)
 }
 
 /// Issues one A-record lookup from `node` against `resolver` with the
@@ -254,64 +312,41 @@ pub fn resolve_with(
     policy: &ClientPolicy,
 ) -> DnsLookup {
     match policy.backoff {
-        BackoffMode::FixedLadder => resolve_classic(net, node, resolver, qname, qtype),
+        BackoffMode::FixedLadder => {
+            exchange(net, node, resolver, qname, qtype).decode(resolver, qname, qtype)
+        }
         BackoffMode::ExponentialJitter => {
             resolve_hardened(net, node, resolver, qname, qtype, policy)
         }
     }
 }
 
-/// The seed's fixed-ladder loop, unchanged so fault-free campaigns replay
-/// byte-identically: one id draw per attempt, no pauses, no fallback.
-fn resolve_classic(
+/// The classic ladder as one byte-level exchange, unchanged so fault-free
+/// campaigns replay byte-identically: one id draw per attempt, no pauses,
+/// no fallback. The first reply whose header carries the query's id ends
+/// it; its bytes come back undecoded.
+pub fn exchange(
     net: &mut Network,
     node: NodeId,
     resolver: Ipv4Addr,
     qname: &DnsName,
     qtype: RecordType,
-) -> DnsLookup {
+) -> RawLookup {
     let sent_at = net.now();
-    let mut response = None;
-    let mut elapsed = None;
     for timeout in ATTEMPT_TIMEOUTS {
         let id: u16 = net.rng().gen();
         let payload = encode_query(id, qname, qtype);
         let flow = net.udp_request(node, resolver, DNS_PORT, payload, timeout);
         let outcome = net.run_until(flow);
         if let FlowResult::Response { payload, .. } = outcome.result {
-            // Zero-copy peek first: reject spoofed / garbled responses by id
-            // without paying for a full decode. A payload the view rejects
-            // (short header) would fail the full decode too.
-            let id_matches = MessageView::new(&payload).is_ok_and(|v| v.id() == id);
-            let msg = if id_matches {
-                Message::decode(&payload).ok()
-            } else {
-                None
-            };
-            // Reject responses whose id does not match (spoofing guard).
-            if let Some(msg) = msg.filter(|m| m.header.id == id) {
+            if accepts(&payload, id) {
                 // Resolution time is measured from the *first* attempt, as
                 // the phone's stub resolver experiences it.
-                elapsed = Some(outcome.completed_at.since(sent_at));
-                response = Some(msg);
-                break;
+                return RawLookup::answered(sent_at, outcome.completed_at, payload);
             }
         }
     }
-    let outcome = match &response {
-        None => Outcome::Timeout,
-        Some(m) if m.header.rcode == Rcode::ServFail => Outcome::ServFail,
-        Some(_) => Outcome::Ok,
-    };
-    DnsLookup {
-        qname: qname.clone(),
-        qtype,
-        resolver,
-        sent_at,
-        elapsed,
-        response,
-        outcome,
-    }
+    RawLookup::failed(sent_at, Outcome::Timeout)
 }
 
 /// The hardened loop: exponential backoff with seed-derived jitter, TCP
@@ -358,15 +393,16 @@ fn resolve_hardened(
             match flow_outcome.result {
                 FlowResult::Response { payload, .. } => {
                     // Same zero-copy id precheck as the classic loop.
-                    if !MessageView::new(&payload).is_ok_and(|v| v.id() == id) {
+                    if !accepts(&payload, id) {
                         continue; // spoofed or garbled: retry
                     }
-                    let Some(msg) = Message::decode(&payload).ok().filter(|m| m.header.id == id)
-                    else {
+                    let Ok(msg) = Message::decode(&payload) else {
                         continue; // garbled past the header: retry
                     };
                     if msg.header.flags.truncated && policy.tcp_fallback {
-                        match resolve_over_tcp(net, node, raddr, qname, qtype, deadline) {
+                        let full = resolve_over_tcp(net, node, raddr, qname, qtype, deadline)
+                            .and_then(|b| Message::decode(&b).map_err(|_| None));
+                        match full {
                             Ok(full) => {
                                 elapsed = Some(net.now().since(sent_at));
                                 response = Some(full);
@@ -428,7 +464,8 @@ fn resolve_hardened(
 
 /// Retries a truncated lookup over TCP (RFC 1035 §4.2.2 framing) against
 /// the same resolver address, bounded by the overall `deadline`. Returns
-/// the full answer, or the typed TCP failure when the connection died.
+/// the full answer's bytes, or the typed TCP failure when the connection
+/// died.
 fn resolve_over_tcp(
     net: &mut Network,
     node: NodeId,
@@ -436,7 +473,7 @@ fn resolve_over_tcp(
     qname: &DnsName,
     qtype: RecordType,
     deadline: SimTime,
-) -> Result<Message, Option<TcpFailure>> {
+) -> Result<Vec<u8>, Option<TcpFailure>> {
     let remaining = deadline.since(net.now());
     if remaining < MIN_ATTEMPT_BUDGET {
         return Err(None);
@@ -472,11 +509,13 @@ fn resolve_over_tcp(
     let data = result?;
     // The fetch holds the complete stream, so any shortfall is a typed
     // framing error (partial read / zero-length), not a wait state.
-    let payload = require_frame(&data).map_err(|_| None)?;
-    Message::decode(payload)
-        .ok()
-        .filter(|m| m.header.id == id && !m.header.flags.truncated)
-        .ok_or(None)
+    let reply = require_frame(&data).map_err(|_| None)?;
+    let untruncated = MessageView::new(reply).is_ok_and(|v| !v.truncated());
+    if accepts(reply, id) && untruncated {
+        Ok(reply.to_vec())
+    } else {
+        Err(None)
+    }
 }
 
 /// Issues one lookup over TCP only (RFC 1035 §4.2.2 framing), with no UDP
@@ -489,31 +528,26 @@ pub fn resolve_tcp(
     qname: &DnsName,
     qtype: RecordType,
 ) -> DnsLookup {
+    exchange_tcp(net, node, resolver, qname, qtype).decode(resolver, qname, qtype)
+}
+
+/// [`resolve_tcp`] as a byte-level exchange: the reply comes back
+/// undecoded.
+pub fn exchange_tcp(
+    net: &mut Network,
+    node: NodeId,
+    resolver: Ipv4Addr,
+    qname: &DnsName,
+    qtype: RecordType,
+) -> RawLookup {
     let sent_at = net.now();
     let deadline = sent_at + QUERY_TIMEOUT;
-    let (response, elapsed, outcome) =
-        match resolve_over_tcp(net, node, resolver, qname, qtype, deadline) {
-            Ok(msg) => {
-                let outcome = if msg.header.rcode == Rcode::ServFail {
-                    Outcome::ServFail
-                } else {
-                    Outcome::Ok
-                };
-                (Some(msg), Some(net.now().since(sent_at)), outcome)
-            }
-            Err(Some(TcpFailure::Refused | TcpFailure::Reset)) => {
-                (None, None, Outcome::Unreachable)
-            }
-            Err(_) => (None, None, Outcome::Timeout),
-        };
-    DnsLookup {
-        qname: qname.clone(),
-        qtype,
-        resolver,
-        sent_at,
-        elapsed,
-        response,
-        outcome,
+    match resolve_over_tcp(net, node, resolver, qname, qtype, deadline) {
+        Ok(reply) => RawLookup::answered(sent_at, net.now(), reply),
+        Err(Some(TcpFailure::Refused | TcpFailure::Reset)) => {
+            RawLookup::failed(sent_at, Outcome::Unreachable)
+        }
+        Err(_) => RawLookup::failed(sent_at, Outcome::Timeout),
     }
 }
 

@@ -7,7 +7,7 @@
 //! its [`UpstreamPolicy`] is what produces each carrier's pairing
 //! consistency in Table 3 and the client↔resolver churn of §4.5.
 
-use dnswire::message::{Header, Message, MessageView, Rcode};
+use dnswire::message::{patch_id, Header, Message, MessageView, Question, Rcode};
 use netsim::engine::{Egress, ServiceCtx, UdpService};
 use netsim::time::{SimDuration, SimTime};
 use rand::Rng;
@@ -153,25 +153,30 @@ impl Forwarder {
         self
     }
 
-    /// Builds a cached answer for `msg`'s question, if the cache can serve
-    /// it. `scope` partitions ECS-scoped entries.
+    /// Builds a cached answer to `query`'s question, read from the view,
+    /// if the cache can serve it. `scope` partitions ECS-scoped entries.
     fn answer_from_cache(
         &mut self,
-        msg: &Message,
+        query: &MessageView<'_>,
         scope: Option<Prefix>,
         now: SimTime,
     ) -> Option<Message> {
         let cache = self.cache.as_mut()?;
-        let q = msg.questions.first()?;
-        match cache.lookup(&(q.qname.clone(), q.qtype, scope), now) {
+        let (qname, qtype, qclass) = query.question().ok()??;
+        let key = (qname.to_name(), qtype, scope);
+        match cache.lookup(&key, now) {
             CacheOutcome::Hit { records, rcode } => {
-                let mut header = Header::query(msg.header.id);
+                let mut header = Header::query(query.id());
                 header.flags.response = true;
-                header.flags.recursion_desired = msg.header.flags.recursion_desired;
+                header.flags.recursion_desired = query.recursion_desired();
                 header.flags.recursion_available = true;
                 header.rcode = rcode;
                 let mut out = Message::new(header);
-                out.questions = msg.questions.clone();
+                out.questions.push(Question {
+                    qname: key.0,
+                    qtype,
+                    qclass,
+                });
                 out.answers = records;
                 Some(out)
             }
@@ -180,9 +185,18 @@ impl Forwarder {
     }
 
     /// Absorbs a relayed response into the cache under its question key,
-    /// partitioned by `scope` when the answer was ECS-scoped.
-    fn absorb(&mut self, msg: &Message, scope: Option<Prefix>, now: SimTime) {
+    /// partitioned by `scope` when the answer was ECS-scoped. Decodes only
+    /// a response the cache would keep.
+    fn absorb(&mut self, response: &[u8], scope: Option<Prefix>, now: SimTime) {
         let Some(cache) = self.cache.as_mut() else {
+            return;
+        };
+        let cacheable = MessageView::new(response)
+            .is_ok_and(|v| matches!(v.rcode(), Rcode::NoError | Rcode::NxDomain));
+        if !cacheable {
+            return;
+        }
+        let Ok(msg) = Message::decode(response) else {
             return;
         };
         let Some(q) = msg.questions.first() else {
@@ -281,40 +295,31 @@ impl UdpService for Forwarder {
         }
         // Zero-copy precheck: an upstream response whose transaction id is
         // not pending (late duplicate, spoof) is dropped on the header peek
-        // alone, before paying for a full record decode.
+        // alone. In-sim payloads are encoder output, so a hop that changes
+        // only the id relays a copy with two bytes patched.
         let Ok(view) = MessageView::new(payload) else {
             return Vec::new();
         };
-        if view.is_response() && !self.pending.contains(view.id()) {
-            return Vec::new();
-        }
-        let Ok(mut msg) = Message::decode(payload) else {
-            return Vec::new();
-        };
-        if msg.header.flags.response {
+        if view.is_response() {
             // A response from an upstream: cache it, relay to the client.
-            let Some((_, relay)) = self.pending.take(msg.header.id) else {
+            let Some((_, relay)) = self.pending.take(view.id()) else {
                 return Vec::new();
             };
-            self.absorb(&msg, relay.scope, ctx.now);
+            self.absorb(payload, relay.scope, ctx.now);
             self.stats.returned += 1;
-            msg.header.id = relay.client_id;
-            #[expect(
-                clippy::expect_used,
-                reason = "re-encode of a response that just decoded successfully; only the id \
-                          header changed"
-            )]
-            let bytes = msg.encode().expect("relayed response encodes");
-            return vec![
-                Egress::reply(relay.client, relay.client_port, bytes, self.proc_delay)
-                    .from_addr(relay.reply_from),
-            ];
+            return vec![Egress::reply(
+                relay.client,
+                relay.client_port,
+                with_id(payload, relay.client_id),
+                self.proc_delay,
+            )
+            .from_addr(relay.reply_from)];
         }
         // A client query: resolve the ECS announcement first (it is also
         // the cache partition key), then serve from cache or relay.
         let ecs_subnet = self.ecs_for(from);
         let scope = ecs_subnet.map(Prefix::slash24_of);
-        if let Some(cached) = self.answer_from_cache(&msg, scope, ctx.now) {
+        if let Some(cached) = self.answer_from_cache(&view, scope, ctx.now) {
             self.stats.cache_answers += 1;
             #[expect(
                 clippy::expect_used,
@@ -323,6 +328,18 @@ impl UdpService for Forwarder {
             let bytes = cached.encode().expect("cached response encodes");
             return vec![Egress::reply(from, from_port, bytes, self.proc_delay)];
         }
+        // The ECS option rewrites the OPT record, so that arm decodes and
+        // re-encodes; every other query is relayed as its bytes.
+        let ecs_query = match ecs_subnet {
+            Some(subnet) => {
+                let Ok(mut msg) = Message::decode(payload) else {
+                    return Vec::new();
+                };
+                msg.set_client_subnet(subnet, 24);
+                Some(msg)
+            }
+            None => None,
+        };
         let upstream = self.pick_upstream(from, ctx);
         let txn = self.pending.alloc();
         self.pending.insert(
@@ -331,27 +348,37 @@ impl UdpService for Forwarder {
             PendingRelay {
                 client: from,
                 client_port: from_port,
-                client_id: msg.header.id,
+                client_id: view.id(),
                 reply_from: ctx.local_addr,
                 scope,
             },
         );
         self.stats.relayed += 1;
-        msg.header.id = txn;
-        if let Some(subnet) = ecs_subnet {
-            msg.set_client_subnet(subnet, 24);
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "re-encode of a query that just decoded successfully; only id and ECS changed"
-        )]
-        let bytes = msg.encode().expect("relayed query encodes");
+        let bytes = match ecs_query {
+            None => with_id(payload, txn),
+            Some(mut msg) => {
+                msg.header.id = txn;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "re-encode of a query that just decoded successfully; only id and ECS changed"
+                )]
+                let bytes = msg.encode().expect("relayed query encodes");
+                bytes
+            }
+        };
         let mut egress = Egress::reply(upstream, DNS_PORT, bytes, self.proc_delay);
         if let Some(src) = self.egress_addr {
             egress = egress.from_addr(src);
         }
         vec![egress]
     }
+}
+
+/// A copy of the message `payload` carrying transaction id `id`.
+fn with_id(payload: &[u8], id: u16) -> Vec<u8> {
+    let mut bytes = payload.to_vec();
+    patch_id(&mut bytes, id);
+    bytes
 }
 
 #[cfg(test)]
@@ -397,6 +424,8 @@ mod tests {
         assert_eq!(out[0].dst_port, DNS_PORT);
         let relayed = Message::decode(&out[0].payload).unwrap();
         assert_ne!(relayed.header.id, 0x42); // fresh transaction id
+                                             // Relayed as the client's bytes with the id patched.
+        assert_eq!(out[0].payload[2..], q.encode().unwrap()[2..]);
 
         // Upstream responds.
         let resp = ResponseBuilder::for_query(&relayed)
@@ -406,13 +435,15 @@ mod tests {
                 ip(192, 0, 2, 5),
             )
             .build();
+        let resp_bytes = resp.encode().unwrap();
         let out = f.handle(
             &mut ctx(&mut rng, 0),
             ip(66, 174, 0, 1),
             DNS_PORT,
-            &resp.encode().unwrap(),
+            &resp_bytes,
         );
         assert_eq!(out.len(), 1);
+        assert_eq!(out[0].payload[2..], resp_bytes[2..]);
         assert_eq!(out[0].dst, ip(10, 9, 9, 9));
         assert_eq!(out[0].dst_port, 5555);
         let back = Message::decode(&out[0].payload).unwrap();

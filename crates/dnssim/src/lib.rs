@@ -29,8 +29,8 @@ pub mod zone;
 pub use authority::{AuthoritativeServer, DynamicZone, WhoamiZone, DNS_PORT};
 pub use cache::{AmbientModel, CacheOutcome, DnsCache};
 pub use client::{
-    resolve, resolve_tcp, resolve_with, whoami, whoami_with, BackoffMode, ClientPolicy, DnsLookup,
-    Outcome, QUERY_TIMEOUT,
+    exchange, exchange_tcp, resolve, resolve_tcp, resolve_with, whoami, whoami_with, BackoffMode,
+    ClientPolicy, DnsLookup, Outcome, RawLookup, QUERY_TIMEOUT,
 };
 pub use forwarder::{Forwarder, UpstreamPolicy};
 pub use hierarchy::{BuiltHierarchy, HierarchyBuilder};

@@ -4,12 +4,12 @@
 
 use dnssim::authority::{AuthoritativeServer, WhoamiZone, DNS_PORT};
 use dnssim::cache::AmbientModel;
-use dnssim::client::{resolve, whoami};
+use dnssim::client::{exchange, resolve, resolve_with, whoami, ClientPolicy};
 use dnssim::forwarder::{Forwarder, UpstreamPolicy};
 use dnssim::hierarchy::HierarchyBuilder;
 use dnssim::recursive::{RecursiveResolver, ResolverConfig};
 use dnssim::zone::Zone;
-use dnswire::message::Rcode;
+use dnswire::message::{Message, Rcode};
 use dnswire::name::DnsName;
 use dnswire::rdata::RecordType;
 use netsim::engine::Network;
@@ -474,4 +474,46 @@ fn resolution_is_deterministic() {
         (l.elapsed.map(|e| e.as_micros()), l.addrs())
     };
     assert_eq!(run(), run());
+}
+
+/// The classic ladder's two faces agree on twin worlds: what `resolve_with`
+/// decodes is the decode of the bytes `exchange` hands back, and those
+/// bytes are canonical encoder output. Through the forwarder and straight
+/// to the resolver; cold, warm, NXDOMAIN and whoami nonces.
+#[test]
+fn resolve_with_decodes_the_byte_exchange() {
+    let mut decoded = build_world(None);
+    let mut raw = build_world(None);
+    let names = [
+        "www.buzzfeed.com",
+        "www.buzzfeed.com",
+        "nope.buzzfeed.com",
+        "x0123456789abcdef.whoami.probe.example",
+        "www.unknown-tld.zz",
+    ];
+    for resolver in [decoded.forwarder_addr, decoded.resolver_addr] {
+        for name in names {
+            let qname = n(name);
+            let lookup = resolve_with(
+                &mut decoded.net,
+                decoded.client,
+                resolver,
+                &qname,
+                RecordType::A,
+                &ClientPolicy::classic(),
+            );
+            let bytes = exchange(&mut raw.net, raw.client, resolver, &qname, RecordType::A);
+            let reply = bytes.reply.as_deref().expect("answered");
+            let msg = Message::decode(reply).expect("reply decodes");
+            assert_eq!(
+                msg.encode().expect("re-encodes"),
+                reply,
+                "{name} via {resolver}"
+            );
+            assert_eq!(lookup.response, Some(msg), "{name} via {resolver}");
+            assert_eq!(lookup.outcome, bytes.outcome);
+            assert_eq!(lookup.elapsed, bytes.elapsed);
+            assert_eq!(lookup.sent_at, bytes.sent_at);
+        }
+    }
 }

@@ -3,7 +3,7 @@
 use crate::error::WireError;
 use crate::message::{Flags, Header, Message, Question, Rcode, ResourceRecord};
 use crate::name::DnsName;
-use crate::rdata::{RData, RecordType};
+use crate::rdata::{RData, RecordClass, RecordType};
 use std::net::Ipv4Addr;
 
 /// Builds a standard query message.
@@ -52,6 +52,30 @@ impl QueryBuilder {
         msg.questions.push(Question::new(qname, self.qtype));
         Ok(msg)
     }
+}
+
+/// Encodes the query a stub resolver sends: RD set, one IN-class question
+/// for `qname`, and an OPT record advertising `udp_size`. One pass straight
+/// from the name's wire form: the bytes equal a [`QueryBuilder`] query with
+/// `recursion_desired(true)`, then [`Message::advertise_udp_size`] and
+/// [`Message::encode`], without printing the name and parsing it back.
+pub fn encode_stub_query(id: u16, qname: &DnsName, qtype: RecordType, udp_size: u16) -> Vec<u8> {
+    let mut out = Vec::with_capacity(12 + qname.wire.len() + 4 + 11);
+    out.extend_from_slice(&id.to_be_bytes());
+    // RD, then QDCOUNT 1, ANCOUNT 0, NSCOUNT 0, ARCOUNT 1.
+    out.extend_from_slice(&[0x01, 0x00, 0, 1, 0, 0, 0, 0, 0, 1]);
+    // The first name in a message has nothing to point back to, so its
+    // uncompressed wire form is what the encoder writes.
+    out.extend_from_slice(&qname.wire);
+    out.extend_from_slice(&qtype.code().to_be_bytes());
+    out.extend_from_slice(&RecordClass::In.code().to_be_bytes());
+    // OPT: root owner, CLASS = payload size, TTL (extended rcode and
+    // flags) 0, RDLENGTH 0.
+    out.push(0);
+    out.extend_from_slice(&RecordType::Opt.code().to_be_bytes());
+    out.extend_from_slice(&udp_size.to_be_bytes());
+    out.extend_from_slice(&[0; 6]);
+    out
 }
 
 /// Builds a response to a given query, echoing its id and question.
@@ -162,6 +186,31 @@ mod tests {
         assert!(q.header.flags.recursion_desired);
         assert_eq!(q.questions.len(), 1);
         assert_eq!(q.questions[0].qtype, RecordType::A);
+    }
+
+    #[test]
+    fn stub_query_equals_the_builders_bytes() {
+        for (name, qtype, size) in [
+            ("m.yelp.com", RecordType::A, 1232),
+            (
+                "x00000000deadbeef.whoami.probe.example",
+                RecordType::A,
+                4096,
+            ),
+            ("", RecordType::Txt, 512),
+        ] {
+            let mut q = QueryBuilder::new(0xBEEF, name, qtype)
+                .recursion_desired(true)
+                .build()
+                .unwrap();
+            q.advertise_udp_size(size);
+            let qname = DnsName::parse(name).unwrap();
+            assert_eq!(
+                encode_stub_query(0xBEEF, &qname, qtype, size),
+                q.encode().unwrap(),
+                "{name:?}"
+            );
+        }
     }
 
     #[test]

@@ -175,18 +175,34 @@ impl crate::message::Message {
     /// TC bit is set, telling the client to retry with more capacity
     /// (RFC 1035 §6.2 semantics).
     pub fn truncate_for(&mut self, limit: usize) -> bool {
-        let encoded = match self.encode() {
-            Ok(b) => b,
-            Err(_) => return false,
-        };
-        if encoded.len() <= limit {
-            return false;
+        match self.encode() {
+            Ok(encoded) if encoded.len() > limit => {
+                self.strip_for_tc();
+                true
+            }
+            _ => false,
         }
+    }
+
+    /// Encodes this message for a UDP path limited to `limit` bytes: the
+    /// bytes of [`Message::truncate_for`] followed by [`Message::encode`],
+    /// from one encoding when the message fits. Only a message truncated to
+    /// its header and questions is encoded a second time.
+    pub fn encode_within(&mut self, limit: usize) -> Result<Vec<u8>, WireError> {
+        let encoded = self.encode()?;
+        if encoded.len() <= limit {
+            return Ok(encoded);
+        }
+        self.strip_for_tc();
+        self.encode()
+    }
+
+    /// Drops every record and sets TC (RFC 1035 §6.2).
+    fn strip_for_tc(&mut self) {
         self.answers.clear();
         self.authorities.clear();
         self.additionals.clear();
         self.header.flags.truncated = true;
-        true
     }
 
     /// The ECS option carried in this message's OPT record, if any.

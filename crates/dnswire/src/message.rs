@@ -522,6 +522,11 @@ impl<'a> MessageView<'a> {
         self.buf[2] & 0x01 != 0
     }
 
+    /// TC bit: `true` when the message claims to be truncated.
+    pub fn truncated(&self) -> bool {
+        self.buf[2] & 0x02 != 0
+    }
+
     /// Classifies this message as a servable query — the single shared
     /// precheck every serving front end runs before paying for a full
     /// [`Message::decode`]. Exactly one place decides which malformed
@@ -560,6 +565,16 @@ impl<'a> MessageView<'a> {
         let qtype = RecordType::from_code(cur.read_u16("qtype")?);
         let qclass = RecordClass::from_code(cur.read_u16("qclass")?);
         Ok(Some((qname, qtype, qclass)))
+    }
+}
+
+/// Writes transaction id `id` into an encoded message (a no-op on one
+/// shorter than the id). A hop that changes nothing else relays encoder
+/// output this way: the result is what setting the id and encoding again
+/// would produce.
+pub fn patch_id(msg: &mut [u8], id: u16) {
+    if let Some(head) = msg.get_mut(..2) {
+        head.copy_from_slice(&id.to_be_bytes());
     }
 }
 

@@ -234,6 +234,27 @@ proptest! {
     }
 
     #[test]
+    fn encode_within_equals_truncate_for_then_encode(msg in arb_message(), limit in 12usize..1024) {
+        let mut reference = msg.clone();
+        reference.truncate_for(limit);
+        let mut fitted = msg;
+        prop_assert_eq!(fitted.encode_within(limit), reference.encode());
+        prop_assert_eq!(fitted, reference);
+    }
+
+    #[test]
+    fn stub_query_equals_the_builders_bytes(name in arb_name(), id in any::<u16>(), tcode in any::<u16>(), size in any::<u16>()) {
+        use dnswire::builder::{encode_stub_query, QueryBuilder};
+        let qtype = RecordType::from_code(tcode);
+        let mut q = QueryBuilder::new(id, name.to_string(), qtype)
+            .recursion_desired(true)
+            .build()
+            .unwrap();
+        q.advertise_udp_size(size);
+        prop_assert_eq!(encode_stub_query(id, &name, qtype, size), q.encode().unwrap());
+    }
+
+    #[test]
     fn advertised_udp_size_survives_the_wire(msg in arb_message(), size in any::<u16>()) {
         let mut msg = msg;
         // Drop OPT pseudo-records a previous strategy draw may have added.

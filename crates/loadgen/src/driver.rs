@@ -46,6 +46,11 @@ const MAX_SHED_RETRIES: u32 = 50;
 const SHED_BACKOFF: Duration = Duration::from_millis(2);
 /// How long an evicted TCP probe waits for the server to close it.
 const EVICT_WAIT: Duration = Duration::from_secs(4);
+/// Pause after each chunk of a split TCP query: long enough that the
+/// server reads the frame in pieces, far inside its progress deadline
+/// (`serve::FRAME_DEADLINE`, 1 s), so the split costs the soak little
+/// wall time.
+const SPLIT_GAP: Duration = Duration::from_millis(3);
 
 /// Driver knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -519,16 +524,18 @@ fn expect_eviction(ep: &serve::CarrierEndpoint, poison: &[u8]) -> std::io::Resul
     }
 }
 
-/// Sends one framed query dribbled in small chunks (each within the
-/// server's progress deadline) and reads the framed answer.
+/// Sends one framed query dribbled in small chunks, [`SPLIT_GAP`] apart,
+/// and reads the framed answer.
 fn tcp_split_exchange(ep: &serve::CarrierEndpoint, wire: &[u8]) -> std::io::Result<Vec<u8>> {
     let mut stream = TcpStream::connect(ep.tcp)?;
     stream.set_read_timeout(Some(CHAOS_TIMEOUT))?;
+    // Each chunk leaves as its own segment rather than waiting on Nagle.
+    stream.set_nodelay(true)?;
     let framed = frame(wire).map_err(std::io::Error::other)?;
     let step = (framed.len() / 3).max(1);
     for chunk in framed.chunks(step) {
         stream.write_all(chunk)?;
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(SPLIT_GAP);
     }
     read_frame(&mut stream)
 }

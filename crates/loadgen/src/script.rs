@@ -6,7 +6,8 @@
 //! whoami probes do).
 
 use cdnsim::catalog::mobile_domains;
-use dnswire::builder::QueryBuilder;
+use dnswire::builder::encode_stub_query;
+use dnswire::edns::DEFAULT_UDP_PAYLOAD_SIZE;
 use dnswire::name::DnsName;
 use dnswire::rdata::RecordType;
 use measure::world::{derive_seed, lane};
@@ -115,22 +116,12 @@ pub fn build_script(eps: &Endpoints, mix: &MixConfig) -> Script {
                 catalog[pick].domain.clone()
             };
             let id: u16 = rng.gen();
-            if let Some(q) = encode(id, &qname) {
-                queries.push(PlannedQuery { id, qname, wire: q });
-            }
+            let wire = encode_stub_query(id, &qname, RecordType::A, DEFAULT_UDP_PAYLOAD_SIZE);
+            queries.push(PlannedQuery { id, qname, wire });
         }
         per_carrier.push(queries);
     }
     Script { per_carrier }
-}
-
-fn encode(id: u16, qname: &DnsName) -> Option<Vec<u8>> {
-    let mut query = QueryBuilder::new(id, qname.to_string(), RecordType::A)
-        .recursion_desired(true)
-        .build()
-        .ok()?;
-    query.advertise_udp_size(dnswire::edns::DEFAULT_UDP_PAYLOAD_SIZE);
-    query.encode().ok()
 }
 
 #[cfg(test)]
@@ -202,6 +193,32 @@ mod tests {
         );
         for q in &no_miss.per_carrier[0] {
             assert!(!q.qname.to_string().contains("probe.example"));
+        }
+    }
+
+    /// The one-pass encoder writes what the builder wrote before it: for
+    /// every catalog domain, and for the nonce names the campaign's whoami
+    /// probes (`x…`) and the miss mix (`q…`) put under the probe zone.
+    #[test]
+    fn one_pass_queries_equal_the_builders_bytes() {
+        let zone = DnsName::parse(PROBE_ZONE).unwrap();
+        let names = mobile_domains()
+            .into_iter()
+            .map(|entry| entry.domain)
+            .chain(["x0123456789abcdef", "qfedcba9876543210"].map(|l| zone.child(l).unwrap()));
+        for (id, qname) in names.enumerate() {
+            let id = (id as u16).wrapping_mul(7919);
+            let mut query =
+                dnswire::builder::QueryBuilder::new(id, qname.to_string(), RecordType::A)
+                    .recursion_desired(true)
+                    .build()
+                    .unwrap();
+            query.advertise_udp_size(DEFAULT_UDP_PAYLOAD_SIZE);
+            assert_eq!(
+                encode_stub_query(id, &qname, RecordType::A, DEFAULT_UDP_PAYLOAD_SIZE),
+                query.encode().unwrap(),
+                "{qname}"
+            );
         }
     }
 }

@@ -11,10 +11,10 @@
 //! replica replaying the same sequence stays byte-identical even when the
 //! sequence is interleaved with garbage.
 
-use dnssim::{resolve_tcp, resolve_with, ClientPolicy};
+use dnssim::{exchange, exchange_tcp};
 use dnswire::edns::CLASSIC_UDP_LIMIT;
 use dnswire::error::WireError;
-use dnswire::message::{Header, Message, MessageView, Precheck, Rcode};
+use dnswire::message::{patch_id, Header, Message, MessageView, Precheck, Rcode};
 use dnswire::rdata::RecordType;
 use measure::{build_world, World, WorldConfig};
 use obs::Registry;
@@ -54,8 +54,9 @@ pub enum DropReason {
     /// The carrier index is outside the world's shard range, or the shard
     /// has no devices to resolve as.
     BadCarrier(usize),
-    /// The sim answered but the reply failed to encode (never expected;
-    /// surfaced instead of panicking in the serving loop).
+    /// The sim answered but the reply failed to encode, or to decode for
+    /// truncation (never expected; surfaced instead of panicking in the
+    /// serving loop).
     Encode(WireError),
 }
 
@@ -247,7 +248,11 @@ impl ServeCore {
         }
     }
 
-    /// Resolves a fully decoded single-question query through the sim.
+    /// Resolves a fully decoded single-question query through the sim and
+    /// answers with the sim's own reply bytes, the wire id written into
+    /// bytes 0–1. In-sim replies are encoder output, so these are the bytes
+    /// a decode and re-encode would give; only a reply over the UDP limit
+    /// is decoded, to be truncated.
     fn resolve(&mut self, shard: usize, transport: Transport, msg: &Message) -> Served {
         if shard >= self.world.shards.len() {
             self.registry.inc(
@@ -264,7 +269,7 @@ impl ServeCore {
                 return Served::Drop(DropReason::StrayResponse);
             }
         };
-        let qname = question.qname.clone();
+        let qname = &question.qname;
         let qtype = question.qtype;
         let wire_id = msg.header.id;
 
@@ -283,15 +288,8 @@ impl ServeCore {
         let (node, resolver) = (device.node, device.configured_dns);
 
         let lookup = match transport {
-            Transport::Udp => resolve_with(
-                &mut shard_ref.net,
-                node,
-                resolver,
-                &qname,
-                qtype,
-                &ClientPolicy::classic(),
-            ),
-            Transport::Tcp => resolve_tcp(&mut shard_ref.net, node, resolver, &qname, qtype),
+            Transport::Udp => exchange(&mut shard_ref.net, node, resolver, qname, qtype),
+            Transport::Tcp => exchange_tcp(&mut shard_ref.net, node, resolver, qname, qtype),
         };
 
         self.registry.inc(
@@ -305,23 +303,17 @@ impl ServeCore {
                 .observe_us("serve.sim_latency_us", &[], elapsed.as_micros());
         }
 
-        let mut reply = match lookup.response {
-            Some(m) => m,
+        let mut reply = match lookup.reply {
+            Some(bytes) => bytes,
             // The sim-side lookup died (timeout/unreachable): the wire
             // client still gets a well-formed SERVFAIL, like a real
             // resolver front end would send.
-            None => servfail(wire_id, &qname, qtype),
+            None => match servfail(wire_id, qname, qtype).encode() {
+                Ok(bytes) => bytes,
+                Err(e) => return self.encode_failed(e),
+            },
         };
-        reply.header.id = wire_id;
-        let bytes = match reply.encode() {
-            Ok(b) => b,
-            Err(e) => {
-                let reason = DropReason::Encode(e);
-                self.registry
-                    .inc("serve.dropped", &[("reason", reason.label())]);
-                return Served::Drop(reason);
-            }
-        };
+        patch_id(&mut reply, wire_id);
         // Classic UDP policy, matching `dnssim`'s authority exactly: the
         // reply must fit the querier's advertised EDNS payload size —
         // or 512 bytes when none was advertised — else all records drop
@@ -332,27 +324,35 @@ impl ServeCore {
                 .map(|s| s as usize)
                 .unwrap_or(CLASSIC_UDP_LIMIT)
                 .max(CLASSIC_UDP_LIMIT);
-            if bytes.len() > limit {
-                reply.truncate_for(limit);
+            if reply.len() > limit {
                 self.registry.inc("serve.truncated", &[]);
-                return match reply.encode() {
-                    Ok(b) => Served::Reply(b),
-                    Err(e) => {
-                        let reason = DropReason::Encode(e);
-                        self.registry
-                            .inc("serve.dropped", &[("reason", reason.label())]);
-                        Served::Drop(reason)
-                    }
+                return match clamp_to(&reply, limit) {
+                    Ok(bytes) => Served::Reply(bytes),
+                    Err(e) => self.encode_failed(e),
                 };
             }
         }
-        Served::Reply(bytes)
+        Served::Reply(reply)
+    }
+
+    /// Counts and returns the drop for a reply that would not encode.
+    fn encode_failed(&mut self, e: WireError) -> Served {
+        let reason = DropReason::Encode(e);
+        self.registry
+            .inc("serve.dropped", &[("reason", reason.label())]);
+        Served::Drop(reason)
     }
 
     /// Total engine events dispatched across all shards (soak reporting).
     pub fn total_events(&self) -> u64 {
         self.world.total_events()
     }
+}
+
+/// An over-limit reply clamped the way `dnssim`'s authority clamps: every
+/// record dropped and TC set ([`Message::encode_within`]).
+fn clamp_to(reply: &[u8], limit: usize) -> Result<Vec<u8>, WireError> {
+    Message::decode(reply)?.encode_within(limit)
 }
 
 /// A minimal SERVFAIL reply echoing the question.
@@ -413,6 +413,42 @@ mod tests {
         assert_eq!(msg.questions[0].qname.to_string(), "m.facebook.com");
         assert!(!msg.answer_addrs().is_empty(), "expected A records");
         assert_eq!(core.registry.counter_total("serve.queries"), 1);
+    }
+
+    /// Every reply the core serves is canonical encoder output carrying the
+    /// wire id: cache hits, forced misses, TCP, SERVFAILs and fault-truncated
+    /// answers, on a stress world so the faults fire.
+    #[test]
+    fn every_reply_is_canonical_and_carries_the_wire_id() {
+        let mut core = ServeCore::new(WorldConfig {
+            fault_profile: measure::FaultProfile::Stress,
+            ..WorldConfig::quick(7)
+        });
+        let hits = ["m.facebook.com", "m.yelp.com", "www.buzzfeed.com"];
+        let (mut servfails, mut truncated, mut tcp) = (0, 0, 0);
+        for i in 0..600u16 {
+            let name = match i % 4 {
+                0 => format!("q{i:016x}.whoami.probe.example"),
+                k => hits[k as usize - 1].to_string(),
+            };
+            let transport = if i % 5 == 0 {
+                Transport::Tcp
+            } else {
+                Transport::Udp
+            };
+            let id = i.wrapping_mul(40_503);
+            let shard = i as usize % core.carrier_count();
+            let reply = reply_of(core.handle(shard, transport, &query_bytes(id, &name)));
+            let msg = Message::decode(&reply).unwrap();
+            assert_eq!(msg.header.id, id);
+            assert_eq!(msg.encode().unwrap(), reply, "{name} over {transport:?}");
+            servfails += usize::from(msg.header.rcode == Rcode::ServFail);
+            truncated += usize::from(msg.header.flags.truncated);
+            tcp += usize::from(transport == Transport::Tcp);
+        }
+        assert!(servfails > 0, "no SERVFAIL exercised");
+        assert!(truncated > 0, "no truncated reply exercised");
+        assert!(tcp > 0);
     }
 
     #[test]
@@ -568,9 +604,9 @@ mod tests {
         assert!(sim_reply.len() <= CLASSIC_UDP_LIMIT);
 
         // What the serving core does to the same oversized answer on the
-        // same classic query: the identical clamp — limit computed from
-        // the wire query, `truncate_for`, re-encode — as in
-        // `ServeCore::resolve`. Byte-for-byte agreement required.
+        // same classic query: the limit computed from the wire query as in
+        // `ServeCore::resolve`, then its clamp. Byte-for-byte agreement
+        // required.
         let q_msg = Message::decode(&wire).unwrap();
         let limit = q_msg
             .edns_udp_size()
@@ -587,8 +623,12 @@ mod tests {
                 RData::Txt(vec![format!("{i:0>200}")]),
             ));
         }
-        fat.truncate_for(limit);
-        let core_reply = fat.encode().unwrap();
+        let core_reply = clamp_to(&fat.encode().unwrap(), limit).unwrap();
+        assert_eq!(
+            Message::decode(&core_reply).unwrap().encode().unwrap(),
+            core_reply,
+            "a clamped reply is canonical encoder output too"
+        );
         assert_eq!(
             core_reply, sim_reply,
             "serve-plane clamp diverged from dnssim classic policy"

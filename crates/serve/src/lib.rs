@@ -37,7 +37,7 @@ pub use crate::core::{
 pub use clock::{Clock, ManualClock, WallClock};
 pub use endpoints::{CarrierEndpoint, Endpoints};
 pub use measure::{FaultProfile, WorldConfig};
-pub use server::{DnsServer, ServeReport};
+pub use server::{DnsServer, ServeReport, FRAME_DEADLINE};
 
 /// Returns the placeholder-free version marker used by integration tests to
 /// confirm the crate wires together.

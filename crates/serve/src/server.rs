@@ -46,7 +46,7 @@ const TCP_IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 /// A connection with a *partial frame* buffered must complete it within
 /// this deadline or be evicted — the slowloris defense: a writer cannot
 /// hold a thread by dribbling one byte per poll.
-const FRAME_DEADLINE: Duration = Duration::from_secs(1);
+pub const FRAME_DEADLINE: Duration = Duration::from_secs(1);
 /// Largest UDP query datagram we accept.
 const MAX_UDP_QUERY: usize = 4096;
 /// Largest TCP query frame we accept. DNS *queries* are small; a peer
@@ -160,9 +160,11 @@ impl DnsServer {
         let clock = WallClock::new();
         let admission = Admission::per_carrier(&admit_configs(&core), clock.now_us());
 
+        // Bind every socket before starting any thread, so a failed bind
+        // leaves nothing running.
         let mut carriers = Vec::new();
         let mut udp_socks = Vec::new();
-        let mut io_threads = Vec::new();
+        let mut listeners = Vec::new();
         for shard in 0..core.carrier_count() {
             let udp = UdpSocket::bind((bind, 0))?;
             udp.set_read_timeout(Some(POLL))?;
@@ -175,9 +177,24 @@ impl DnsServer {
                 tcp: tcp.local_addr()?,
                 devices: core.carrier_devices(shard),
             });
-
-            let udp_rx_sock = udp.try_clone()?;
+            listeners.push((udp.try_clone()?, tcp));
             udp_socks.push(udp);
+        }
+
+        // The bridge starts first and (see `stop`) exits last. A process
+        // that restarts the server then hands the next bridge the malloc
+        // arena the last one grew, instead of growing another arena for
+        // each restart.
+        let endpoints = Endpoints { config, carriers };
+        let bstop = Arc::clone(&stop);
+        let banswered = Arc::clone(&answered);
+        let binflight = Arc::clone(&inflight);
+        let bridge = std::thread::spawn(move || {
+            bridge_loop(core, udp_socks, rx, bstop, banswered, binflight, admission)
+        });
+
+        let mut io_threads = Vec::new();
+        for (shard, (udp_rx_sock, tcp)) in listeners.into_iter().enumerate() {
             let utx = tx.clone();
             let ustop = Arc::clone(&stop);
             let uinflight = Arc::clone(&inflight);
@@ -193,14 +210,6 @@ impl DnsServer {
                 tcp_accept_loop(shard, tcp, ttx, tstop, tinflight, tguards)
             }));
         }
-
-        let endpoints = Endpoints { config, carriers };
-        let bstop = Arc::clone(&stop);
-        let banswered = Arc::clone(&answered);
-        let binflight = Arc::clone(&inflight);
-        let bridge = std::thread::spawn(move || {
-            bridge_loop(core, udp_socks, rx, bstop, banswered, binflight, admission)
-        });
 
         Ok(DnsServer {
             endpoints,

@@ -246,6 +246,52 @@ fn hostile_tcp_connections_are_evicted() {
     assert_eq!(report.answered, 1);
 }
 
+/// The chaos soak splits a frame a few milliseconds apart; a slow but
+/// honest writer may leave each chunk up to half the progress deadline
+/// after the last and must still be answered, not evicted.
+#[test]
+fn a_frame_split_half_a_deadline_apart_is_answered() {
+    let config = WorldConfig::quick(29);
+    let server = start(config.clone());
+    let ep = server.endpoints().carriers[0].clone();
+
+    let wire = query_bytes(0x5A5A, "m.yelp.com");
+    let framed = frame(&wire).unwrap();
+    let mut stream = TcpStream::connect(ep.tcp).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(4)))
+        .unwrap();
+    for (i, chunk) in framed.chunks(framed.len().div_ceil(3)).enumerate() {
+        if i > 0 {
+            std::thread::sleep(serve::FRAME_DEADLINE / 2);
+        }
+        stream.write_all(chunk).expect("send");
+    }
+    let mut data = Vec::new();
+    let mut chunk = [0u8; 2048];
+    let got = loop {
+        if let Ok(payload) = require_frame(&data) {
+            break payload.to_vec();
+        }
+        let n = stream.read(&mut chunk).expect("read");
+        assert!(n > 0, "server closed a slow but honest writer");
+        data.extend_from_slice(&chunk[..n]);
+    };
+    drop(stream);
+    let report = server.stop();
+    assert_eq!(report.answered, 1);
+    assert_eq!(report.evicted, 0);
+
+    let mut truth = ServeCore::new(config);
+    let want = truth.handle(0, Transport::Tcp, &wire).into_reply();
+    assert_eq!(
+        Some(got),
+        want,
+        "split TCP answer differs from ground truth"
+    );
+}
+
 #[test]
 fn chaos_stress_soak_keeps_ground_truth_and_loses_no_answers() {
     // The headline hostile-wire invariant, end to end: under stress chaos
