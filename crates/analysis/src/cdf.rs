@@ -66,16 +66,6 @@ impl Cdf {
         pos as f64 / self.sorted.len() as f64
     }
 
-    /// Fraction of samples exactly equal to `x` (within `eps`).
-    pub fn fraction_eq(&self, x: f64, eps: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let lo = self.sorted.partition_point(|&v| v < x - eps);
-        let hi = self.sorted.partition_point(|&v| v <= x + eps);
-        (hi - lo) as f64 / self.sorted.len() as f64
-    }
-
     /// `points` evenly spaced (value, cumulative probability) rows for
     /// plotting — what the `repro` harness prints per figure.
     pub fn series(&self, points: usize) -> Vec<(f64, f64)> {
@@ -102,38 +92,6 @@ impl Cdf {
         let mut all = self.sorted.clone();
         all.extend_from_slice(&other.sorted);
         Cdf::new(all)
-    }
-
-    /// Bootstrap confidence interval for the median: resamples with
-    /// replacement `iters` times (deterministic from `seed`) and returns
-    /// the (2.5%, 97.5%) percentile interval of the resampled medians.
-    pub fn median_ci(&self, seed: u64, iters: usize) -> Option<(f64, f64)> {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = self.sorted.len();
-        let mut medians: Vec<f64> = (0..iters.max(10))
-            .map(|_| {
-                // Median of a bootstrap resample without materializing it:
-                // draw n indices and take the middle order statistic.
-                let mut idxs: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-                idxs.sort_unstable();
-                self.sorted[idxs[n / 2]]
-            })
-            .collect();
-        // Samples are finite by construction, but keep this path total too:
-        // filter again at this ingest point and sort with `total_cmp`.
-        medians.retain(|x| x.is_finite());
-        if medians.is_empty() {
-            return None;
-        }
-        medians.sort_by(f64::total_cmp);
-        let lo = medians[(medians.len() as f64 * 0.025).floor() as usize];
-        let hi = medians[((medians.len() as f64 * 0.975).floor() as usize).min(medians.len() - 1)];
-        Some((lo, hi))
     }
 
     /// Two-sample Kolmogorov–Smirnov statistic: the maximum vertical
@@ -188,13 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn fraction_eq_with_ties() {
-        let c = Cdf::new(vec![0.0, 0.0, 0.0, 5.0, 10.0]);
-        assert!((c.fraction_eq(0.0, 1e-9) - 0.6).abs() < 1e-12);
-        assert_eq!(c.fraction_eq(7.0, 1e-9), 0.0);
-    }
-
-    #[test]
     fn series_is_monotone_and_spans() {
         let samples: Vec<f64> = (1..=100).map(|x| x as f64).collect();
         let c = Cdf::new(samples);
@@ -236,9 +187,6 @@ mod tests {
         // Merge and from_iter funnel through the same filter.
         let m = c.merge(&Cdf::from_iter(dirty));
         assert_eq!(m.len(), 8);
-        // Bootstrap path stays total as well.
-        let (lo, hi) = m.median_ci(3, 100).unwrap();
-        assert!(lo.is_finite() && hi.is_finite() && lo <= hi);
         // Queries at NaN do not panic either (partition_point on finite data).
         assert_eq!(Cdf::new(vec![f64::NAN]).len(), 0);
     }
@@ -281,18 +229,5 @@ mod tests {
         let a = Cdf::new(vec![1.0]);
         let empty = Cdf::default();
         assert_eq!(a.ks_statistic(&empty), 1.0);
-    }
-
-    #[test]
-    fn bootstrap_ci_brackets_the_median() {
-        let c = Cdf::new((0..500).map(|x| x as f64).collect());
-        let (lo, hi) = c.median_ci(7, 400).unwrap();
-        let med = c.median().unwrap();
-        assert!(lo <= med && med <= hi, "[{lo}, {hi}] vs {med}");
-        // Interval is narrow for a large, smooth sample.
-        assert!(hi - lo < 100.0, "CI too wide: [{lo}, {hi}]");
-        // Deterministic from the seed.
-        assert_eq!(c.median_ci(7, 400), c.median_ci(7, 400));
-        assert!(Cdf::default().median_ci(7, 100).is_none());
     }
 }

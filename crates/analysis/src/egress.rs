@@ -37,13 +37,6 @@ pub fn egress_of_trace(hops: &[Ipv4Addr], inside: Option<Prefix>) -> Option<Ipv4
     None
 }
 
-/// Per-carrier egress counts, in carrier order (§5.2's 11/45/62/49 row).
-pub fn egress_counts(ds: &Dataset) -> Vec<usize> {
-    (0..ds.carrier_names.len())
-        .map(|c| egress_points(ds, c).len())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@ pub mod table;
 pub mod timing;
 
 pub use cdf::Cdf;
-pub use egress::{egress_counts, egress_of_trace, egress_points};
+pub use egress::{egress_of_trace, egress_points};
 pub use failure::{failure_rates, render_failure_report, FailureRow};
 pub use ldns::{
     busiest_device, busiest_static_device, churn_summary, ldns_pairs, resolver_counts,

@@ -277,14 +277,9 @@ pub fn build_carrier(
             2
         };
         let (pop, pop_dist) = pops[pick.min(pops.len() - 1)];
-        topo.add_link(
-            egress,
-            pop,
-            LatencyModel::Sum(
-                Box::new(LatencyModel::wired(pop_dist)),
-                Box::new(LatencyModel::constant_ms(15)),
-            ),
-        );
+        let mut latency = LatencyModel::wired(pop_dist);
+        latency.base += SimDuration::from_millis(15);
+        topo.add_link(egress, pop, latency);
         sites.push(GatewaySite {
             coord,
             agg,

@@ -8,7 +8,7 @@
 //! RRC promotion delays follow Huang et al. (MobiSys'12), which is why the
 //! paper's experiments begin with a bootstrap ping.
 
-use netsim::latency::LatencyModel;
+use netsim::latency::{LatencyModel, LogNormal};
 use netsim::time::{SimDuration, SimTime};
 
 /// Radio access technologies observed in the study (§3.3: "7 different
@@ -93,10 +93,12 @@ impl RadioTech {
     /// The one-way access latency model for this technology.
     pub fn latency_model(self) -> LatencyModel {
         let (floor_ms, extra_ms, sigma) = self.params();
-        LatencyModel::LogNormal {
-            mu: (extra_ms * 1000.0).ln(),
-            sigma,
-            floor: SimDuration::from_millis(floor_ms),
+        LatencyModel {
+            base: SimDuration::from_millis(floor_ms),
+            jitter: Some(LogNormal {
+                mu: (extra_ms * 1000.0).ln(),
+                sigma,
+            }),
         }
     }
 
@@ -192,14 +194,6 @@ impl RrcState {
             SimDuration::ZERO
         }
     }
-
-    /// Whether the radio would be idle at `now`.
-    pub fn is_idle(&self, now: SimTime, tech: RadioTech) -> bool {
-        match self.last_activity {
-            None => true,
-            Some(last) => now.since(last) > tech.tail_time(),
-        }
-    }
 }
 
 impl Default for RrcState {
@@ -275,9 +269,9 @@ mod tests {
         let mut rrc = RrcState::new();
         let t0 = SimTime::from_micros(1_000_000);
         rrc.touch(t0, RadioTech::Lte);
-        assert!(!rrc.is_idle(t0 + SimDuration::from_secs(5), RadioTech::Lte));
-        assert!(rrc.is_idle(t0 + SimDuration::from_secs(11), RadioTech::Lte));
-        let d = rrc.touch(t0 + SimDuration::from_secs(11), RadioTech::Lte);
+        let t1 = t0 + SimDuration::from_secs(5);
+        assert_eq!(rrc.touch(t1, RadioTech::Lte), SimDuration::ZERO);
+        let d = rrc.touch(t1 + SimDuration::from_secs(11), RadioTech::Lte);
         assert!(d > SimDuration::ZERO);
     }
 

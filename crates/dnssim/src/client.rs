@@ -111,45 +111,30 @@ impl Outcome {
     }
 }
 
-/// Retry discipline of [`resolve_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackoffMode {
-    /// The seed's fixed `[1s, 2s, 2s]` ladder, no pauses between attempts.
-    FixedLadder,
-    /// Exponential timeouts with a jittered pause before each retry.
-    ExponentialJitter,
-}
-
 /// What the stub resolver is allowed to do when the network misbehaves.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClientPolicy {
-    /// Retry/backoff discipline.
-    pub backoff: BackoffMode,
-    /// Retry truncated answers over TCP.
-    pub tcp_fallback: bool,
-    /// Resolvers to fail over to, in order, after the primary is spent.
-    pub fallbacks: Vec<Ipv4Addr>,
+pub enum ClientPolicy {
+    /// The seed behaviour: the fixed `[1s, 2s, 2s]` ladder, no pauses, no
+    /// TCP, no failover. Runs byte-identically to the pre-fault-injection
+    /// client.
+    Classic,
+    /// The hardened path: exponential backoff with jitter, TCP fallback on
+    /// truncation, and failover through `fallbacks`.
+    Hardened {
+        /// Resolvers to fail over to, in order, after the primary is spent.
+        fallbacks: Vec<Ipv4Addr>,
+    },
 }
 
 impl ClientPolicy {
-    /// The seed behaviour: fixed ladder, no TCP, no failover. Runs
-    /// byte-identically to the pre-fault-injection client.
+    /// [`ClientPolicy::Classic`].
     pub fn classic() -> Self {
-        ClientPolicy {
-            backoff: BackoffMode::FixedLadder,
-            tcp_fallback: false,
-            fallbacks: Vec::new(),
-        }
+        ClientPolicy::Classic
     }
 
-    /// The hardened path: exponential backoff + jitter, TCP fallback, and
-    /// failover through `fallbacks`.
+    /// [`ClientPolicy::Hardened`] failing over through `fallbacks`.
     pub fn hardened(fallbacks: Vec<Ipv4Addr>) -> Self {
-        ClientPolicy {
-            backoff: BackoffMode::ExponentialJitter,
-            tcp_fallback: true,
-            fallbacks,
-        }
+        ClientPolicy::Hardened { fallbacks }
     }
 }
 
@@ -311,12 +296,12 @@ pub fn resolve_with(
     qtype: RecordType,
     policy: &ClientPolicy,
 ) -> DnsLookup {
-    match policy.backoff {
-        BackoffMode::FixedLadder => {
+    match policy {
+        ClientPolicy::Classic => {
             exchange(net, node, resolver, qname, qtype).decode(resolver, qname, qtype)
         }
-        BackoffMode::ExponentialJitter => {
-            resolve_hardened(net, node, resolver, qname, qtype, policy)
+        ClientPolicy::Hardened { fallbacks } => {
+            resolve_hardened(net, node, resolver, qname, qtype, fallbacks)
         }
     }
 }
@@ -350,7 +335,7 @@ pub fn exchange(
 }
 
 /// The hardened loop: exponential backoff with seed-derived jitter, TCP
-/// fallback on truncation, failover through `policy.fallbacks` — all
+/// fallback on truncation, failover through `fallbacks` — all
 /// inside one [`QUERY_TIMEOUT`] deadline.
 fn resolve_hardened(
     net: &mut Network,
@@ -358,7 +343,7 @@ fn resolve_hardened(
     resolver: Ipv4Addr,
     qname: &DnsName,
     qtype: RecordType,
-    policy: &ClientPolicy,
+    fallbacks: &[Ipv4Addr],
 ) -> DnsLookup {
     let sent_at = net.now();
     let deadline = sent_at + QUERY_TIMEOUT;
@@ -369,7 +354,7 @@ fn resolve_hardened(
     let mut last_servfail: Option<(Message, SimDuration)> = None;
     let mut saw_unreachable = false;
     let chain: Vec<Ipv4Addr> = std::iter::once(resolver)
-        .chain(policy.fallbacks.iter().copied())
+        .chain(fallbacks.iter().copied())
         .collect();
     'chain: for (ri, &raddr) in chain.iter().enumerate() {
         for attempt in 0..HARDENED_ATTEMPTS {
@@ -399,7 +384,7 @@ fn resolve_hardened(
                     let Ok(msg) = Message::decode(&payload) else {
                         continue; // garbled past the header: retry
                     };
-                    if msg.header.flags.truncated && policy.tcp_fallback {
+                    if msg.header.flags.truncated {
                         let full = resolve_over_tcp(net, node, raddr, qname, qtype, deadline)
                             .and_then(|b| Message::decode(&b).map_err(|_| None));
                         match full {
@@ -581,11 +566,12 @@ pub fn whoami_with(
     let qname = probe_zone
         .child(&format!("x{nonce:016x}"))
         .expect("nonce label is valid");
-    let no_failover = ClientPolicy {
-        fallbacks: Vec::new(),
-        ..policy.clone()
+    let lookup = match policy {
+        ClientPolicy::Classic => resolve(net, node, resolver, &qname, RecordType::A),
+        ClientPolicy::Hardened { .. } => {
+            resolve_hardened(net, node, resolver, &qname, RecordType::A, &[])
+        }
     };
-    let lookup = resolve_with(net, node, resolver, &qname, RecordType::A, &no_failover);
     let external = lookup.addrs().first().copied();
     (lookup, external)
 }

@@ -20,7 +20,6 @@ pub mod cache;
 pub mod client;
 pub mod forwarder;
 pub mod hierarchy;
-pub mod parse;
 pub mod recursive;
 pub mod tcp;
 pub mod txn;
@@ -29,12 +28,11 @@ pub mod zone;
 pub use authority::{AuthoritativeServer, DynamicZone, WhoamiZone, DNS_PORT};
 pub use cache::{AmbientModel, CacheOutcome, DnsCache};
 pub use client::{
-    exchange, exchange_tcp, resolve, resolve_tcp, resolve_with, whoami, whoami_with, BackoffMode,
-    ClientPolicy, DnsLookup, Outcome, RawLookup, QUERY_TIMEOUT,
+    exchange, exchange_tcp, resolve, resolve_tcp, resolve_with, whoami, whoami_with, ClientPolicy,
+    DnsLookup, Outcome, RawLookup, QUERY_TIMEOUT,
 };
 pub use forwarder::{Forwarder, UpstreamPolicy};
 pub use hierarchy::{BuiltHierarchy, HierarchyBuilder};
-pub use parse::{parse_zone, ParseError};
 pub use recursive::{RecursiveResolver, ResolverConfig, ServerFaults};
 pub use tcp::{
     frame, require_frame, split_frame, FrameError, TcpDnsServer, DNS_TCP_PORT, MAX_FRAME_LEN,

@@ -160,17 +160,6 @@ impl ResponseBuilder {
     }
 }
 
-/// Convenience check: does `response` plausibly answer `query`?
-/// (Matching id, QR set, and an identical first question.)
-pub fn response_matches(query: &Message, response: &Message) -> bool {
-    response.header.id == query.header.id
-        && response.header.flags.response
-        && match (query.questions.first(), response.questions.first()) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,25 +224,12 @@ mod tests {
                 Ipv4Addr::new(198, 51, 100, 7),
             )
             .build();
-        assert!(response_matches(&q, &r));
+        assert_eq!(r.header.id, q.header.id);
+        assert!(r.header.flags.response);
+        assert_eq!(r.questions, q.questions);
         assert!(r.header.flags.authoritative);
         assert!(r.header.flags.recursion_desired);
         assert_eq!(r.answer_addrs(), vec![Ipv4Addr::new(198, 51, 100, 7)]);
-    }
-
-    #[test]
-    fn response_matches_rejects_mismatches() {
-        let q = QueryBuilder::new(9, "example.com", RecordType::A)
-            .build()
-            .unwrap();
-        let other = QueryBuilder::new(9, "elsewhere.com", RecordType::A)
-            .build()
-            .unwrap();
-        let r = ResponseBuilder::for_query(&other).build();
-        assert!(!response_matches(&q, &r));
-        let mut not_response = q.clone();
-        not_response.header.flags.response = false;
-        assert!(!response_matches(&q, &not_response));
     }
 
     #[test]

@@ -148,15 +148,6 @@ impl DnsName {
         seal(wire, &self.wire)
     }
 
-    /// Reads `self` as relative to `origin`: `www.eu` joined onto
-    /// `example.com` is `www.eu.example.com`.
-    pub fn join(&self, origin: &DnsName) -> Result<DnsName, WireError> {
-        let labels = &self.wire[..self.wire.len() - 1];
-        let mut wire = Vec::with_capacity(labels.len() + origin.wire.len());
-        wire.extend_from_slice(labels);
-        seal(wire, &origin.wire)
-    }
-
     /// Iterator over this name and all its ancestors up to the root, most
     /// specific first: `www.example.com`, `example.com`, `com`, `.`.
     pub fn self_and_ancestors(&self) -> impl Iterator<Item = DnsName> {
@@ -302,23 +293,6 @@ mod tests {
         assert!(DnsName::parse(&format!("z.{tail}"))
             .unwrap()
             .is_under(&DnsName::parse(&tail).unwrap()));
-    }
-
-    #[test]
-    fn join_reads_a_name_as_relative_to_an_origin() {
-        let origin = DnsName::parse("example.com").unwrap();
-        let rel = DnsName::parse("WWW.eu").unwrap();
-        assert_eq!(rel.join(&origin).unwrap().to_string(), "www.eu.example.com");
-        assert_eq!(DnsName::root().join(&origin).unwrap(), origin);
-        assert_eq!(origin.join(&DnsName::root()).unwrap(), origin);
-        // 4 × 64 octets of labels fit neither side of a join once the other
-        // side adds anything.
-        let long = DnsName::parse(&vec!["x".repeat(62); 4].join(".")).unwrap();
-        assert_eq!(long.wire_len(), 253);
-        assert!(matches!(
-            long.join(&origin).unwrap_err(),
-            WireError::NameTooLong(265)
-        ));
     }
 
     #[test]

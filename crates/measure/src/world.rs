@@ -339,10 +339,10 @@ impl Backbone {
         // shards with no faults configured are byte-identical to a build
         // without the fault module.
         if let Some(fault) = self.config.fault_profile.link_fault() {
-            net.install_fault_plan(
-                FaultPlan::new(derive_seed(self.config.seed, lane::FAULT, index as u64))
-                    .with_global(fault),
-            );
+            net.install_fault_plan(FaultPlan::new(
+                derive_seed(self.config.seed, lane::FAULT, index as u64),
+                fault,
+            ));
         }
 
         // DNS hierarchy.

@@ -1071,14 +1071,14 @@ impl Network {
             return;
         }
         if let Some(plan) = self.fault.as_mut() {
-            if plan.should_drop(hop.link, self.now, hop_key) {
+            if plan.should_drop(self.now, hop_key) {
                 self.stats.fault_drops += 1;
                 return;
             }
         }
         let latency = link.latency.sample(&mut draws);
         let latency = match self.fault.as_mut() {
-            Some(plan) => latency + plan.extra_latency(hop.link, self.now, latency),
+            Some(plan) => latency + plan.extra_latency(self.now, latency),
             None => latency,
         };
         // Capacity-limited links serialize packets and queue behind earlier
@@ -1797,10 +1797,12 @@ mod tests {
         let a = host("a", NodeKind::Host, 1);
         let r = host("r", NodeKind::Router, 2);
         let b = host("b", NodeKind::Host, 3);
-        let jitter = || LatencyModel::LogNormal {
-            mu: 8.0,
-            sigma: 1.0,
-            floor: SimDuration::from_millis(1),
+        let jitter = || LatencyModel {
+            base: SimDuration::from_millis(1),
+            jitter: Some(crate::latency::LogNormal {
+                mu: 8.0,
+                sigma: 1.0,
+            }),
         };
         t.add_link(a, r, jitter());
         t.add_link(r, b, jitter());

@@ -24,7 +24,6 @@
 use crate::draw::HopRng;
 use crate::time::{SimDuration, SimTime};
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// A periodic time window: active for `duration` once every `period`,
 /// starting at `offset` into each period. Purely time-driven — no RNG.
@@ -70,8 +69,7 @@ pub struct Spike {
     pub extra: SimDuration,
 }
 
-/// The fault behaviour applied to one link (or, via
-/// [`FaultPlan::with_global`], to every link).
+/// The fault behaviour a [`FaultPlan`] applies to every link.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LinkFault {
     /// Extra Bernoulli drop probability per packet (0.0 = none).
@@ -118,15 +116,11 @@ impl FaultStats {
 }
 
 /// A seed-deterministic fault-injection plan, installed into the engine
-/// with `Network::install_fault_plan`. Per-link overrides take precedence
-/// over the global fault; links without either are untouched.
+/// with `Network::install_fault_plan`: one [`LinkFault`] for every link.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    /// Fault applied to every link that has no per-link override.
-    global: Option<LinkFault>,
-    /// Per-link overrides, keyed by link index (BTreeMap: deterministic
-    /// iteration order if anyone ever walks it).
-    links: BTreeMap<usize, LinkFault>,
+    /// Fault applied to every link.
+    fault: LinkFault,
     /// Dedicated seed lane for the Bernoulli draws.
     seed: u64,
     /// What the plan has injected so far.
@@ -134,47 +128,28 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan drawing from its own seed lane.
-    pub fn new(seed: u64) -> Self {
+    /// A plan applying `fault` to every link, drawing from its own seed
+    /// lane.
+    pub fn new(seed: u64, fault: LinkFault) -> Self {
         FaultPlan {
-            global: None,
-            links: BTreeMap::new(),
+            fault,
             seed,
             stats: FaultStats::default(),
         }
     }
 
-    /// Applies `fault` to every link without a per-link override.
-    pub fn with_global(mut self, fault: LinkFault) -> Self {
-        self.global = Some(fault);
-        self
-    }
-
-    /// Overrides the fault for one link.
-    pub fn set_link(&mut self, link: usize, fault: LinkFault) {
-        self.links.insert(link, fault);
-    }
-
-    /// The fault governing `link`, if any.
-    fn fault_for(&self, link: usize) -> Option<&LinkFault> {
-        self.links.get(&link).or(self.global.as_ref())
-    }
-
-    /// Whether a packet crossing `link` at `now`, with per-hop key
+    /// Whether a packet crossing a link at `now`, with per-hop key
     /// `hop_key`, should be dropped. Outage windows are checked first;
     /// only a configured Bernoulli loss makes a draw, keyed by the plan's
-    /// seed and `hop_key`, so inert links cost nothing.
-    pub fn should_drop(&mut self, link: usize, now: SimTime, hop_key: u64) -> bool {
-        let Some(fault) = self.fault_for(link) else {
-            return false;
-        };
-        if let Some(w) = &fault.outage {
+    /// seed and `hop_key`, so an inert plan costs nothing.
+    pub fn should_drop(&mut self, now: SimTime, hop_key: u64) -> bool {
+        if let Some(w) = &self.fault.outage {
             if w.contains(now) {
                 self.stats.outage_drops += 1;
                 return true;
             }
         }
-        let loss = fault.loss;
+        let loss = self.fault.loss;
         if loss > 0.0 && HopRng::new(self.seed ^ hop_key).gen::<f64>() < loss {
             self.stats.chaos_losses += 1;
             return true;
@@ -182,10 +157,10 @@ impl FaultPlan {
         false
     }
 
-    /// Extra latency a packet crossing `link` at `now` incurs on top of
+    /// Extra latency a packet crossing a link at `now` incurs on top of
     /// the engine-sampled `base` latency. Zero outside spike episodes.
-    pub fn extra_latency(&mut self, link: usize, now: SimTime, base: SimDuration) -> SimDuration {
-        let Some(spike) = self.fault_for(link).and_then(|fault| fault.spike) else {
+    pub fn extra_latency(&mut self, now: SimTime, base: SimDuration) -> SimDuration {
+        let Some(spike) = self.fault.spike else {
             return SimDuration::ZERO;
         };
         if !spike.window.contains(now) {
@@ -241,26 +216,28 @@ mod tests {
 
     #[test]
     fn inert_plan_drops_nothing_and_draws_nothing() {
-        let mut a = FaultPlan::new(7);
-        for link in 0..100 {
-            assert!(!a.should_drop(link, SimTime::ZERO, link as u64));
+        let mut inert = FaultPlan::new(7, LinkFault::default());
+        for k in 0..100 {
+            assert!(!inert.should_drop(SimTime::ZERO, k));
+            assert_eq!(
+                inert.extra_latency(SimTime::ZERO, SimDuration::from_millis(5)),
+                SimDuration::ZERO
+            );
         }
-        assert_eq!(a.stats, FaultStats::default());
-        // Nothing was consumed: a fresh plan with the same seed makes the
-        // same draws afterwards.
-        let mut b = FaultPlan::new(7);
+        assert_eq!(inert.stats, FaultStats::default());
+        // The loss draw is a pure function of seed and hop key: two plans
+        // with the same seed agree, whatever either did before.
         let fault = LinkFault {
             loss: 0.5,
             ..LinkFault::default()
         };
-        a = a.with_global(fault);
-        b = b.with_global(fault);
-        let da: Vec<bool> = (0..32)
-            .map(|k| a.should_drop(0, SimTime::ZERO, k))
-            .collect();
-        let db: Vec<bool> = (0..32)
-            .map(|k| b.should_drop(0, SimTime::ZERO, k))
-            .collect();
+        let mut a = FaultPlan::new(7, fault);
+        let mut b = FaultPlan::new(7, fault);
+        for k in 100..200 {
+            a.should_drop(SimTime::ZERO, k);
+        }
+        let da: Vec<bool> = (0..32).map(|k| a.should_drop(SimTime::ZERO, k)).collect();
+        let db: Vec<bool> = (0..32).map(|k| b.should_drop(SimTime::ZERO, k)).collect();
         assert_eq!(da, db);
         assert!(da.iter().any(|&d| d) && da.iter().any(|&d| !d));
     }
@@ -272,23 +249,12 @@ mod tests {
             outage: Some(window(100, 0, 100)),
             ..LinkFault::default()
         };
-        let mut always_out = FaultPlan::new(3).with_global(fault);
+        let mut always_out = FaultPlan::new(3, fault);
         for k in 0..10 {
-            assert!(always_out.should_drop(0, SimTime::ZERO, k));
+            assert!(always_out.should_drop(SimTime::ZERO, k));
         }
         assert_eq!(always_out.stats.outage_drops, 10);
         assert_eq!(always_out.stats.chaos_losses, 0);
-    }
-
-    #[test]
-    fn per_link_override_beats_global() {
-        let mut plan = FaultPlan::new(1).with_global(LinkFault {
-            outage: Some(window(10, 0, 10)),
-            ..LinkFault::default()
-        });
-        plan.set_link(3, LinkFault::default());
-        assert!(plan.should_drop(0, SimTime::ZERO, 0));
-        assert!(!plan.should_drop(3, SimTime::ZERO, 0));
     }
 
     #[test]
@@ -298,19 +264,22 @@ mod tests {
             factor_x1000: 3_000,
             extra: SimDuration::from_millis(40),
         };
-        let mut plan = FaultPlan::new(1).with_global(LinkFault {
-            spike: Some(spike),
-            ..LinkFault::default()
-        });
+        let mut plan = FaultPlan::new(
+            1,
+            LinkFault {
+                spike: Some(spike),
+                ..LinkFault::default()
+            },
+        );
         let base = SimDuration::from_millis(10);
         // Inside the window: 10ms * (3000-1000)/1000 + 40ms = 60ms extra.
         assert_eq!(
-            plan.extra_latency(0, SimTime::ZERO, base),
+            plan.extra_latency(SimTime::ZERO, base),
             SimDuration::from_millis(60)
         );
         // Outside the window: nothing.
         assert_eq!(
-            plan.extra_latency(0, SimTime::ZERO + SimDuration::from_secs(60), base),
+            plan.extra_latency(SimTime::ZERO + SimDuration::from_secs(60), base),
             SimDuration::ZERO
         );
         assert_eq!(plan.stats.spiked, 1);

@@ -7,119 +7,75 @@
 use crate::time::SimDuration;
 use rand::Rng;
 
-/// A latency distribution, sampled independently per traversal.
+/// A latency distribution, sampled independently per traversal: a
+/// constant `base` plus, optionally, log-normal `jitter`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LatencyModel {
-    /// Always exactly this value.
-    Constant(SimDuration),
-    /// Uniform in `[min, max]`.
-    Uniform {
-        /// Lower bound.
-        min: SimDuration,
-        /// Upper bound (inclusive).
-        max: SimDuration,
-    },
-    /// Normal with the given mean and standard deviation, truncated at
-    /// `floor` so latency never goes below the propagation minimum.
-    Normal {
-        /// Mean latency.
-        mean: SimDuration,
-        /// Standard deviation.
-        std_dev: SimDuration,
-        /// Hard lower bound.
-        floor: SimDuration,
-    },
-    /// Log-normal: `floor + exp(N(mu, sigma))` microseconds. Produces the
-    /// heavy right tails seen in radio access and loaded links.
-    LogNormal {
-        /// Location parameter of the underlying normal (in ln-µs).
-        mu: f64,
-        /// Scale parameter of the underlying normal.
-        sigma: f64,
-        /// Additive hard lower bound.
-        floor: SimDuration,
-    },
-    /// Sum of two models (e.g. propagation + queueing jitter).
-    Sum(Box<LatencyModel>, Box<LatencyModel>),
+pub struct LatencyModel {
+    /// Paid by every packet: propagation, forwarding floor, fixed padding.
+    pub base: SimDuration,
+    /// Heavy-tailed delay on top of `base`, if any.
+    pub jitter: Option<LogNormal>,
+}
+
+/// Log-normal jitter: `exp(N(mu, sigma))` microseconds. Produces the heavy
+/// right tails seen in radio access and loaded links.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LogNormal {
+    /// Location parameter of the underlying normal (in ln-µs).
+    pub mu: f64,
+    /// Scale parameter of the underlying normal.
+    pub sigma: f64,
 }
 
 impl LatencyModel {
+    /// Always exactly `base`.
+    pub fn constant(base: SimDuration) -> Self {
+        LatencyModel { base, jitter: None }
+    }
+
     /// A convenience constant model from milliseconds.
     pub fn constant_ms(ms: u64) -> Self {
-        LatencyModel::Constant(SimDuration::from_millis(ms))
+        Self::constant(SimDuration::from_millis(ms))
     }
 
     /// Propagation delay for a geographic distance, at ~5 µs/km (fiber),
     /// plus a small per-link forwarding floor.
     pub fn propagation(distance_km: f64) -> Self {
         let us = (distance_km * 5.0).max(10.0).floor() as u64;
-        LatencyModel::Constant(SimDuration::from_micros(us))
+        Self::constant(SimDuration::from_micros(us))
     }
 
     /// Propagation plus mild queueing jitter — the standard wired link.
     pub fn wired(distance_km: f64) -> Self {
-        LatencyModel::Sum(
-            Box::new(Self::propagation(distance_km)),
-            Box::new(LatencyModel::LogNormal {
+        let propagation = Self::propagation(distance_km).base;
+        LatencyModel {
+            base: propagation + SimDuration::from_micros(20),
+            jitter: Some(LogNormal {
                 mu: 5.0, // exp(5) ≈ 148 µs median jitter
                 sigma: 0.8,
-                floor: SimDuration::from_micros(20),
             }),
-        )
+        }
     }
 
-    /// Draws one latency sample.
+    /// Draws one latency sample. A constant model draws nothing.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
-        match self {
-            LatencyModel::Constant(d) => *d,
-            LatencyModel::Uniform { min, max } => {
-                let lo = min.as_micros();
-                let hi = max.as_micros().max(lo);
-                SimDuration::from_micros(rng.gen_range(lo..=hi))
-            }
-            LatencyModel::Normal {
-                mean,
-                std_dev,
-                floor,
-            } => {
-                let z = sample_standard_normal(rng);
-                let us = mean.as_micros() as f64 + z * std_dev.as_micros() as f64;
-                let us = us.max(floor.as_micros() as f64);
-                SimDuration::from_micros(us as u64)
-            }
-            LatencyModel::LogNormal { mu, sigma, floor } => {
-                let z = sample_standard_normal(rng);
-                let us = (mu + sigma * z).exp();
-                // Clamp the extreme tail so one sample cannot stall a run.
-                let us = us.min(30_000_000.0);
-                floor.saturating_add_micros(us as u64)
-            }
-            LatencyModel::Sum(a, b) => a.sample(rng) + b.sample(rng),
-        }
+        let Some(LogNormal { mu, sigma }) = self.jitter else {
+            return self.base;
+        };
+        let z = sample_standard_normal(rng);
+        let us = (mu + sigma * z).exp();
+        // Clamp the extreme tail so one sample cannot stall a run.
+        let us = us.min(30_000_000.0);
+        SimDuration::from_micros(self.base.as_micros().saturating_add(us as u64))
     }
 
     /// The distribution mean, used as the routing weight so paths follow
     /// expected latency.
     pub fn mean_micros(&self) -> u64 {
-        match self {
-            LatencyModel::Constant(d) => d.as_micros(),
-            LatencyModel::Uniform { min, max } => (min.as_micros() + max.as_micros()) / 2,
-            LatencyModel::Normal { mean, .. } => mean.as_micros(),
-            LatencyModel::LogNormal { mu, sigma, floor } => {
-                floor.as_micros() + (mu + sigma * sigma / 2.0).exp() as u64
-            }
-            LatencyModel::Sum(a, b) => a.mean_micros() + b.mean_micros(),
-        }
-    }
-}
-
-trait SaturatingAdd {
-    fn saturating_add_micros(self, us: u64) -> SimDuration;
-}
-
-impl SaturatingAdd for SimDuration {
-    fn saturating_add_micros(self, us: u64) -> SimDuration {
-        SimDuration::from_micros(self.as_micros().saturating_add(us))
+        let jitter = self.jitter.map_or(0, |LogNormal { mu, sigma }| {
+            (mu + sigma * sigma / 2.0).exp() as u64
+        });
+        self.base.as_micros() + jitter
     }
 }
 
@@ -154,44 +110,13 @@ mod tests {
     }
 
     #[test]
-    fn uniform_stays_in_bounds() {
-        let m = LatencyModel::Uniform {
-            min: SimDuration::from_millis(10),
-            max: SimDuration::from_millis(20),
-        };
-        let mut r = rng();
-        for _ in 0..1000 {
-            let s = m.sample(&mut r);
-            assert!(s >= SimDuration::from_millis(10));
-            assert!(s <= SimDuration::from_millis(20));
-        }
-    }
-
-    #[test]
-    fn normal_respects_floor_and_tracks_mean() {
-        let m = LatencyModel::Normal {
-            mean: SimDuration::from_millis(50),
-            std_dev: SimDuration::from_millis(10),
-            floor: SimDuration::from_millis(30),
-        };
-        let mut r = rng();
-        let n = 5000;
-        let mut sum = 0u64;
-        for _ in 0..n {
-            let s = m.sample(&mut r);
-            assert!(s >= SimDuration::from_millis(30));
-            sum += s.as_micros();
-        }
-        let mean_ms = sum as f64 / n as f64 / 1000.0;
-        assert!((mean_ms - 50.0).abs() < 2.0, "mean {mean_ms}");
-    }
-
-    #[test]
     fn lognormal_has_right_tail() {
-        let m = LatencyModel::LogNormal {
-            mu: 9.0, // exp(9) ≈ 8.1 ms
-            sigma: 1.0,
-            floor: SimDuration::from_millis(1),
+        let m = LatencyModel {
+            base: SimDuration::from_millis(1),
+            jitter: Some(LogNormal {
+                mu: 9.0, // exp(9) ≈ 8.1 ms
+                sigma: 1.0,
+            }),
         };
         let mut r = rng();
         let mut samples: Vec<u64> = (0..5000).map(|_| m.sample(&mut r).as_micros()).collect();
@@ -204,13 +129,26 @@ mod tests {
 
     #[test]
     fn sum_adds_components() {
-        let m = LatencyModel::Sum(
-            Box::new(LatencyModel::constant_ms(5)),
-            Box::new(LatencyModel::constant_ms(3)),
-        );
-        let mut r = rng();
-        assert_eq!(m.sample(&mut r), SimDuration::from_millis(8));
-        assert_eq!(m.mean_micros(), 8000);
+        let jitter = LogNormal {
+            mu: 7.0,
+            sigma: 0.5,
+        };
+        let bare = LatencyModel {
+            base: SimDuration::ZERO,
+            jitter: Some(jitter),
+        };
+        let padded = LatencyModel {
+            base: SimDuration::from_millis(5),
+            jitter: Some(jitter),
+        };
+        let (mut ra, mut rb) = (rng(), rng());
+        for _ in 0..20 {
+            assert_eq!(
+                padded.sample(&mut ra),
+                SimDuration::from_millis(5) + bare.sample(&mut rb)
+            );
+        }
+        assert_eq!(padded.mean_micros(), 5_000 + bare.mean_micros());
     }
 
     #[test]
@@ -224,10 +162,12 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let m = LatencyModel::LogNormal {
-            mu: 8.0,
-            sigma: 0.5,
-            floor: SimDuration::ZERO,
+        let m = LatencyModel {
+            base: SimDuration::ZERO,
+            jitter: Some(LogNormal {
+                mu: 8.0,
+                sigma: 0.5,
+            }),
         };
         let a: Vec<u64> = {
             let mut r = rng();

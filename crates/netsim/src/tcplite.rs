@@ -82,18 +82,6 @@ impl Segment {
             data: Vec::new(),
         }
     }
-
-    /// Sequence space this segment consumes (SYN and FIN count one each).
-    pub fn seq_len(&self) -> u32 {
-        let mut n = self.data.len() as u32;
-        if self.flags & SYN != 0 {
-            n += 1;
-        }
-        if self.flags & FIN != 0 {
-            n += 1;
-        }
-        n
-    }
 }
 
 fn reply(to: Ipv4Addr, to_port: u16, seg: &Segment, delay: SimDuration) -> Egress {
@@ -745,22 +733,6 @@ mod tests {
         };
         assert_eq!(Segment::decode(&seg.encode()), Some(seg));
         assert_eq!(Segment::decode(&[1, 2]), None);
-    }
-
-    #[test]
-    fn seq_len_counts_flags_and_data() {
-        assert_eq!(Segment::ctl(SYN, 0, 0).seq_len(), 1);
-        assert_eq!(Segment::ctl(FIN | ACK, 5, 2).seq_len(), 1);
-        assert_eq!(
-            Segment {
-                flags: ACK,
-                seq: 1,
-                ack: 0,
-                data: vec![0; 10]
-            }
-            .seq_len(),
-            10
-        );
     }
 
     // End-to-end connection behaviour is exercised in tests/tcp.rs over a

@@ -175,13 +175,6 @@ impl Topology {
         id
     }
 
-    /// Adds an additional address to an existing node.
-    pub fn add_addr(&mut self, node: NodeId, addr: Ipv4Addr) {
-        let prior = self.addr_map.insert(addr, node);
-        assert!(prior.is_none(), "duplicate address {addr}");
-        self.nodes[node.index()].addrs.push(addr);
-    }
-
     /// Replaces one of a node's addresses (device IP reassignment — the
     /// ephemeral cellular addressing of Balakrishnan et al.). The old
     /// address is released.
@@ -387,14 +380,6 @@ mod tests {
             y_km: 4.0,
         };
         assert!((a.distance_km(&b) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn secondary_addresses() {
-        let (mut t, a, _) = two_node_topo();
-        t.add_addr(a, ip(192, 0, 2, 99));
-        assert_eq!(t.owner_of(ip(192, 0, 2, 99)), Some(a));
-        assert_eq!(t.node(a).primary_addr(), ip(10, 0, 0, 1));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use netsim::addr::Prefix;
 use netsim::engine::Network;
-use netsim::latency::LatencyModel;
+use netsim::latency::{LatencyModel, LogNormal};
 use netsim::middlebox::Nat;
 use netsim::packet::Packet;
 use netsim::route::{CoreRoutes, NextHop};
@@ -31,7 +31,7 @@ fn add_node(t: &mut Topology) -> NodeId {
 }
 
 fn ms(w: u64) -> LatencyModel {
-    LatencyModel::Constant(SimDuration::from_millis(w))
+    LatencyModel::constant_ms(w)
 }
 
 /// A random connected topology: a spanning chain plus random extra edges,
@@ -293,23 +293,16 @@ proptest! {
     #[test]
     fn latency_models_never_sample_below_their_floor(
         mean_ms in 1u64..500,
-        sd_ms in 1u64..200,
         floor_ms in 0u64..100,
         seed in any::<u64>(),
     ) {
-        let model = LatencyModel::Normal {
-            mean: SimDuration::from_millis(mean_ms),
-            std_dev: SimDuration::from_millis(sd_ms),
-            floor: SimDuration::from_millis(floor_ms),
-        };
         let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..64 {
-            prop_assert!(model.sample(&mut rng) >= SimDuration::from_millis(floor_ms));
-        }
-        let log = LatencyModel::LogNormal {
-            mu: (mean_ms as f64 * 1000.0).max(1.0).ln(),
-            sigma: 0.7,
-            floor: SimDuration::from_millis(floor_ms),
+        let log = LatencyModel {
+            base: SimDuration::from_millis(floor_ms),
+            jitter: Some(LogNormal {
+                mu: (mean_ms as f64 * 1000.0).max(1.0).ln(),
+                sigma: 0.7,
+            }),
         };
         for _ in 0..64 {
             prop_assert!(log.sample(&mut rng) >= SimDuration::from_millis(floor_ms));

@@ -211,14 +211,6 @@ impl Registry {
             .sum()
     }
 
-    /// A gauge reading, if the gauge was ever set.
-    pub fn gauge_value(&self, name: &str, labels: &[(&'static str, &str)]) -> Option<Gauge> {
-        self.gauges
-            .iter()
-            .find(|(k, _)| k.name == name && labels_match(&k.labels, labels))
-            .map(|(_, g)| *g)
-    }
-
     /// Fleet-wide high-water mark of a gauge across all label sets.
     pub fn gauge_peak(&self, name: &str) -> u64 {
         self.gauges
@@ -454,14 +446,15 @@ mod tests {
         reg.gauge_set("queue", &[], 5);
         reg.gauge_set("queue", &[], 9);
         reg.gauge_set("queue", &[], 3);
-        let g = reg.gauge_value("queue", &[]).unwrap();
+        let only = |reg: &Registry| *reg.gauges.values().next().unwrap();
+        let g = only(&reg);
         assert_eq!(g.value, 3);
         assert_eq!(g.high_water, 9);
 
         let mut other = Registry::new();
         other.gauge_set("queue", &[], 7);
         reg.merge_from(&other);
-        let g = reg.gauge_value("queue", &[]).unwrap();
+        let g = only(&reg);
         assert_eq!(g.value, 7, "merge takes the max current value");
         assert_eq!(g.high_water, 9, "merge keeps the fleet peak");
         assert_eq!(reg.gauge_peak("queue"), 9);

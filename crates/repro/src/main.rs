@@ -5,9 +5,10 @@
 //!
 //! `serve` binds a real UDP/TCP DNS front end (loopback, kernel ports)
 //! over the simulated world and answers until `--max-queries` (or
-//! forever); the endpoints handshake file lets an external `loadgen`
-//! rebuild the exact same world for ground-truth verification. `soak`
-//! runs server + load generator + byte-for-byte verification in-process.
+//! forever). `soak` runs server + load generator + byte-for-byte
+//! verification in-process; `soak --endpoints FILE` drives a running
+//! `serve` instead, rebuilding its exact world from the handshake file for
+//! the ground-truth replay.
 //!
 //! `--threads N` caps the campaign driver at `N` OS threads (default: one
 //! per carrier shard, capped by the machine). Output is byte-identical for
@@ -34,8 +35,10 @@ use cdns::measure::{
 };
 use cdns::obs::host::{Profiler, Stage};
 use cdns::{figures, Study, StudyConfig};
+use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 mod serving;
 
@@ -61,8 +64,10 @@ Campaign:
 
 Serving plane (serve, soak; --scale, --seed, --ecs, --era and --fault-profile
 build the served world):
-  --endpoints PATH                       serve: endpoints handshake file
-                                         (default: <out>/serve-endpoints.txt)
+  --endpoints PATH                       serve: write the endpoints handshake file
+                                         (default: <out>/serve-endpoints.txt);
+                                         soak: drive the running server that
+                                         wrote it, over the world it names
   --max-queries N                        serve: stop after N answers (default: never)
   --queries N                            soak: scripted queries (default: 10000)
   --qps N                                soak: target rate (default: unpaced)
@@ -90,8 +95,31 @@ struct Args {
     serve: serving::ServeArgs,
 }
 
+/// The value after `flag`, parsed as `T`.
+fn value<T>(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse()
+        .map_err(|e| format!("bad value '{raw}' for {flag}: {e}"))
+}
+
+/// Options `soak --endpoints` cannot honour: the world is the one the
+/// running server was built with, and its registry stays in that process.
+const SERVER_SIDE: [&str; 6] = [
+    "--scale",
+    "--seed",
+    "--ecs",
+    "--era",
+    "--fault-profile",
+    "--metrics-out",
+];
+
 fn parse_args() -> Result<Args, String> {
     let mut targets = Vec::new();
+    let mut options = Vec::new();
     let mut scale = "standard".to_string();
     let mut seed = 2014u64;
     let mut out = PathBuf::from("results");
@@ -103,7 +131,7 @@ fn parse_args() -> Result<Args, String> {
     let mut write_metrics = true;
     let mut progress = false;
     let mut quiet = false;
-    let mut endpoints_out = None;
+    let mut endpoints = None;
     let mut max_queries = None;
     let mut soak_queries = 10_000u64;
     let mut qps = None;
@@ -114,6 +142,9 @@ fn parse_args() -> Result<Args, String> {
     let mut chaos = loadgen::ChaosProfile::Off;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
+        if arg.starts_with('-') {
+            options.push(arg.clone());
+        }
         match arg.as_str() {
             "--ecs" => ecs = true,
             "--metrics" => metrics_table = true,
@@ -121,87 +152,32 @@ fn parse_args() -> Result<Args, String> {
             "--progress" => progress = true,
             "--quiet" => quiet = true,
             "--fault-profile" => {
-                let name = it
-                    .next()
-                    .ok_or("--fault-profile needs none|cellular|stress")?;
+                let name: String = value(&mut it, "--fault-profile")?;
                 fault_profile = FaultProfile::parse(&name).ok_or(format!(
                     "unknown fault profile '{name}' (none|cellular|stress)"
                 ))?;
             }
             "--era" => {
-                let era = it.next().ok_or("--era needs lte|3g")?;
+                let era: String = value(&mut it, "--era")?;
                 three_g = match era.as_str() {
                     "3g" => true,
                     "lte" => false,
                     other => return Err(format!("unknown era '{other}' (lte|3g)")),
                 };
             }
-            "--scale" => {
-                scale = it.next().ok_or("--scale needs a value")?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--out" => {
-                out = PathBuf::from(it.next().ok_or("--out needs a value")?);
-            }
-            "--threads" => {
-                threads = Some(
-                    it.next()
-                        .ok_or("--threads needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad thread count: {e}"))?,
-                );
-            }
-            "--endpoints" => {
-                endpoints_out = Some(PathBuf::from(it.next().ok_or("--endpoints needs a path")?));
-            }
-            "--max-queries" => {
-                max_queries = Some(
-                    it.next()
-                        .ok_or("--max-queries needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad query count: {e}"))?,
-                );
-            }
-            "--queries" => {
-                soak_queries = it
-                    .next()
-                    .ok_or("--queries needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad query count: {e}"))?;
-            }
-            "--qps" => {
-                qps = Some(
-                    it.next()
-                        .ok_or("--qps needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad qps: {e}"))?,
-                );
-            }
-            "--miss-per-mille" => {
-                miss_per_mille = it
-                    .next()
-                    .ok_or("--miss-per-mille needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad per-mille: {e}"))?;
-            }
-            "--profile-out" => {
-                profile_out = Some(PathBuf::from(
-                    it.next().ok_or("--profile-out needs a path")?,
-                ));
-            }
-            "--metrics-out" => {
-                metrics_out = Some(PathBuf::from(
-                    it.next().ok_or("--metrics-out needs a path")?,
-                ));
-            }
+            "--scale" => scale = value(&mut it, "--scale")?,
+            "--seed" => seed = value(&mut it, "--seed")?,
+            "--out" => out = value(&mut it, "--out")?,
+            "--threads" => threads = Some(value(&mut it, "--threads")?),
+            "--endpoints" => endpoints = Some(value(&mut it, "--endpoints")?),
+            "--max-queries" => max_queries = Some(value(&mut it, "--max-queries")?),
+            "--queries" => soak_queries = value(&mut it, "--queries")?,
+            "--qps" => qps = Some(value(&mut it, "--qps")?),
+            "--miss-per-mille" => miss_per_mille = value(&mut it, "--miss-per-mille")?,
+            "--profile-out" => profile_out = Some(value(&mut it, "--profile-out")?),
+            "--metrics-out" => metrics_out = Some(value(&mut it, "--metrics-out")?),
             "--chaos" => {
-                let name = it.next().ok_or("--chaos needs off|mild|stress")?;
+                let name: String = value(&mut it, "--chaos")?;
                 chaos = loadgen::ChaosProfile::parse(&name)
                     .ok_or(format!("unknown chaos profile '{name}' (off|mild|stress)"))?;
             }
@@ -228,8 +204,15 @@ fn parse_args() -> Result<Args, String> {
             return Err(format!("unknown artifact '{t}' (see --help)"));
         }
     }
+    if targets[0] == "soak" && endpoints.is_some() {
+        if let Some(flag) = options.iter().find(|o| SERVER_SIDE.contains(&o.as_str())) {
+            return Err(format!(
+                "{flag} does not apply to soak --endpoints, which drives a server already running"
+            ));
+        }
+    }
     let serve = serving::ServeArgs {
-        endpoints_out: endpoints_out.unwrap_or_else(|| out.join("serve-endpoints.txt")),
+        endpoints,
         max_queries,
         queries: soak_queries,
         qps,
@@ -305,8 +288,27 @@ fn main() {
     // The serving plane: a live socket front end over the same world the
     // batch campaign uses. Exits directly — artifacts are batch-only.
     match args.targets.first().map(String::as_str) {
-        Some("serve") => std::process::exit(serving::run_serve(config.world, &args.serve)),
-        Some("soak") => std::process::exit(serving::run_soak(config.world, &args.serve)),
+        Some("serve") => {
+            let endpoints = args
+                .serve
+                .endpoints
+                .clone()
+                .unwrap_or_else(|| args.out.join("serve-endpoints.txt"));
+            std::process::exit(serving::run_serve(config.world, &endpoints, &args.serve))
+        }
+        Some("soak") => {
+            let target = match &args.serve.endpoints {
+                None => serving::Target::InProcess(config.world),
+                Some(path) => match serving::read_endpoints(path) {
+                    Ok(eps) => serving::Target::Running(eps),
+                    Err(e) => {
+                        eprintln!("repro: {e}");
+                        std::process::exit(2);
+                    }
+                },
+            };
+            std::process::exit(serving::run_soak(target, &args.serve))
+        }
         _ => {}
     }
     let mut prof = Profiler::new(!args.quiet);

@@ -6,21 +6,24 @@
 //! (or forever). `soak` runs the whole loop in-process: server up, the
 //! deterministic load generator drives the scripted mix over real
 //! sockets, every wire answer is replayed into a ground-truth core and
-//! compared byte-for-byte, and the host-plane profile is exported.
+//! compared byte-for-byte, and the host-plane profile is exported. With
+//! `--endpoints`, `soak` drives a `serve` running in another process and
+//! rebuilds the ground truth from the world its handshake file names.
 
 use cdns::measure::WorldConfig;
 use cdns::obs::host::{Profiler, Stage};
 use loadgen::{build_script, render_profile_json, ChaosProfile, DriverConfig, MixConfig};
-use serve::DnsServer;
+use serve::{DnsServer, Endpoints};
 use std::fs;
 use std::net::Ipv4Addr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Knobs shared by `repro serve` and `repro soak`.
 pub struct ServeArgs {
-    /// Where to write the endpoints handshake file (serve mode).
-    pub endpoints_out: PathBuf,
+    /// serve: where to write the endpoints handshake file (None = the
+    /// default under `--out`); soak: the file of the server to drive.
+    pub endpoints: Option<PathBuf>,
     /// Stop after this many answered queries (serve mode; None = forever).
     pub max_queries: Option<u64>,
     /// Total scripted queries (soak mode).
@@ -43,7 +46,7 @@ pub struct ServeArgs {
 
 /// `repro serve`: bind, publish endpoints, answer until done. Returns a
 /// process exit code.
-pub fn run_serve(config: WorldConfig, args: &ServeArgs) -> i32 {
+pub fn run_serve(config: WorldConfig, endpoints: &Path, args: &ServeArgs) -> i32 {
     let mut prof = Profiler::new(!args.quiet);
     let bind_stage = Stage::begin("serve bind");
     let server = match DnsServer::start(config, Ipv4Addr::LOCALHOST) {
@@ -55,17 +58,14 @@ pub fn run_serve(config: WorldConfig, args: &ServeArgs) -> i32 {
     };
     prof.record(bind_stage.end());
 
-    if let Some(dir) = args.endpoints_out.parent() {
+    if let Some(dir) = endpoints.parent() {
         if !dir.as_os_str().is_empty() {
             let _ = fs::create_dir_all(dir);
         }
     }
     let eps = server.endpoints();
-    if let Err(e) = fs::write(&args.endpoints_out, eps.render()) {
-        eprintln!(
-            "repro serve: cannot write {}: {e}",
-            args.endpoints_out.display()
-        );
+    if let Err(e) = fs::write(endpoints, eps.render()) {
+        eprintln!("repro serve: cannot write {}: {e}", endpoints.display());
         return 1;
     }
     if !args.quiet {
@@ -77,7 +77,7 @@ pub fn run_serve(config: WorldConfig, args: &ServeArgs) -> i32 {
         }
         eprintln!(
             "repro serve: endpoints written to {}; serving{}",
-            args.endpoints_out.display(),
+            endpoints.display(),
             match args.max_queries {
                 Some(n) => format!(" until {n} answers"),
                 None => " until killed".to_string(),
@@ -118,21 +118,42 @@ pub fn run_serve(config: WorldConfig, args: &ServeArgs) -> i32 {
     0
 }
 
-/// `repro soak`: in-process server + load generator + ground-truth
-/// verification. Returns a process exit code (nonzero on any mismatch or
-/// a dead wire).
-pub fn run_soak(config: WorldConfig, args: &ServeArgs) -> i32 {
+/// The server `repro soak` loads.
+pub enum Target {
+    /// One bound in this process over this world.
+    InProcess(WorldConfig),
+    /// The running `repro serve` that wrote these endpoints.
+    Running(Endpoints),
+}
+
+/// Reads the handshake file a running `repro serve` wrote.
+pub fn read_endpoints(path: &Path) -> Result<Endpoints, String> {
+    let text =
+        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    Endpoints::parse(&text).map_err(|e| format!("bad endpoints file {}: {e}", path.display()))
+}
+
+/// `repro soak`: load generator + ground-truth verification against
+/// `target`. Returns a process exit code (nonzero on any mismatch, lost
+/// answer or a dead wire).
+pub fn run_soak(target: Target, args: &ServeArgs) -> i32 {
     let mut prof = Profiler::new(!args.quiet);
-    let bind_stage = Stage::begin("soak bind");
-    let server = match DnsServer::start(config, Ipv4Addr::LOCALHOST) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("repro soak: cannot bind: {e}");
-            return 1;
+    let (server, eps) = match target {
+        Target::Running(eps) => (None, eps),
+        Target::InProcess(config) => {
+            let bind_stage = Stage::begin("soak bind");
+            let server = match DnsServer::start(config, Ipv4Addr::LOCALHOST) {
+                Ok(s) => s,
+                Err(e) => {
+                    eprintln!("repro soak: cannot bind: {e}");
+                    return 1;
+                }
+            };
+            prof.record(bind_stage.end());
+            let eps = server.endpoints().clone();
+            (Some(server), eps)
         }
     };
-    let eps = server.endpoints().clone();
-    prof.record(bind_stage.end());
     if !args.quiet {
         eprintln!(
             "repro soak: {} carriers up; scripting {} queries (miss {}/1000, qps {}, chaos {})",
@@ -165,13 +186,13 @@ pub fn run_soak(config: WorldConfig, args: &ServeArgs) -> i32 {
         Ok(s) => s,
         Err(e) => {
             eprintln!("repro soak: wire driver failed: {e}");
-            drop(server.stop());
+            drop(server.map(DnsServer::stop));
             return 1;
         }
     };
     prof.record_with_rates(wire_stage.end(), &[(stats.answered, "answers")]);
 
-    let report = server.stop();
+    let report = server.map(DnsServer::stop);
     let profile = render_profile_json(&stats);
     if let Some(path) = &args.profile_out {
         if let Some(dir) = path.parent() {
@@ -183,7 +204,7 @@ pub fn run_soak(config: WorldConfig, args: &ServeArgs) -> i32 {
             eprintln!("repro soak: cannot write {}: {e}", path.display());
         }
     }
-    if let Some(path) = &args.metrics_out {
+    if let (Some(path), Some(report)) = (&args.metrics_out, &report) {
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 let _ = fs::create_dir_all(dir);
@@ -212,18 +233,24 @@ pub fn run_soak(config: WorldConfig, args: &ServeArgs) -> i32 {
             stats.evictions_observed,
             stats.chaos_unanswered
         );
-        println!(
-            "soak: server saw {} rejected, {} typed drops, {} shed, {} evicted, {} drained",
-            report.rejected, report.errors, report.shed, report.evicted, report.drained
-        );
+        if let Some(report) = &report {
+            println!(
+                "soak: server saw {} rejected, {} typed drops, {} shed, {} evicted, {} drained",
+                report.rejected, report.errors, report.shed, report.evicted, report.drained
+            );
+        }
     }
+    let served = report.as_ref().map_or(String::new(), |r| {
+        format!(
+            "; server answered {} ({} engine events)",
+            r.answered, r.events
+        )
+    });
     println!(
-        "soak: {:.0} q/s wall, p50 {} us, p99 {} us; server answered {} ({} engine events)",
+        "soak: {:.0} q/s wall, p50 {} us, p99 {} us{served}",
         stats.qps(),
         stats.latency_percentile_us(50),
         stats.latency_percentile_us(99),
-        report.answered,
-        report.events
     );
     if args.verify {
         println!(
@@ -237,14 +264,16 @@ pub fn run_soak(config: WorldConfig, args: &ServeArgs) -> i32 {
     }
     if !args.quiet {
         eprintln!("repro soak: host-plane profile (loadgen)\n{profile}");
-        eprint!("{}", report.registry.render_table("serve vitals"));
+        if let Some(report) = &report {
+            eprint!("{}", report.registry.render_table("serve vitals"));
+        }
         let text = prof.report();
         if !text.is_empty() {
             eprint!("repro soak: host-plane profile\n{text}");
         }
     }
 
-    if report.panicked {
+    if report.as_ref().is_some_and(|r| r.panicked) {
         eprintln!("repro soak: server bridge panicked");
         return 1;
     }
