@@ -7,7 +7,8 @@
 //! its [`UpstreamPolicy`] is what produces each carrier's pairing
 //! consistency in Table 3 and the client↔resolver churn of §4.5.
 
-use dnswire::message::{patch_id, Header, Message, MessageView, Question, Rcode};
+use dnswire::message::{patch_id, Message, MessageView, Rcode};
+use dnswire::rdata::RecordClass;
 use netsim::engine::{Egress, ServiceCtx, UdpService};
 use netsim::time::{SimDuration, SimTime};
 use rand::Rng;
@@ -15,7 +16,7 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use crate::authority::DNS_PORT;
-use crate::cache::{AmbientModel, CacheOutcome, DnsCache};
+use crate::cache::{AmbientModel, DnsCache, FlatKey};
 use crate::txn::TxnTable;
 use netsim::addr::Prefix;
 
@@ -89,7 +90,7 @@ pub struct Forwarder {
     /// Answer cache (carrier client-facing resolvers cache; §6.2's "the
     /// locally configured resolver provides faster domain name resolutions"
     /// depends on it).
-    cache: Option<DnsCache>,
+    cache: Option<DnsCache<ReplyTemplate>>,
     /// EDNS client-subnet map (the paper's §9 future-work fix): client /24
     /// → the public egress subnet the carrier would announce for it. When
     /// set, relayed queries carry ECS and the cache partitions by subnet.
@@ -153,83 +154,54 @@ impl Forwarder {
         self
     }
 
-    /// Builds a cached answer to `query`'s question, read from the view,
-    /// if the cache can serve it. `scope` partitions ECS-scoped entries.
+    /// The cached reply to `query`'s question, read from the view, if the
+    /// cache can serve it. `scope` partitions ECS-scoped entries.
     fn answer_from_cache(
         &mut self,
         query: &MessageView<'_>,
         scope: Option<Prefix>,
         now: SimTime,
-    ) -> Option<Message> {
+    ) -> Option<Vec<u8>> {
         let cache = self.cache.as_mut()?;
         let (qname, qtype, qclass) = query.question().ok()??;
-        let key = (qname.to_name(), qtype, scope);
-        match cache.lookup(&key, now) {
-            CacheOutcome::Hit { records, rcode } => {
-                let mut header = Header::query(query.id());
-                header.flags.response = true;
-                header.flags.recursion_desired = query.recursion_desired();
-                header.flags.recursion_available = true;
-                header.rcode = rcode;
-                let mut out = Message::new(header);
-                out.questions.push(Question {
-                    qname: key.0,
-                    qtype,
-                    qclass,
-                });
-                out.answers = records;
-                Some(out)
-            }
-            CacheOutcome::Miss => None,
-        }
+        let hit = cache.get(&FlatKey::new(qname, qtype, scope), now)?;
+        Some(
+            hit.value
+                .reply(query.id(), query.recursion_desired(), qclass, hit.remaining),
+        )
     }
 
     /// Absorbs a relayed response into the cache under its question key,
-    /// partitioned by `scope` when the answer was ECS-scoped. Decodes only
-    /// a response the cache would keep.
+    /// partitioned by `scope` when the answer was ECS-scoped. Keeps the
+    /// reply template, not decoded records.
     fn absorb(&mut self, response: &[u8], scope: Option<Prefix>, now: SimTime) {
         let Some(cache) = self.cache.as_mut() else {
             return;
         };
-        let cacheable = MessageView::new(response)
-            .is_ok_and(|v| matches!(v.rcode(), Rcode::NoError | Rcode::NxDomain));
-        if !cacheable {
-            return;
-        }
-        let Ok(msg) = Message::decode(response) else {
+        let Ok(view) = MessageView::new(response) else {
             return;
         };
-        let Some(q) = msg.questions.first() else {
+        let Some((template, ttl)) = ReplyTemplate::of_response(response) else {
             return;
         };
-        match msg.header.rcode {
-            Rcode::NoError if !msg.answers.is_empty() => {
-                let ttl = msg.answers.iter().map(|rr| rr.ttl).min().unwrap_or(0);
-                if ttl > 0 {
-                    cache.insert(
-                        (q.qname.clone(), q.qtype, scope),
-                        msg.answers.clone(),
-                        Rcode::NoError,
-                        SimDuration::from_secs(ttl as u64),
-                        now,
-                    );
-                }
-            }
-            Rcode::NxDomain => {
-                cache.insert(
-                    (q.qname.clone(), q.qtype, scope),
-                    Vec::new(),
-                    Rcode::NxDomain,
-                    SimDuration::from_secs(30),
-                    now,
-                );
-            }
-            _ => {}
-        }
+        let Ok(Some((qname, qtype, _))) = view.question() else {
+            return;
+        };
+        debug_assert!(
+            Message::decode(response).is_ok(),
+            "a cached response decodes"
+        );
+        cache.put(
+            &FlatKey::new(qname, qtype, scope),
+            template,
+            view.rcode(),
+            SimDuration::from_secs(u64::from(ttl)),
+            now,
+        );
     }
 
     /// The forwarder's answer cache, when one was configured.
-    pub fn cache(&self) -> Option<&DnsCache> {
+    pub fn cache(&self) -> Option<&DnsCache<ReplyTemplate>> {
         self.cache.as_ref()
     }
 
@@ -319,13 +291,8 @@ impl UdpService for Forwarder {
         // the cache partition key), then serve from cache or relay.
         let ecs_subnet = self.ecs_for(from);
         let scope = ecs_subnet.map(Prefix::slash24_of);
-        if let Some(cached) = self.answer_from_cache(&view, scope, ctx.now) {
+        if let Some(bytes) = self.answer_from_cache(&view, scope, ctx.now) {
             self.stats.cache_answers += 1;
-            #[expect(
-                clippy::expect_used,
-                reason = "encode of a cached response assembled from records that encoded before"
-            )]
-            let bytes = cached.encode().expect("cached response encodes");
             return vec![Egress::reply(from, from_port, bytes, self.proc_delay)];
         }
         // The ECS option rewrites the OPT record, so that arm decodes and
@@ -372,6 +339,98 @@ impl UdpService for Forwarder {
         }
         vec![egress]
     }
+}
+
+/// How long the forwarder keeps an NXDOMAIN.
+const NXDOMAIN_TTL: u32 = 30;
+
+/// A cached answer kept as the reply it becomes: the header, question and
+/// answer sections of the upstream response, byte for byte, with the
+/// header rewritten to what every hit shares: id 0, QR and RA set and
+/// every other flag clear, the rcode, one question, the answers and no
+/// other sections. The received TTLs stay in the bytes.
+///
+/// In-sim responses are encoder output (DESIGN §8), and a compression
+/// pointer only points backwards, so this prefix is exactly what encoding
+/// the question and the decoded answers again would produce.
+#[derive(Debug)]
+pub struct ReplyTemplate {
+    bytes: Box<[u8]>,
+    /// Offset of the question's class.
+    qclass_at: u16,
+    /// Offset of each answer's TTL.
+    ttl_at: Box<[u16]>,
+}
+
+impl ReplyTemplate {
+    /// The template of an upstream response the cache keeps, with the TTL
+    /// of its entry: a one-question NOERROR with answers (the smallest
+    /// answer TTL, if above zero), or an NXDOMAIN ([`NXDOMAIN_TTL`], its
+    /// answers dropped).
+    fn of_response(response: &[u8]) -> Option<(ReplyTemplate, u32)> {
+        let view = MessageView::new(response).ok()?;
+        let rcode = view.rcode();
+        if view.qdcount() != 1 || !matches!(rcode, Rcode::NoError | Rcode::NxDomain) {
+            return None;
+        }
+        let layout = view.answer_layout().ok()?;
+        let (end, ttl_at) = match rcode {
+            Rcode::NoError => (layout.answers_end, layout.ttl_offsets),
+            _ => (layout.question_end, Vec::new()),
+        };
+        let mut bytes: Box<[u8]> = response.get(..end)?.into();
+        let qclass_at = u16::try_from(layout.question_end - 2).ok()?;
+        let ttl_at = ttl_at
+            .into_iter()
+            .map(u16::try_from)
+            .collect::<Result<Box<[u16]>, _>>()
+            .ok()?;
+        let ttl = match rcode {
+            Rcode::NoError => ttl_at
+                .iter()
+                .map(|&at| read_u32(&bytes, usize::from(at)))
+                .min()?,
+            _ => NXDOMAIN_TTL,
+        };
+        if ttl == 0 {
+            return None;
+        }
+        let header = bytes.get_mut(..12)?;
+        header[..6].copy_from_slice(&[0, 0, 0x80, 0x80 | rcode.code(), 0, 1]);
+        header[6..8].copy_from_slice(&(ttl_at.len() as u16).to_be_bytes());
+        header[8..].fill(0);
+        let template = ReplyTemplate {
+            bytes,
+            qclass_at,
+            ttl_at,
+        };
+        Some((template, ttl))
+    }
+
+    /// The reply to a query with id `id`, RD bit `rd` and class `qclass`:
+    /// a copy of the template with those patched in and each TTL cut to
+    /// the `remaining` whole seconds.
+    fn reply(&self, id: u16, rd: bool, qclass: RecordClass, remaining: SimDuration) -> Vec<u8> {
+        let mut out = self.bytes.to_vec();
+        patch_id(&mut out, id);
+        out[2] |= u8::from(rd);
+        let at = usize::from(self.qclass_at);
+        out[at..at + 2].copy_from_slice(&qclass.code().to_be_bytes());
+        let remaining = remaining.as_secs();
+        for &at in self.ttl_at.iter() {
+            let at = usize::from(at);
+            let ttl = remaining.min(u64::from(read_u32(&out, at))) as u32;
+            out[at..at + 4].copy_from_slice(&ttl.to_be_bytes());
+        }
+        out
+    }
+}
+
+/// The big-endian `u32` at `at` (a TTL offset the layout walk found).
+fn read_u32(bytes: &[u8], at: usize) -> u32 {
+    let mut word = [0; 4];
+    word.copy_from_slice(&bytes[at..at + 4]);
+    u32::from_be_bytes(word)
 }
 
 /// A copy of the message `payload` carrying transaction id `id`.
@@ -569,5 +628,93 @@ mod tests {
             &resp.encode().unwrap(),
         );
         assert!(out.is_empty());
+    }
+
+    /// An upstream answer for `www.example.test` (a CNAME, then two A
+    /// records), with an NS and an SOA in authority, glue and an OPT with
+    /// ECS in additional.
+    fn full_response(id: u16, ttls: [u32; 3]) -> Vec<u8> {
+        let name = |s: &str| dnswire::name::DnsName::parse(s).unwrap();
+        let q = QueryBuilder::new(id, "www.example.test", RecordType::A)
+            .build()
+            .unwrap();
+        let mut msg = ResponseBuilder::for_query(&q)
+            .authoritative(true)
+            .answer(dnswire::message::ResourceRecord::new(
+                name("www.example.test"),
+                ttls[0],
+                dnswire::rdata::RData::Cname(name("edge.cdn.test")),
+            ))
+            .answer_a(name("edge.cdn.test"), ttls[1], ip(192, 0, 2, 7))
+            .answer_a(name("edge.cdn.test"), ttls[2], ip(192, 0, 2, 8))
+            .authority(dnswire::message::ResourceRecord::new(
+                name("cdn.test"),
+                3600,
+                dnswire::rdata::RData::Ns(name("ns1.cdn.test")),
+            ))
+            .additional(dnswire::message::ResourceRecord::new(
+                name("ns1.cdn.test"),
+                3600,
+                dnswire::rdata::RData::A(ip(192, 0, 2, 53)),
+            ))
+            .build();
+        msg.set_client_subnet(ip(100, 64, 0, 0), 24);
+        msg.advertise_udp_size(1232);
+        msg.encode().unwrap()
+    }
+
+    #[test]
+    fn a_cached_reply_carries_the_question_and_answers_only() {
+        let response = full_response(9, [60, 20, 40]);
+        let (template, ttl) = ReplyTemplate::of_response(&response).unwrap();
+        assert_eq!(ttl, 20, "the entry lives as long as its shortest answer");
+        let reply = template.reply(0x77, true, RecordClass::In, SimDuration::from_secs(15));
+        let got = Message::decode(&reply).unwrap();
+        let sent = Message::decode(&response).unwrap();
+        assert_eq!(got.header.id, 0x77);
+        assert!(got.header.flags.response && got.header.flags.recursion_available);
+        assert!(got.header.flags.recursion_desired && !got.header.flags.authoritative);
+        assert_eq!(got.questions, sent.questions);
+        assert_eq!(got.answers.len(), 3);
+        assert!(got.authorities.is_empty() && got.additionals.is_empty());
+        // The same bytes as encoding that message again.
+        assert_eq!(reply, got.encode().unwrap());
+        // With no TTL cut, after the header it is the response's prefix.
+        let uncut = template.reply(0x77, true, RecordClass::In, SimDuration::from_secs(60));
+        assert_eq!(uncut[12..], response[12..uncut.len()]);
+    }
+
+    #[test]
+    fn a_cached_reply_cuts_each_ttl_to_the_smaller_of_remaining_and_received() {
+        let response = full_response(9, [60, 20, 40]);
+        let (template, _) = ReplyTemplate::of_response(&response).unwrap();
+        let ttls = |remaining: u64| {
+            let reply =
+                template.reply(1, false, RecordClass::In, SimDuration::from_secs(remaining));
+            let msg = Message::decode(&reply).unwrap();
+            msg.answers.iter().map(|rr| rr.ttl).collect::<Vec<_>>()
+        };
+        assert_eq!(ttls(100), vec![60, 20, 40]);
+        assert_eq!(ttls(30), vec![30, 20, 30]);
+        assert_eq!(ttls(0), vec![0, 0, 0]);
+        // A hit patches a copy: the template keeps the received TTLs.
+        assert_eq!(ttls(100), vec![60, 20, 40]);
+    }
+
+    #[test]
+    fn an_nxdomain_is_cached_without_its_records_and_a_servfail_is_not() {
+        let mut msg = Message::decode(&full_response(3, [60, 20, 40])).unwrap();
+        msg.header.rcode = Rcode::NxDomain;
+        let (template, ttl) = ReplyTemplate::of_response(&msg.encode().unwrap()).unwrap();
+        assert_eq!(ttl, NXDOMAIN_TTL);
+        let reply = template.reply(5, false, RecordClass::In, SimDuration::from_secs(9));
+        let got = Message::decode(&reply).unwrap();
+        assert_eq!(got.header.rcode, Rcode::NxDomain);
+        assert_eq!(got.questions.len(), 1);
+        assert!(got.answers.is_empty() && got.additionals.is_empty());
+        msg.header.rcode = Rcode::ServFail;
+        assert!(ReplyTemplate::of_response(&msg.encode().unwrap()).is_none());
+        // A NOERROR whose shortest answer TTL is zero is not cached either.
+        assert!(ReplyTemplate::of_response(&full_response(3, [60, 0, 40])).is_none());
     }
 }

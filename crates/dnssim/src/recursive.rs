@@ -4,7 +4,7 @@
 //! simulated network, and answers flow back.
 
 use crate::authority::DNS_PORT;
-use crate::cache::{AmbientModel, CacheKey, CacheOutcome, DnsCache};
+use crate::cache::{rebased, AmbientModel, CacheKey, DnsCache, FlatKey};
 use crate::txn::TxnTable;
 use dnswire::builder::ResponseBuilder;
 use dnswire::message::{Header, Message, Question, Rcode, ResourceRecord};
@@ -190,50 +190,34 @@ impl RecursiveResolver {
 
     /// Follows the CNAME chain for `question` entirely from cache (within
     /// the given ECS partition). Returns `Some((records, rcode))` when the
-    /// cache can fully answer.
+    /// cache can fully answer. Probes by borrowed key: no name is cloned.
     fn answer_from_cache(
         &mut self,
         question: &Question,
         scope: Option<Prefix>,
         now: SimTime,
     ) -> Option<(Vec<ResourceRecord>, Rcode)> {
+        let qtype = question.qtype;
         let mut chain = Vec::new();
-        let mut current = question.qname.clone();
+        let mut key = FlatKey::new(question.qname.as_ref(), qtype, scope);
+        let mut cname_key = FlatKey::new(question.qname.as_ref(), RecordType::Cname, scope);
         for _ in 0..=MAX_CNAME_DEPTH {
-            match self
-                .cache
-                .lookup(&(current.clone(), question.qtype, scope), now)
-            {
-                CacheOutcome::Hit { records, rcode } => {
-                    if rcode != Rcode::NoError {
-                        return Some((chain, rcode));
-                    }
-                    if !records.is_empty() {
-                        chain.extend(records);
-                        return Some((chain, Rcode::NoError));
-                    }
-                    // Cached NODATA.
-                    return Some((chain, Rcode::NoError));
+            if let Some(hit) = self.cache.get(&key, now) {
+                if hit.rcode == Rcode::NoError {
+                    // Records, or a cached NODATA.
+                    chain.extend(rebased(hit.value, hit.remaining));
                 }
-                CacheOutcome::Miss => {}
+                return Some((chain, hit.rcode));
             }
-            if question.qtype == RecordType::Cname {
+            if qtype == RecordType::Cname {
                 return None;
             }
-            match self
-                .cache
-                .lookup(&(current.clone(), RecordType::Cname, scope), now)
-            {
-                CacheOutcome::Hit {
-                    records,
-                    rcode: Rcode::NoError,
-                } if !records.is_empty() => {
-                    let target = records[0].rdata.as_cname()?.clone();
-                    chain.extend(records);
-                    current = target;
-                }
-                _ => return None,
-            }
+            let hit = self.cache.get(&cname_key, now)?;
+            let first = hit.value.first().filter(|_| hit.rcode == Rcode::NoError)?;
+            let target = first.rdata.as_cname()?.as_ref();
+            key = FlatKey::new(target, qtype, scope);
+            cname_key = FlatKey::new(target, RecordType::Cname, scope);
+            chain.extend(rebased(hit.value, hit.remaining));
         }
         None
     }
@@ -241,25 +225,27 @@ impl RecursiveResolver {
     /// Finds the closest-enclosing zone of `name` with cached NS + glue,
     /// falling back to the root hints.
     fn servers_for(&mut self, name: &DnsName, now: SimTime) -> Vec<Ipv4Addr> {
-        let ancestors: Vec<DnsName> = name.self_and_ancestors().collect();
-        for anc in &ancestors {
-            let ns_hosts: Vec<DnsName> =
-                match self.cache.lookup(&(anc.clone(), RecordType::Ns, None), now) {
-                    CacheOutcome::Hit { records, .. } => records
-                        .iter()
-                        .filter_map(|rr| match &rr.rdata {
-                            RData::Ns(h) => Some(h.clone()),
-                            _ => None,
-                        })
-                        .collect(),
-                    CacheOutcome::Miss => continue,
-                };
+        let mut zone = Some(name.as_ref());
+        while let Some(anc) = zone {
+            zone = anc.split_first().map(|(_, parent)| parent);
+            let Some(hit) = self
+                .cache
+                .get(&FlatKey::new(anc, RecordType::Ns, None), now)
+            else {
+                continue;
+            };
+            let hosts: Vec<FlatKey> = hit
+                .value
+                .iter()
+                .filter_map(|rr| match &rr.rdata {
+                    RData::Ns(h) => Some(FlatKey::new(h.as_ref(), RecordType::A, None)),
+                    _ => None,
+                })
+                .collect();
             let mut addrs = Vec::new();
-            for host in ns_hosts {
-                if let CacheOutcome::Hit { records, .. } =
-                    self.cache.lookup(&(host, RecordType::A, None), now)
-                {
-                    addrs.extend(records.iter().filter_map(|rr| rr.rdata.as_a()));
+            for host in &hosts {
+                if let Some(hit) = self.cache.get(host, now) {
+                    addrs.extend(hit.value.iter().filter_map(|rr| rr.rdata.as_a()));
                 }
             }
             if !addrs.is_empty() {
@@ -529,8 +515,8 @@ impl RecursiveResolver {
                 })
                 .unwrap_or(self.config.neg_ttl)
                 .min(self.config.neg_ttl);
-            self.cache.insert(
-                (fl.current.clone(), fl.question.qtype, None),
+            self.cache.put(
+                &FlatKey::new(fl.current.as_ref(), fl.question.qtype, None),
                 Vec::new(),
                 Rcode::NxDomain,
                 neg_ttl,
@@ -632,8 +618,8 @@ impl RecursiveResolver {
         }
         // Authoritative NODATA.
         if response.header.flags.authoritative {
-            self.cache.insert(
-                (fl.current.clone(), fl.question.qtype, None),
+            self.cache.put(
+                &FlatKey::new(fl.current.as_ref(), fl.question.qtype, None),
                 Vec::new(),
                 Rcode::NoError,
                 self.config.neg_ttl,

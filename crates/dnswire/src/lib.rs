@@ -53,7 +53,8 @@ pub mod rdata;
 pub use edns::EdnsOption;
 pub use error::WireError;
 pub use message::{
-    Flags, Header, Message, MessageView, Opcode, Precheck, Question, Rcode, ResourceRecord,
+    AnswerLayout, Flags, Header, Message, MessageView, Opcode, Precheck, Question, Rcode,
+    ResourceRecord,
 };
 pub use name::DnsName;
 pub use nameref::NameRef;

@@ -566,6 +566,49 @@ impl<'a> MessageView<'a> {
         let qclass = RecordClass::from_code(cur.read_u16("qclass")?);
         Ok(Some((qname, qtype, qclass)))
     }
+
+    /// Walks the question and answer sections without decoding a record:
+    /// each name is validated in place and each record's fixed fields and
+    /// RDATA length are bounds-checked. RDATA contents are not read.
+    pub fn answer_layout(&self) -> Result<AnswerLayout, WireError> {
+        let mut cur = Cursor {
+            buf: self.buf,
+            pos: 12,
+        };
+        for _ in 0..self.qdcount() {
+            cur.read_name_ref()?;
+            cur.take(4, "qtype and qclass")?;
+        }
+        let question_end = cur.pos();
+        let ancount = u16::from_be_bytes([self.buf[6], self.buf[7]]);
+        let mut ttl_offsets = Vec::with_capacity(ancount.min(64) as usize);
+        for _ in 0..ancount {
+            cur.read_name_ref()?;
+            cur.take(4, "rr type and class")?;
+            ttl_offsets.push(cur.pos());
+            cur.take(4, "rr ttl")?;
+            let rdlen = cur.read_u16("rr rdlength")? as usize;
+            cur.take(rdlen, "rr rdata")?;
+        }
+        Ok(AnswerLayout {
+            question_end,
+            answers_end: cur.pos(),
+            ttl_offsets,
+        })
+    }
+}
+
+/// Where a message's question and answer sections end, and where each
+/// answer's TTL sits ([`MessageView::answer_layout`]). Enough to keep a
+/// reply as bytes and rewrite its TTLs later.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AnswerLayout {
+    /// Offset just past the question section.
+    pub question_end: usize,
+    /// Offset just past the answer section.
+    pub answers_end: usize,
+    /// Offset of each answer record's 32-bit TTL, in order.
+    pub ttl_offsets: Vec<usize>,
 }
 
 /// Writes transaction id `id` into an encoded message (a no-op on one
@@ -1052,5 +1095,31 @@ mod tests {
         assert_eq!(view.opcode(), Opcode::Status);
         assert_eq!(view.rcode(), Rcode::Refused);
         assert!(view.recursion_desired());
+    }
+
+    #[test]
+    fn answer_layout_finds_the_section_ends_and_each_answer_ttl() {
+        let msg = sample_response();
+        let wire = msg.encode().unwrap();
+        let layout = MessageView::new(&wire).unwrap().answer_layout().unwrap();
+        // The question: 17 octets of name, type, class.
+        assert_eq!(layout.question_end, 12 + 17 + 4);
+        // Re-encoding header, question and answers alone ends where the
+        // walk says the answers end: nothing after points back into them.
+        let mut prefix = msg.clone();
+        prefix.authorities.clear();
+        prefix.additionals.clear();
+        let head = prefix.encode().unwrap();
+        assert_eq!(layout.answers_end, head.len());
+        assert_eq!(wire[12..layout.answers_end], head[12..]);
+        let ttls: Vec<u32> = layout
+            .ttl_offsets
+            .iter()
+            .map(|&at| u32::from_be_bytes(wire[at..at + 4].try_into().unwrap()))
+            .collect();
+        assert_eq!(ttls, vec![30, 20]);
+        // A cut inside the answers is an error, not a short layout.
+        let cut = MessageView::new(&wire[..layout.answers_end - 1]).unwrap();
+        assert!(cut.answer_layout().is_err());
     }
 }

@@ -163,6 +163,39 @@ impl RunStats {
 /// a ground-truth [`ServeCore`] from `eps.config` and replays the wire
 /// transcript into it, counting byte mismatches.
 pub fn run(eps: &Endpoints, script: &Script, cfg: &DriverConfig) -> std::io::Result<RunStats> {
+    let driven = drive(eps, script, cfg)?;
+    Ok(if cfg.verify {
+        driven.verify(eps)
+    } else {
+        driven.stats
+    })
+}
+
+/// A finished wire phase: its statistics, with no mismatches counted yet,
+/// and the transcript [`Driven::verify`] replays.
+pub struct Driven {
+    /// What the wire phase saw.
+    pub stats: RunStats,
+    logs: Vec<CarrierLog>,
+}
+
+impl Driven {
+    /// Replays the transcript into a ground-truth [`ServeCore`] built from
+    /// `eps.config` and counts the byte mismatches into the statistics.
+    pub fn verify(mut self, eps: &Endpoints) -> RunStats {
+        let mismatches = verify(eps, &self.logs);
+        self.stats.mismatches = mismatches;
+        self.stats
+            .registry
+            .inc_by("loadgen.mismatches", &[], mismatches);
+        self.stats
+    }
+}
+
+/// The wire phase of [`run`] alone: drives `script` against the server at
+/// `eps` and keeps the transcript. `cfg.verify` is not read here; call
+/// [`Driven::verify`] to replay it.
+pub fn drive(eps: &Endpoints, script: &Script, cfg: &DriverConfig) -> std::io::Result<Driven> {
     let clock = WallClock::new();
     let carriers = eps.carriers.len().max(1) as u64;
     let per_carrier_qps = cfg.qps.map(|q| (q / carriers).max(1));
@@ -231,10 +264,6 @@ pub fn run(eps: &Endpoints, script: &Script, cfg: &DriverConfig) -> std::io::Res
         }
     }
 
-    if cfg.verify {
-        stats.mismatches = verify(eps, &logs);
-    }
-
     let reg = &mut stats.registry;
     reg.inc_by("loadgen.sent", &[], stats.sent);
     reg.inc_by("loadgen.answered", &[], stats.answered);
@@ -250,7 +279,7 @@ pub fn run(eps: &Endpoints, script: &Script, cfg: &DriverConfig) -> std::io::Res
     for &us in &stats.latencies_us {
         reg.observe_us("loadgen.latency_us", &[], us);
     }
-    Ok(stats)
+    Ok(Driven { stats, logs })
 }
 
 fn rcode_label(m: &Message) -> &'static str {

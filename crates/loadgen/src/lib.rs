@@ -19,7 +19,7 @@ pub mod report;
 pub mod script;
 
 pub use chaos::{ChaosAction, ChaosProfile};
-pub use driver::{run, DriverConfig, RunStats};
+pub use driver::{drive, run, Driven, DriverConfig, RunStats};
 pub use report::render_profile_json;
 pub use script::{build_script, MixConfig, PlannedQuery, Script};
 

@@ -49,21 +49,25 @@ usage: repro [ARTIFACT... | all] [OPTIONS]
        repro serve [OPTIONS]
        repro soak [OPTIONS]
 
-Campaign:
+Each mode rejects, by name, an option it does not use (exit 2).
+
+World (campaign, serve, soak):
   --scale quick|standard|full            world and campaign size (default: standard)
   --seed N                               master seed (default: 2014)
-  --out DIR                              output directory (default: results)
-  --threads N                            campaign threads (default: one per carrier shard)
   --ecs                                  deploy EDNS client-subnet (RFC 7871)
   --era lte|3g                           network era (default: lte)
   --fault-profile none|cellular|stress   deterministic fault injection (default: none)
+
+Campaign:
+  --out DIR                              output directory (default: results;
+                                         serve: where its endpoints file goes)
+  --threads N                            campaign threads (default: one per carrier shard)
   --metrics                              print the metrics summary table to stdout
   --no-metrics                           do not write <out>/metrics.json
   --progress                             one stderr line per shard-day
-  --quiet                                silence stderr reporting
+  --quiet                                silence stderr reporting (every mode)
 
-Serving plane (serve, soak; --scale, --seed, --ecs, --era and --fault-profile
-build the served world):
+Serving plane (serve, soak):
   --endpoints PATH                       serve: write the endpoints handshake file
                                          (default: <out>/serve-endpoints.txt);
                                          soak: drive the running server that
@@ -75,7 +79,8 @@ build the served world):
   --chaos off|mild|stress                soak: wire chaos (default: off)
   --no-verify                            soak: skip the ground-truth replay
   --profile-out PATH                     soak: write the host-plane profile JSON
-  --metrics-out PATH                     soak: write the server's registry JSON
+  --metrics-out PATH                     soak without --endpoints: write the
+                                         server's registry JSON
   -h, --help                             print this help
 ";
 
@@ -106,16 +111,59 @@ where
         .map_err(|e| format!("bad value '{raw}' for {flag}: {e}"))
 }
 
-/// Options `soak --endpoints` cannot honour: the world is the one the
-/// running server was built with, and its registry stays in that process.
-const SERVER_SIDE: [&str; 6] = [
-    "--scale",
-    "--seed",
-    "--ecs",
-    "--era",
-    "--fault-profile",
-    "--metrics-out",
+/// The modes `repro` runs in, as bits of an option's [`OPTIONS`] entry.
+const CAMPAIGN: u8 = 1;
+const SERVE: u8 = 2;
+/// `soak` with a server of its own.
+const SOAK: u8 = 4;
+/// `soak --endpoints`: drives a server already running, over that
+/// server's world, whose registry stays in that process.
+const DRIVE: u8 = 8;
+/// The modes that build a world from these options.
+const WORLD: u8 = CAMPAIGN | SERVE | SOAK;
+
+/// Which modes use each option. Any other mode rejects it by name before
+/// a world is built, so no option is silently ignored.
+const OPTIONS: [(&str, u8); 20] = [
+    ("--scale", WORLD),
+    ("--seed", WORLD),
+    ("--ecs", WORLD),
+    ("--era", WORLD),
+    ("--fault-profile", WORLD),
+    ("--out", CAMPAIGN | SERVE),
+    ("--threads", CAMPAIGN),
+    ("--metrics", CAMPAIGN),
+    ("--no-metrics", CAMPAIGN),
+    ("--progress", CAMPAIGN),
+    ("--quiet", WORLD | DRIVE),
+    ("--endpoints", SERVE | DRIVE),
+    ("--max-queries", SERVE),
+    ("--queries", SOAK | DRIVE),
+    ("--qps", SOAK | DRIVE),
+    ("--miss-per-mille", SOAK | DRIVE),
+    ("--chaos", SOAK | DRIVE),
+    ("--no-verify", SOAK | DRIVE),
+    ("--profile-out", SOAK | DRIVE),
+    ("--metrics-out", SOAK),
 ];
+
+/// The first of `options` that `mode` does not use, with the reason.
+fn inapplicable(options: &[String], mode: u8) -> Option<String> {
+    let flag = options.iter().find(|o| {
+        OPTIONS
+            .iter()
+            .find(|(name, _)| name == o)
+            .is_none_or(|&(_, modes)| modes & mode == 0)
+    })?;
+    Some(match mode {
+        CAMPAIGN => format!("{flag} applies only to serve and soak, not to a campaign"),
+        SERVE => format!("{flag} does not apply to serve"),
+        SOAK => format!("{flag} does not apply to soak"),
+        _ => format!(
+            "{flag} does not apply to soak --endpoints, which drives a server already running"
+        ),
+    })
+}
 
 fn parse_args() -> Result<Args, String> {
     let mut targets = Vec::new();
@@ -196,20 +244,22 @@ fn parse_args() -> Result<Args, String> {
     if targets.is_empty() {
         targets.push("all".to_string());
     }
-    // Every target is checked here, before a world is built or a file
-    // written. `serve` and `soak` are modes, valid only in first place.
-    let mode = usize::from(matches!(targets[0].as_str(), "serve" | "soak"));
-    for t in &targets[mode..] {
+    // Every target and option is checked here, before a world is built or
+    // a file written. `serve` and `soak` are modes, valid only in first
+    // place.
+    let mode = match targets[0].as_str() {
+        "serve" => SERVE,
+        "soak" if endpoints.is_some() => DRIVE,
+        "soak" => SOAK,
+        _ => CAMPAIGN,
+    };
+    for t in &targets[usize::from(mode != CAMPAIGN)..] {
         if t != "all" && !figures::ARTIFACTS.iter().any(|(id, _)| id == t) {
             return Err(format!("unknown artifact '{t}' (see --help)"));
         }
     }
-    if targets[0] == "soak" && endpoints.is_some() {
-        if let Some(flag) = options.iter().find(|o| SERVER_SIDE.contains(&o.as_str())) {
-            return Err(format!(
-                "{flag} does not apply to soak --endpoints, which drives a server already running"
-            ));
-        }
+    if let Some(e) = inapplicable(&options, mode) {
+        return Err(e);
     }
     let serve = serving::ServeArgs {
         endpoints,

@@ -182,15 +182,24 @@ pub fn run_soak(target: Target, args: &ServeArgs) -> i32 {
         verify: args.verify,
         chaos: args.chaos,
     };
-    let stats = match loadgen::run(&eps, &script, &cfg) {
-        Ok(s) => s,
+    let driven = match loadgen::drive(&eps, &script, &cfg) {
+        Ok(d) => d,
         Err(e) => {
             eprintln!("repro soak: wire driver failed: {e}");
             drop(server.map(DnsServer::stop));
             return 1;
         }
     };
-    prof.record_with_rates(wire_stage.end(), &[(stats.answered, "answers")]);
+    prof.record_with_rates(wire_stage.end(), &[(driven.stats.answered, "answers")]);
+    // The ground-truth replay is host work of its own, not wire time.
+    let stats = if args.verify {
+        let verify_stage = Stage::begin("soak verify");
+        let stats = driven.verify(&eps);
+        prof.record_with_rates(verify_stage.end(), &[(stats.answered, "answers")]);
+        stats
+    } else {
+        driven.stats
+    };
 
     let report = server.map(DnsServer::stop);
     let profile = render_profile_json(&stats);

@@ -1,7 +1,8 @@
 //! `repro`'s argument handling, through the built binary: a bad option or
-//! artifact id fails before any world is built or file written, and
-//! `--help` documents every option the parser matches. Also `serve` and
-//! `soak --endpoints` as two processes.
+//! artifact id, or an option the mode does not use, fails before any world
+//! is built or file written, and `--help` documents every option the
+//! parser matches. Also `serve` and `soak --endpoints` as two processes,
+//! and the stages of `soak`'s host profile.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
@@ -144,4 +145,95 @@ fn soak_endpoints_rejects_every_server_side_option_by_name() {
             "{option:?}: {stderr}"
         );
     }
+}
+
+#[test]
+fn serve_and_soak_reject_the_options_they_do_not_use_by_name() {
+    let out = out_dir("mode-options");
+    let endpoints = out.join("ep.txt");
+    let ep = endpoints.to_str().unwrap();
+    let campaign_only = [
+        &["--threads", "2"][..],
+        &["--progress"],
+        &["--metrics"],
+        &["--no-metrics"],
+    ];
+    let soak_only = [
+        &["--queries", "10"][..],
+        &["--qps", "100"],
+        &["--miss-per-mille", "5"],
+        &["--chaos", "mild"],
+        &["--no-verify"],
+        &["--profile-out", "p.json"],
+        &["--metrics-out", "m.json"],
+    ];
+    let soak_out = ["--out", ep];
+    let cases = campaign_only
+        .iter()
+        .chain(&soak_only)
+        .map(|o| ("serve", *o))
+        .chain(campaign_only.iter().map(|o| ("soak", *o)))
+        .chain([("soak", &soak_out[..]), ("soak", &["--max-queries", "5"])]);
+    for (mode, option) in cases {
+        let mut args = vec![mode, "--scale", "quick", "--endpoints", ep];
+        if mode == "soak" {
+            // In process: no endpoints file to read.
+            args.truncate(3);
+        }
+        args.extend_from_slice(option);
+        let run = repro(&args);
+        assert_eq!(run.status.code(), Some(2), "{mode} {option:?}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains(option[0]), "{mode} {option:?}: {stderr}");
+        assert!(!out.exists(), "{mode} {option:?} bound a server");
+    }
+}
+
+#[test]
+fn a_campaign_rejects_the_serving_options_by_name() {
+    let out = out_dir("campaign-options");
+    for option in [
+        &["--queries", "10"][..],
+        &["--qps", "100"],
+        &["--miss-per-mille", "5"],
+        &["--chaos", "mild"],
+        &["--no-verify"],
+        &["--profile-out", "p.json"],
+        &["--metrics-out", "m.json"],
+        &["--max-queries", "5"],
+        &["--endpoints", "ep.txt"],
+    ] {
+        let mut args = vec!["fig2", "--scale", "quick", "--out", out.to_str().unwrap()];
+        args.extend_from_slice(option);
+        let run = repro(&args);
+        assert_eq!(run.status.code(), Some(2), "{option:?}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains(option[0]), "{option:?}: {stderr}");
+        assert!(!out.exists(), "no output directory for a rejected command");
+    }
+}
+
+#[test]
+fn soak_profiles_the_wire_and_the_verification_as_separate_stages() {
+    let run = repro(&["soak", "--scale", "quick", "--queries", "300"]);
+    assert_eq!(run.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(
+        stderr.contains("soak wire") && stderr.contains("soak verify"),
+        "{stderr}"
+    );
+    let unverified = repro(&[
+        "soak",
+        "--scale",
+        "quick",
+        "--queries",
+        "300",
+        "--no-verify",
+    ]);
+    assert_eq!(unverified.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&unverified.stderr);
+    assert!(
+        stderr.contains("soak wire") && !stderr.contains("soak verify"),
+        "{stderr}"
+    );
 }
