@@ -3,7 +3,7 @@
 //! and the local-vs-public relative replica latency comparison (Fig. 14).
 
 use crate::cdf::Cdf;
-use measure::record::{Dataset, ResolverKind};
+use measure::record::{Dataset, DnsTiming, ExperimentRecord, ResolverKind};
 use netsim::addr::Prefix;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -83,10 +83,14 @@ pub fn replica_percent_increase(ds: &Dataset, carrier: usize, domain_idx: u8) ->
     // user -> replica -> (sum_us, n)
     let mut per_user: BTreeMap<u32, BTreeMap<Ipv4Addr, (u64, u32)>> = BTreeMap::new();
     for r in ds.of_carrier(carrier) {
-        for p in &r.replica_probes {
-            if p.domain_idx != domain_idx || p.via != ResolverKind::Local {
-                continue;
-            }
+        let Some(local) = first_lookup(r, domain_idx, ResolverKind::Local) else {
+            continue;
+        };
+        for p in r
+            .replica_probes
+            .iter()
+            .filter(|p| local.addrs.contains(&p.addr))
+        {
             if let Some(us) = p.rtt_us {
                 let e = per_user
                     .entry(r.device_id)
@@ -173,11 +177,7 @@ pub fn relative_replica_latency(ds: &Dataset, carrier: usize, public: ResolverKi
     for r in ds.of_carrier(carrier) {
         // Best latency per /24 across the experiment's probes.
         let mut by_prefix: BTreeMap<Prefix, u32> = BTreeMap::new();
-        let mut domains: Vec<u8> = Vec::new();
         for p in &r.replica_probes {
-            if !domains.contains(&p.domain_idx) {
-                domains.push(p.domain_idx);
-            }
             if let Some(us) = p.rtt_us {
                 let key = Prefix::slash24_of(p.addr);
                 by_prefix
@@ -186,16 +186,22 @@ pub fn relative_replica_latency(ds: &Dataset, carrier: usize, public: ResolverKi
                     .or_insert(us);
             }
         }
-        for &d in &domains {
-            let best_for = |kind: ResolverKind| -> Option<u32> {
-                r.replica_probes
-                    .iter()
-                    .filter(|p| p.via == kind && p.domain_idx == d)
-                    .filter_map(|p| by_prefix.get(&Prefix::slash24_of(p.addr)).copied())
-                    .min()
+        // The best /24 latency among the replicas one lookup returned.
+        let best_of = |l: &DnsTiming| {
+            l.addrs
+                .iter()
+                .filter_map(|&a| by_prefix.get(&Prefix::slash24_of(a)).copied())
+                .min()
+        };
+        let local_lookups = r
+            .lookups
+            .iter()
+            .filter(|l| l.attempt == 1 && l.resolver == ResolverKind::Local);
+        for l in local_lookups {
+            let Some(p) = first_lookup(r, l.domain_idx, public) else {
+                continue;
             };
-            if let (Some(local), Some(pub_lat)) = (best_for(ResolverKind::Local), best_for(public))
-            {
+            if let (Some(local), Some(pub_lat)) = (best_of(l), best_of(p)) {
                 if local > 0 {
                     samples.push((pub_lat as f64 - local as f64) / local as f64 * 100.0);
                 }
@@ -203,6 +209,14 @@ pub fn relative_replica_latency(ds: &Dataset, carrier: usize, public: ResolverKi
         }
     }
     Cdf::new(samples)
+}
+
+/// The attempt-1 lookup of `domain_idx` through `kind`: the replicas it
+/// returned are the ones that resolver chose for that domain.
+fn first_lookup(r: &ExperimentRecord, domain_idx: u8, kind: ResolverKind) -> Option<&DnsTiming> {
+    r.lookups
+        .iter()
+        .find(|l| l.attempt == 1 && l.domain_idx == domain_idx && l.resolver == kind)
 }
 
 /// The abstract's headline: the fraction of experiments in which the public

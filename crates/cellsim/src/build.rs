@@ -5,7 +5,7 @@
 //! each with a radio aggregation node and an egress router, interconnected
 //! by a label-switched core that traceroute cannot see through.
 
-use crate::profile::{CarrierProfile, ClientFacing, PolicyConfig};
+use crate::profile::{CarrierProfile, ClientFacing};
 use dnssim::authority::DNS_PORT;
 use dnssim::cache::AmbientModel;
 use dnssim::forwarder::{Forwarder, UpstreamPolicy};
@@ -474,14 +474,7 @@ pub fn install_carrier_services(
         net.topo_mut().node_mut(*node).answers_ping = policy;
     }
 
-    let policy = match carrier.profile.dns.policy {
-        PolicyConfig::Sticky => UpstreamPolicy::Sticky,
-        PolicyConfig::Lease { lease, stick_prob } => {
-            UpstreamPolicy::PerClientLease { lease, stick_prob }
-        }
-        PolicyConfig::LoadBalance => UpstreamPolicy::LoadBalance,
-        PolicyConfig::PrimarySpill { spill_prob } => UpstreamPolicy::PrimarySpill { spill_prob },
-    };
+    let policy = &carrier.profile.dns.policy;
 
     // Client-facing resolvers cache answers; their ambient phase differs
     // from the externals' so warmth is not artificially correlated.
@@ -524,9 +517,9 @@ pub fn install_carrier_services(
         }
         (None, false) => {
             for (i, (node, _, _)) in carrier.forwarder_nodes.iter().enumerate() {
-                let upstreams = match carrier.profile.dns.policy {
+                let upstreams = match policy {
                     // Tiered-sticky carriers pin forwarder i to external i.
-                    PolicyConfig::Sticky => {
+                    UpstreamPolicy::Sticky => {
                         let (_, ext) =
                             carrier.external_resolvers[i % carrier.external_resolvers.len()];
                         vec![ext]

@@ -19,6 +19,6 @@ pub mod radio;
 pub use build::{build_carrier, install_carrier_services, CarrierNet, GatewaySite, GeoRegion};
 pub use device::{create_devices, Device, Mobility};
 pub use profile::{
-    six_carriers, CarrierProfile, ClientFacing, Country, DnsInfraConfig, PolicyConfig, RadioLineage,
+    six_carriers, CarrierProfile, ClientFacing, Country, DnsInfraConfig, RadioLineage,
 };
 pub use radio::{RadioTech, RrcState};

@@ -2,6 +2,7 @@
 //! carrier-specific number in the paper (Tables 1, 3, 4; §5.2 egress
 //! counts). All calibration constants live here, as plain data.
 
+use dnssim::forwarder::UpstreamPolicy;
 use netsim::time::SimDuration;
 
 /// Market the carrier operates in.
@@ -51,30 +52,6 @@ pub enum ClientFacing {
     },
 }
 
-/// Client→external mapping policy parameters (drives Table 3 consistency).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PolicyConfig {
-    /// One fixed external per forwarder (Verizon: 100% consistency).
-    Sticky,
-    /// Leased stickiness: re-evaluated every `lease`, kept with
-    /// `stick_prob` (LDNS pools: Sprint and the Korean carriers).
-    Lease {
-        /// Mean lease duration.
-        lease: SimDuration,
-        /// Probability of keeping the current external at renewal.
-        stick_prob: f64,
-    },
-    /// Uniform per-query balancing (T-Mobile's heavily balanced pool).
-    LoadBalance,
-    /// Each forwarder has a primary external and spills to a random pool
-    /// member with `spill_prob` (Sprint's "fairly consistent mapping …
-    /// over 60% of the time").
-    PrimarySpill {
-        /// Probability a query goes to a non-primary external.
-        spill_prob: f64,
-    },
-}
-
 /// DNS infrastructure description for one carrier (§4.1, Table 3, Table 4).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DnsInfraConfig {
@@ -88,8 +65,8 @@ pub struct DnsInfraConfig {
     /// AS number of the external tier when it differs from the carrier's
     /// (Verizon: client-facing in AS 6167, external in AS 22394).
     pub external_asn: Option<u32>,
-    /// Mapping policy.
-    pub policy: PolicyConfig,
+    /// Client→external mapping policy (drives Table 3 consistency).
+    pub policy: UpstreamPolicy,
     /// Number of externals that answer ICMP echo from outside the carrier
     /// (Table 4's ping column).
     pub external_ping_reachable: usize,
@@ -198,7 +175,7 @@ pub fn six_carriers() -> Vec<CarrierProfile> {
                 external_count: 40,
                 external_slash24s: 10,
                 external_asn: None,
-                policy: PolicyConfig::Lease {
+                policy: UpstreamPolicy::PerClientLease {
                     lease: SimDuration::from_hours(18),
                     stick_prob: 0.55,
                 },
@@ -224,7 +201,7 @@ pub fn six_carriers() -> Vec<CarrierProfile> {
                 external_slash24s: 4,
                 external_asn: None,
                 // LDNS pool with fairly consistent mapping, >60%.
-                policy: PolicyConfig::PrimarySpill { spill_prob: 0.25 },
+                policy: UpstreamPolicy::PrimarySpill { spill_prob: 0.25 },
                 external_ping_reachable: 0,
                 colocated_external: false,
                 client_answers_ping: true,
@@ -248,7 +225,7 @@ pub fn six_carriers() -> Vec<CarrierProfile> {
                 external_asn: None,
                 // "a high degree of load balancing between external
                 // resolvers in T-Mobile's network".
-                policy: PolicyConfig::LoadBalance,
+                policy: UpstreamPolicy::LoadBalance,
                 external_ping_reachable: 20, // majority respond
                 colocated_external: false,
                 client_answers_ping: true,
@@ -271,8 +248,8 @@ pub fn six_carriers() -> Vec<CarrierProfile> {
                 external_slash24s: 6,
                 // Tiered resolvers in an entirely different AS (§4.1).
                 external_asn: Some(22394),
-                policy: PolicyConfig::Sticky, // 100% pairing consistency
-                external_ping_reachable: 5,   // majority respond
+                policy: UpstreamPolicy::Sticky, // 100% pairing consistency
+                external_ping_reachable: 5,     // majority respond
                 colocated_external: false,
                 client_answers_ping: true,
             },
@@ -293,7 +270,7 @@ pub fn six_carriers() -> Vec<CarrierProfile> {
                 external_count: 24,
                 external_slash24s: 1, // "contained within the same /24"
                 external_asn: None,
-                policy: PolicyConfig::Lease {
+                policy: UpstreamPolicy::PerClientLease {
                     lease: SimDuration::from_hours(4),
                     stick_prob: 0.35,
                 },
@@ -319,7 +296,7 @@ pub fn six_carriers() -> Vec<CarrierProfile> {
                 external_slash24s: 2, // "within only 2 /24 prefixes"
                 external_asn: None,
                 // "over 65 external resolver IPs within a two week period".
-                policy: PolicyConfig::Lease {
+                policy: UpstreamPolicy::PerClientLease {
                     lease: SimDuration::from_hours(2),
                     stick_prob: 0.20,
                 },
@@ -374,11 +351,11 @@ mod tests {
         let sprint = carriers.iter().find(|c| c.name == "Sprint").unwrap();
         assert!(matches!(
             sprint.dns.policy,
-            PolicyConfig::PrimarySpill { .. }
+            UpstreamPolicy::PrimarySpill { .. }
         ));
         assert_eq!(vz.dns.external_asn, Some(22394));
         assert_eq!(vz.asn, 6167);
-        assert_eq!(vz.dns.policy, PolicyConfig::Sticky);
+        assert_eq!(vz.dns.policy, UpstreamPolicy::Sticky);
         assert_eq!(vz.dns.external_count, 6);
     }
 

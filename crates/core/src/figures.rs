@@ -617,7 +617,14 @@ pub fn summary(ds: &Dataset) -> Artifact {
     let probes: usize = ds
         .records
         .iter()
-        .map(|r| r.replica_probes.len() + r.resolver_probes.len())
+        .map(|r| {
+            let replica_rows: usize = r
+                .replica_probes
+                .iter()
+                .map(|p| r.returned_by(p.addr).count())
+                .sum();
+            replica_rows + r.resolver_probes.len()
+        })
         .sum();
     let _ = writeln!(text, "== Campaign summary ==");
     let _ = writeln!(

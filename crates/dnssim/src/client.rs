@@ -26,7 +26,7 @@ use dnswire::message::{Message, MessageView, Rcode};
 use dnswire::name::DnsName;
 use dnswire::rdata::RecordType;
 use netsim::engine::{FlowResult, Network};
-use netsim::tcplite::{TcpFailure, TcpFetch};
+use netsim::tcplite::TcpFailure;
 use netsim::time::{SimDuration, SimTime};
 use netsim::topo::NodeId;
 use rand::Rng;
@@ -467,31 +467,15 @@ fn resolve_over_tcp(
     let payload = encode_query(id, qname, qtype);
     // Queries are a few dozen bytes; framing cannot fail on them.
     let framed = frame(&payload).map_err(|_| None)?;
-    let port = net.alloc_client_port(node);
-    net.register_service(
-        node,
-        port,
-        Box::new(TcpFetch::new(resolver, DNS_TCP_PORT, framed)),
-    );
-    net.kick_service(node, port);
-    let mut result: Result<Vec<u8>, Option<TcpFailure>> = Err(None);
-    loop {
-        if let Some(fetch) = net.service_as::<TcpFetch>(node, port) {
-            if let Some(outcome) = fetch.outcome {
-                result = if outcome.success {
-                    Ok(fetch.data.clone())
-                } else {
-                    Err(outcome.failure)
-                };
-                break;
+    let data = net
+        .tcp_fetch(node, resolver, DNS_TCP_PORT, framed, deadline, |o, data| {
+            if o.success {
+                Ok(data.to_vec())
+            } else {
+                Err(o.failure)
             }
-        }
-        if net.now() > deadline || !net.step() {
-            break;
-        }
-    }
-    net.unregister_service(node, port);
-    let data = result?;
+        })
+        .unwrap_or(Err(None))?;
     // The fetch holds the complete stream, so any shortfall is a typed
     // framing error (partial read / zero-length), not a wait state.
     let reply = require_frame(&data).map_err(|_| None)?;

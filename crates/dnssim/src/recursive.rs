@@ -50,16 +50,8 @@ pub struct ResolverConfig {
     pub egress_addrs: Vec<Ipv4Addr>,
     /// Root server addresses (hints).
     pub roots: Vec<Ipv4Addr>,
-    /// Cache entry bound.
-    pub cache_capacity: usize,
-    /// Cap on cached TTLs.
-    pub max_ttl: SimDuration,
-    /// Negative-cache TTL.
-    pub neg_ttl: SimDuration,
     /// How long an in-flight recursion may live before ServFail.
     pub inflight_deadline: SimDuration,
-    /// Per-message processing time.
-    pub proc_delay: SimDuration,
     /// Ambient background-load model for the cache (see `cache` docs).
     pub ambient: Option<AmbientModel>,
     /// Server-side fault injection (inert by default).
@@ -72,11 +64,7 @@ impl ResolverConfig {
         ResolverConfig {
             egress_addrs: Vec::new(),
             roots,
-            cache_capacity: 100_000,
-            max_ttl: SimDuration::from_hours(24),
-            neg_ttl: SimDuration::from_secs(60),
             inflight_deadline: SimDuration::from_secs(5),
-            proc_delay: SimDuration::from_micros(300),
             ambient: None,
             faults: ServerFaults::default(),
         }
@@ -153,6 +141,14 @@ struct InFlight {
 }
 
 const MAX_STEPS: u8 = 24;
+/// Cache entry bound.
+const CACHE_CAPACITY: usize = 100_000;
+/// Cap on cached TTLs.
+const MAX_TTL: SimDuration = SimDuration::from_hours(24);
+/// Negative-cache TTL.
+const NEG_TTL: SimDuration = SimDuration::from_secs(60);
+/// Per-message processing time.
+const PROC_DELAY: SimDuration = SimDuration::from_micros(300);
 const MAX_CNAME_DEPTH: usize = 8;
 /// Unresponsive-server retries before giving up with ServFail.
 const MAX_RETRIES: u8 = 2;
@@ -171,7 +167,7 @@ pub struct RecursiveResolver {
 impl RecursiveResolver {
     /// Builds a resolver from its configuration.
     pub fn new(config: ResolverConfig) -> Self {
-        let mut cache = DnsCache::new(config.cache_capacity, config.max_ttl);
+        let mut cache = DnsCache::new(CACHE_CAPACITY, MAX_TTL);
         if let Some(a) = config.ambient {
             cache = cache.with_ambient(a);
         }
@@ -321,8 +317,7 @@ impl RecursiveResolver {
             reason = "encode of a reply assembled from records that encoded before"
         )]
         let bytes = msg.encode().expect("resolver reply encodes");
-        Egress::reply(fl.client, fl.client_port, bytes, self.config.proc_delay)
-            .from_addr(fl.reply_from)
+        Egress::reply(fl.client, fl.client_port, bytes, PROC_DELAY).from_addr(fl.reply_from)
     }
 
     /// Sends the next upstream query for `fl`, its attempt due at `deadline`.
@@ -352,7 +347,7 @@ impl RecursiveResolver {
             dst: server,
             dst_port: DNS_PORT,
             payload,
-            delay: self.config.proc_delay,
+            delay: PROC_DELAY,
             src_addr: None,
         };
         if let Some(src) = fl.egress {
@@ -389,12 +384,7 @@ impl RecursiveResolver {
                 reason = "encode of a FormErr reply the resolver itself just built"
             )]
             let bytes = resp.encode().expect("formerr encodes");
-            out.push(Egress::reply(
-                from,
-                from_port,
-                bytes,
-                self.config.proc_delay,
-            ));
+            out.push(Egress::reply(from, from_port, bytes, PROC_DELAY));
             return;
         };
         // Fault draws happen only when the knob is turned, so inert
@@ -513,8 +503,8 @@ impl RecursiveResolver {
                     RData::Soa(soa) => Some(SimDuration::from_secs(soa.minimum as u64)),
                     _ => None,
                 })
-                .unwrap_or(self.config.neg_ttl)
-                .min(self.config.neg_ttl);
+                .unwrap_or(NEG_TTL)
+                .min(NEG_TTL);
             self.cache.put(
                 &FlatKey::new(fl.current.as_ref(), fl.question.qtype, None),
                 Vec::new(),
@@ -622,7 +612,7 @@ impl RecursiveResolver {
                 &FlatKey::new(fl.current.as_ref(), fl.question.qtype, None),
                 Vec::new(),
                 Rcode::NoError,
-                self.config.neg_ttl,
+                NEG_TTL,
                 ctx.now,
             );
             let chain = std::mem::take(&mut fl.chain);
@@ -704,8 +694,8 @@ mod tests {
     #[test]
     fn config_defaults_are_sane() {
         let cfg = ResolverConfig::new(vec![Ipv4Addr::new(198, 41, 0, 4)]);
-        assert!(cfg.cache_capacity > 0);
-        assert!(cfg.neg_ttl > SimDuration::ZERO);
+        const { assert!(CACHE_CAPACITY > 0) };
+        assert!(NEG_TTL > SimDuration::ZERO);
         assert!(cfg.inflight_deadline > SimDuration::ZERO);
     }
 

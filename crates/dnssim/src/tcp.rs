@@ -17,7 +17,7 @@
 
 use crate::authority::DNS_PORT;
 use crate::txn::TxnTable;
-use dnswire::message::Message;
+use dnswire::message::{patch_id, Message, MessageView};
 use netsim::engine::{Egress, ServiceCtx, UdpService};
 use netsim::tcplite::{ConnKey, Reply, ServerApp, TcpServer};
 use netsim::time::{SimDuration, SimTime};
@@ -248,15 +248,19 @@ impl UdpService for TcpDnsServer {
             return tcp.handle(ctx, from, from_port, payload);
         }
         let mut out = Vec::new();
-        if let Ok(mut msg) = Message::decode(payload) {
-            if let Some((_, key)) = tcp.app.txns.take(msg.header.id) {
+        // In-sim answers are encoder output, so relaying one under the
+        // client's id is a copy with two bytes patched.
+        if let Ok(view) = MessageView::new(payload) {
+            if let Some((_, key)) = tcp.app.txns.take(view.id()) {
+                debug_assert!(Message::decode(payload).is_ok(), "relayed answer decodes");
+                let mut answer = payload.to_vec();
                 if let Some(conn) = tcp.conn_mut(key) {
                     conn.txn = None;
-                    msg.header.id = conn.orig_id;
+                    patch_id(&mut answer, conn.orig_id);
                 }
-                match msg.encode().ok().and_then(|b| frame(&b).ok()) {
-                    Some(framed) => out = tcp.respond(key, framed, ctx.now),
-                    None => tcp.reset(key, &mut out),
+                match frame(&answer) {
+                    Ok(framed) => out = tcp.respond(key, framed, ctx.now),
+                    Err(_) => tcp.reset(key, &mut out),
                 }
             }
         }

@@ -12,7 +12,6 @@ use crate::spec::ExperimentSpec;
 use crate::world::{Backbone, CarrierShard, World, GOOGLE_VIP, OPENDNS_VIP};
 use dnssim::client::{resolve_with, whoami_with, ClientPolicy};
 use dnswire::rdata::RecordType;
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// The client policy an experiment uses against `raddr`. Fault-free worlds
@@ -96,9 +95,8 @@ pub fn run_experiment_in_shard(
 
     // DNS resolutions: every domain against every resolver, twice.
     let mut lookups = Vec::with_capacity(catalog.len() * resolvers.len() * 2);
-    // replica addr -> every (domain, via) that returned it this experiment.
-    let mut replica_seen: BTreeMap<Ipv4Addr, Vec<(u8, ResolverKind)>> = BTreeMap::new();
-    let mut replica_order: Vec<Ipv4Addr> = Vec::new();
+    // Every distinct replica an attempt-1 lookup returned, first-seen order.
+    let mut replicas: Vec<Ipv4Addr> = Vec::new();
     for (d_idx, entry) in catalog.iter().enumerate() {
         for &(kind, raddr) in &resolvers {
             let policy = policy_for(backbone, raddr);
@@ -116,16 +114,9 @@ pub fn run_experiment_in_shard(
                 } else {
                     Vec::new()
                 };
-                if attempt == 1 {
-                    for &a in &lookup.addrs() {
-                        let combos = replica_seen.entry(a).or_insert_with(|| {
-                            replica_order.push(a);
-                            Vec::new()
-                        });
-                        let combo = (d_idx as u8, kind);
-                        if !combos.contains(&combo) {
-                            combos.push(combo);
-                        }
+                for &a in &addrs {
+                    if !replicas.contains(&a) {
+                        replicas.push(a);
                     }
                 }
                 lookups.push(DnsTiming {
@@ -187,51 +178,35 @@ pub fn run_experiment_in_shard(
 
     // Replica probes: ping + HTTP GET to every distinct replica, traceroute
     // to a rotating subsample.
-    let mut measured: BTreeMap<Ipv4Addr, (Option<u32>, Option<u32>)> = BTreeMap::new();
-    let mut replica_probes = Vec::new();
-    for (i, &addr) in replica_order.iter().enumerate() {
-        let (rtt_us, ttfb_us) = {
-            let entry = measured.entry(addr).or_insert_with(|| {
-                let ping = net.ping_train(device.node, addr, spec.ping_count);
-                let rtt = ping.min_rtt().map(|r| r.as_micros() as u32);
-                let ttfb = net
-                    .tcp_get(
-                        device.node,
-                        addr,
-                        "/index.html",
-                        netsim::time::SimDuration::from_secs(20),
-                    )
-                    .ttfb
-                    .map(|t| t.as_micros() as u32);
-                (rtt, ttfb)
-            });
-            *entry
-        };
+    let mut replica_probes = Vec::with_capacity(replicas.len());
+    for (i, &addr) in replicas.iter().enumerate() {
+        let rtt_us = net
+            .ping_train(device.node, addr, spec.ping_count)
+            .min_rtt()
+            .map(|r| r.as_micros() as u32);
+        let ttfb_us = net
+            .tcp_get(
+                device.node,
+                addr,
+                "/index.html",
+                netsim::time::SimDuration::from_secs(20),
+            )
+            .ttfb
+            .map(|t| t.as_micros() as u32);
         // Rotate which replicas get traced so the corpus covers all of them
         // over time without tracing everything every hour.
-        let trace_hops =
-            if (i + seq as usize) % replica_order.len().max(1) < spec.replica_trace_sample {
-                net.traceroute(device.node, addr, spec.trace_max_ttl)
-                    .responding_hops()
-            } else {
-                Vec::new()
-            };
-        for (k, &(d_idx, via)) in replica_seen[&addr].iter().enumerate() {
-            replica_probes.push(ReplicaProbe {
-                domain_idx: d_idx,
-                via,
-                addr,
-                rtt_us,
-                ttfb_us,
-                // Attach the trace to the first combo only, so egress
-                // analysis does not double-count one traceroute.
-                trace_hops: if k == 0 {
-                    trace_hops.clone()
-                } else {
-                    Vec::new()
-                },
-            });
-        }
+        let trace_hops = if (i + seq as usize) % replicas.len() < spec.replica_trace_sample {
+            net.traceroute(device.node, addr, spec.trace_max_ttl)
+                .responding_hops()
+        } else {
+            Vec::new()
+        };
+        replica_probes.push(ReplicaProbe {
+            addr,
+            rtt_us,
+            ttfb_us,
+            trace_hops,
+        });
     }
 
     let coord = device.coord();
@@ -256,7 +231,10 @@ pub fn run_experiment_in_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_campaign, CampaignConfig};
     use crate::world::{build_world, WorldConfig};
+    use std::collections::BTreeMap;
+    use std::fmt::Write as _;
 
     #[test]
     fn experiment_produces_complete_record() {
@@ -339,5 +317,101 @@ mod tests {
             .filter(|p| p.ttfb_us.is_some())
             .count();
         assert!(with_ttfb > 0);
+    }
+
+    #[test]
+    fn one_probe_per_distinct_replica() {
+        let mut world = build_world(WorldConfig::quick(46));
+        let spec = ExperimentSpec::light();
+        let record = run_experiment(&mut world, 0, 0, &spec);
+        let mut distinct: Vec<Ipv4Addr> = Vec::new();
+        for l in record.lookups.iter().filter(|l| l.attempt == 1) {
+            for &a in &l.addrs {
+                if !distinct.contains(&a) {
+                    distinct.push(a);
+                }
+            }
+        }
+        let probed: Vec<Ipv4Addr> = record.replica_probes.iter().map(|p| p.addr).collect();
+        assert!(!probed.is_empty());
+        assert_eq!(probed, distinct);
+    }
+
+    /// The rows a record held when each replica measurement was copied into
+    /// every (domain, resolver) lookup that returned it: combos deduplicated
+    /// in lookup order, the traceroute on the first combo only.
+    fn per_combo_rows(r: &ExperimentRecord) -> Vec<(u8, ResolverKind, ReplicaProbe)> {
+        let mut seen: BTreeMap<Ipv4Addr, Vec<(u8, ResolverKind)>> = BTreeMap::new();
+        let mut order = Vec::new();
+        for l in r.lookups.iter().filter(|l| l.attempt == 1) {
+            for &a in &l.addrs {
+                let combos = seen.entry(a).or_insert_with(|| {
+                    order.push(a);
+                    Vec::new()
+                });
+                if !combos.contains(&(l.domain_idx, l.resolver)) {
+                    combos.push((l.domain_idx, l.resolver));
+                }
+            }
+        }
+        let mut rows = Vec::new();
+        for addr in order {
+            let probe = r.replica_probes.iter().find(|p| p.addr == addr).unwrap();
+            for (k, &(d_idx, via)) in seen[&addr].iter().enumerate() {
+                let mut copy = probe.clone();
+                if k > 0 {
+                    copy.trace_hops.clear();
+                }
+                rows.push((d_idx, via, copy));
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn replicas_csv_matches_the_per_combo_rows() {
+        let mut world = build_world(WorldConfig::quick(47));
+        let cfg = CampaignConfig {
+            days: 1,
+            ..CampaignConfig::quick()
+        };
+        let ds = run_campaign(&mut world, &cfg);
+        let ms = |us: Option<u32>| {
+            us.map(|us| format!("{:.3}", us as f64 / 1000.0))
+                .unwrap_or_else(|| "".into())
+        };
+        let mut oracle = String::from("device,carrier,t_s,domain,via,replica,ping_ms,ttfb_ms\n");
+        let (mut traced, mut combo_traced) = (Vec::new(), Vec::new());
+        for r in &ds.records {
+            for (d_idx, via, p) in per_combo_rows(r) {
+                let _ = writeln!(
+                    oracle,
+                    "{},{},{},{},{},{},{},{}",
+                    r.device_id,
+                    ds.carrier_names[r.carrier as usize],
+                    r.t.as_secs(),
+                    ds.domains[d_idx as usize],
+                    via.label(),
+                    p.addr,
+                    ms(p.rtt_us),
+                    ms(p.ttfb_us),
+                );
+                if !p.trace_hops.is_empty() {
+                    combo_traced.push(p.trace_hops);
+                }
+            }
+            for p in r.replica_probes.iter().filter(|p| !p.trace_hops.is_empty()) {
+                traced.push(p.trace_hops.clone());
+            }
+        }
+        // Some replica is shared, so the rows really do expand.
+        assert!(ds.records.iter().any(|r| r
+            .replica_probes
+            .iter()
+            .any(|p| r.returned_by(p.addr).count() > 1)));
+        assert_eq!(ds.replicas_csv(), oracle);
+        // Egress analysis reads each traceroute once either way.
+        assert!(!traced.is_empty());
+        assert_eq!(traced, combo_traced);
     }
 }

@@ -104,11 +104,12 @@ pub fn harvest_records(records: &[ExperimentRecord], carrier: &str, reg: &mut Re
             &labels,
             r.resolver_probes.len() as u64,
         );
-        reg.inc_by(
-            "campaign.replica_probes",
-            &labels,
-            r.replica_probes.len() as u64,
-        );
+        let replica_rows = r
+            .replica_probes
+            .iter()
+            .map(|p| r.returned_by(p.addr).count() as u64)
+            .sum();
+        reg.inc_by("campaign.replica_probes", &labels, replica_rows);
         for l in &r.lookups {
             let ol = [
                 ("carrier", carrier),

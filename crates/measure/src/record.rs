@@ -109,13 +109,12 @@ pub struct ResolverProbe {
     pub rtt_us: Option<u32>,
 }
 
-/// One replica measurement (Figs. 2, 10, 14; §5.2 traceroutes).
+/// One replica measurement (Figs. 2, 10, 14; §5.2 traceroutes): the ping,
+/// GET and traceroute of one replica the experiment's lookups returned,
+/// taken once however many lookups returned it.
+/// [`ExperimentRecord::returned_by`] names those lookups.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaProbe {
-    /// Domain whose resolution produced this replica.
-    pub domain_idx: u8,
-    /// Resolver that produced it.
-    pub via: ResolverKind,
     /// Replica address.
     pub addr: Ipv4Addr,
     /// Minimum ping RTT in µs.
@@ -156,7 +155,7 @@ pub struct ExperimentRecord {
     pub identities: Vec<ResolverIdentity>,
     /// Resolver latency probes.
     pub resolver_probes: Vec<ResolverProbe>,
-    /// Replica probes.
+    /// Replica probes, one per distinct replica in first-returned order.
     pub replica_probes: Vec<ReplicaProbe>,
 }
 
@@ -167,6 +166,15 @@ impl ExperimentRecord {
             .iter()
             .find(|i| i.resolver == ResolverKind::Local)
             .and_then(|i| i.external_addr)
+    }
+
+    /// The `(domain_idx, resolver)` of each attempt-1 lookup whose answer
+    /// contains `replica`, in `lookups` order: who returned a replica.
+    pub fn returned_by(&self, replica: Ipv4Addr) -> impl Iterator<Item = (u8, ResolverKind)> + '_ {
+        self.lookups
+            .iter()
+            .filter(move |l| l.attempt == 1 && l.addrs.contains(&replica))
+            .map(|l| (l.domain_idx, l.resolver))
     }
 }
 
@@ -278,27 +286,31 @@ impl Dataset {
         out
     }
 
-    /// CSV of replica probes.
+    /// CSV of replica probes: one row per (replica, domain, resolver) that
+    /// returned it, in probe order and then `lookups` order.
     pub fn replicas_csv(&self) -> String {
         let mut out = String::from("device,carrier,t_s,domain,via,replica,ping_ms,ttfb_ms\n");
+        let ms = |us: Option<u32>| {
+            us.map(|us| format!("{:.3}", us as f64 / 1000.0))
+                .unwrap_or_default()
+        };
         for r in &self.records {
             for p in &r.replica_probes {
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{},{},{},{},{}",
-                    r.device_id,
-                    self.carrier_names[r.carrier as usize],
-                    r.t.as_secs(),
-                    self.domains[p.domain_idx as usize],
-                    p.via.label(),
-                    p.addr,
-                    p.rtt_us
-                        .map(|us| format!("{:.3}", us as f64 / 1000.0))
-                        .unwrap_or_else(|| "".into()),
-                    p.ttfb_us
-                        .map(|us| format!("{:.3}", us as f64 / 1000.0))
-                        .unwrap_or_else(|| "".into()),
-                );
+                let (rtt, ttfb) = (ms(p.rtt_us), ms(p.ttfb_us));
+                for (domain_idx, via) in r.returned_by(p.addr) {
+                    let _ = writeln!(
+                        out,
+                        "{},{},{},{},{},{},{},{}",
+                        r.device_id,
+                        self.carrier_names[r.carrier as usize],
+                        r.t.as_secs(),
+                        self.domains[domain_idx as usize],
+                        via.label(),
+                        p.addr,
+                        rtt,
+                        ttfb,
+                    );
+                }
             }
         }
         out
@@ -364,8 +376,6 @@ mod tests {
             }],
             resolver_probes: vec![],
             replica_probes: vec![ReplicaProbe {
-                domain_idx: 0,
-                via: ResolverKind::Local,
                 addr: Ipv4Addr::new(90, 0, 1, 1),
                 rtt_us: Some(51_000),
                 ttfb_us: None,

@@ -3,6 +3,7 @@
 //! time-to-first-byte measurements.
 
 use crate::engine::{FlowResult, Network};
+use crate::tcplite::{TcpFetch, TcpFetchOutcome};
 use crate::time::{SimDuration, SimTime};
 use crate::topo::NodeId;
 use std::net::Ipv4Addr;
@@ -180,24 +181,9 @@ impl Network {
         path: &str,
         timeout: SimDuration,
     ) -> TcpGetReport {
-        use crate::tcplite::TcpFetch;
         let start = self.now();
-        let port = self.alloc_client_port(node);
-        let fetch = TcpFetch::new(server, HTTP_PORT, format!("GET {path}").into_bytes());
-        self.register_service(node, port, Box::new(fetch));
-        self.kick_service(node, port);
-        let deadline = start + timeout;
-        let outcome = loop {
-            if let Some(f) = self.service_as::<TcpFetch>(node, port) {
-                if let Some(o) = f.outcome {
-                    break Some(o);
-                }
-            }
-            if self.now() > deadline || !self.step() {
-                break None;
-            }
-        };
-        self.unregister_service(node, port);
+        let request = format!("GET {path}").into_bytes();
+        let outcome = self.tcp_fetch(node, server, HTTP_PORT, request, start + timeout, |o, _| o);
         match outcome {
             Some(o) if o.success => TcpGetReport {
                 success: true,
@@ -219,11 +205,38 @@ impl Network {
             },
         }
     }
-}
 
-/// Time helper re-exported for drivers that pace their own probes.
-pub fn deadline(now: SimTime, timeout: SimDuration) -> SimTime {
-    now + timeout
+    /// Runs one TCP-lite fetch of `request` from `node` to
+    /// `server:server_port`: registers it on a fresh client port and kicks
+    /// it, steps until it concludes or the clock passes `deadline`, then
+    /// unregisters it. `read` sees the outcome and the response bytes;
+    /// `None` when the fetch never concluded.
+    pub fn tcp_fetch<R>(
+        &mut self,
+        node: NodeId,
+        server: Ipv4Addr,
+        server_port: u16,
+        request: Vec<u8>,
+        deadline: SimTime,
+        read: impl FnOnce(TcpFetchOutcome, &[u8]) -> R,
+    ) -> Option<R> {
+        let port = self.alloc_client_port(node);
+        let fetch = TcpFetch::new(server, server_port, request);
+        self.register_service(node, port, Box::new(fetch));
+        self.kick_service(node, port);
+        let result = loop {
+            if let Some(f) = self.service_as::<TcpFetch>(node, port) {
+                if let Some(o) = f.outcome {
+                    break Some(read(o, &f.data));
+                }
+            }
+            if self.now() > deadline || !self.step() {
+                break None;
+            }
+        };
+        self.unregister_service(node, port);
+        result
+    }
 }
 
 #[cfg(test)]

@@ -657,11 +657,6 @@ impl Network {
         flow
     }
 
-    /// Takes the outcome of a completed flow, if it has completed.
-    pub fn poll(&mut self, flow: FlowId) -> Option<FlowOutcome> {
-        self.completed.remove(&flow)
-    }
-
     /// Number of completed-but-unpolled outcomes currently retained.
     pub fn completed_len(&self) -> usize {
         self.completed.len()

@@ -47,7 +47,7 @@ pub const METRICS: &[MetricDef] = &[
     def("campaign.experiments", Counter, "experiment records harvested"),
     def("campaign.identity_probes", Counter, "resolver-identity probes run"),
     def("campaign.lookups", Counter, "scripted DNS lookups run"),
-    def("campaign.replica_probes", Counter, "replica ping/HTTP probes run"),
+    def("campaign.replica_probes", Counter, "(replica, domain, resolver) rows of replica probes"),
     def("campaign.resolver_probes", Counter, "resolver reachability probes run"),
     def("dns.cache.ambient_hits", Counter, "hits served by ambient warmth"),
     def("dns.cache.evictions", Counter, "entries evicted at capacity"),

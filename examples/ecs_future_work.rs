@@ -20,10 +20,12 @@ fn campaign(ecs: bool) -> Dataset {
 /// Mean ping RTT (ms) of the replicas the carrier DNS handed out.
 fn mean_local_replica_ms(ds: &Dataset, carrier: usize) -> f64 {
     let cdf = Cdf::from_iter(ds.of_carrier(carrier).flat_map(|r| {
-        r.replica_probes
-            .iter()
-            .filter(|p| p.via == ResolverKind::Local)
-            .filter_map(|p| p.rtt_us.map(|us| us as f64 / 1000.0))
+        r.replica_probes.iter().flat_map(move |p| {
+            // One sample per local lookup that returned the replica.
+            r.returned_by(p.addr)
+                .filter(|&(_, via)| via == ResolverKind::Local)
+                .filter_map(move |_| p.rtt_us.map(|us| us as f64 / 1000.0))
+        })
     }));
     cdf.mean().unwrap_or(f64::NAN)
 }

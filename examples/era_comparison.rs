@@ -23,10 +23,12 @@ fn campaign(three_g: bool) -> Dataset {
 /// dominates (3G), replica choice barely matters — Xu et al.'s conclusion.
 fn replica_spread_share(ds: &Dataset, carrier: usize) -> f64 {
     let rtts = Cdf::from_iter(ds.of_carrier(carrier).flat_map(|r| {
-        r.replica_probes
-            .iter()
-            .filter(|p| p.via == ResolverKind::Local)
-            .filter_map(|p| p.rtt_us.map(|us| us as f64 / 1000.0))
+        r.replica_probes.iter().flat_map(move |p| {
+            // One sample per local lookup that returned the replica.
+            r.returned_by(p.addr)
+                .filter(|&(_, via)| via == ResolverKind::Local)
+                .filter_map(move |_| p.rtt_us.map(|us| us as f64 / 1000.0))
+        })
     }));
     match (rtts.quantile(0.9), rtts.quantile(0.1), rtts.median()) {
         (Some(hi), Some(lo), Some(med)) if med > 0.0 => (hi - lo) / med,

@@ -33,7 +33,11 @@ fn main() {
         let replicas: Vec<_> = record
             .replica_probes
             .iter()
-            .filter(|p| p.via == ResolverKind::Local && p.domain_idx == buzz_idx)
+            .filter(|p| {
+                record
+                    .returned_by(p.addr)
+                    .any(|combo| combo == (buzz_idx, ResolverKind::Local))
+            })
             .collect();
         for p in &replicas {
             if let Some(us) = p.rtt_us {
