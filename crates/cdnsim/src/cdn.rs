@@ -26,45 +26,24 @@ pub struct Replica {
     pub coord: Coord,
 }
 
-/// Tuning of a CDN provider.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CdnConfig {
-    /// Provider name (`cdn-a`, …).
-    pub name: String,
-    /// A-record TTL in seconds ("the short TTLs used by CDNs", Fig. 7).
-    pub record_ttl: u32,
-    /// CNAME TTL in seconds.
-    pub cname_ttl: u32,
-    /// Replicas returned per answer.
-    pub top_k: usize,
-    /// Radius of the stable believed-location error applied to
-    /// unmeasurable prefixes with no anchor, in km.
-    pub coarse_error_km: f64,
-    /// Radius of the error applied around a prefix anchor (the geo
-    /// database is regionally right but city-wrong), in km.
-    pub anchor_error_km: f64,
-}
-
-impl CdnConfig {
-    /// Defaults matching the paper's observations (short TTLs, small
-    /// replica sets per resolver).
-    pub fn new(name: &str) -> Self {
-        CdnConfig {
-            name: name.to_string(),
-            record_ttl: 30,
-            cname_ttl: 300,
-            top_k: 2,
-            coarse_error_km: 900.0,
-            anchor_error_km: 300.0,
-        }
-    }
-}
+/// A-record TTL in seconds ("the short TTLs used by CDNs", Fig. 7).
+pub const RECORD_TTL: u32 = 30;
+/// CNAME TTL in seconds.
+pub const CNAME_TTL: u32 = 300;
+/// Replicas returned per answer (the paper's small per-resolver sets).
+pub const TOP_K: usize = 2;
+/// Radius of the stable believed-location error applied to unmeasurable
+/// prefixes with no anchor, in km.
+pub const COARSE_ERROR_KM: f64 = 900.0;
+/// Radius of the error applied around a prefix anchor (the geo database is
+/// regionally right but city-wrong), in km.
+pub const ANCHOR_ERROR_KM: f64 = 300.0;
 
 /// A CDN provider: its POPs and what it knows about resolver locations.
 #[derive(Debug)]
 pub struct Cdn {
-    /// Tuning.
-    pub config: CdnConfig,
+    /// Provider name (`cdn-a`, …); it keys the believed-location error.
+    name: String,
     /// All POPs.
     pub replicas: Vec<Replica>,
     /// Prefixes the CDN measured precisely (public DNS egress /24s, wired
@@ -83,8 +62,8 @@ pub struct Cdn {
 }
 
 impl Cdn {
-    /// A CDN over the given POPs.
-    pub fn new(config: CdnConfig, replicas: Vec<Replica>) -> Self {
+    /// The CDN `name` over the given POPs.
+    pub fn new(name: &str, replicas: Vec<Replica>) -> Self {
         assert!(!replicas.is_empty(), "CDN without replicas");
         let n = replicas.len() as f64;
         let default_centroid = Coord {
@@ -92,7 +71,7 @@ impl Cdn {
             y_km: replicas.iter().map(|r| r.coord.y_km).sum::<f64>() / n,
         };
         Cdn {
-            config,
+            name: name.to_string(),
             replicas,
             measured: FastMap::default(),
             prefix_anchors: FastMap::default(),
@@ -123,7 +102,7 @@ impl Cdn {
     fn prefix_error(&self, prefix: Prefix, radius_km: f64) -> (f64, f64) {
         let mut h = DefaultHasher::new();
         prefix.hash(&mut h);
-        self.config.name.hash(&mut h);
+        self.name.hash(&mut h);
         let v = h.finish();
         // Two independent-ish uniform offsets in [-1, 1].
         let a = ((v & 0xFFFF) as f64 / 65535.0) * 2.0 - 1.0;
@@ -138,7 +117,7 @@ impl Cdn {
             return coord;
         }
         if let Some(&anchor) = self.prefix_anchors.get(&prefix) {
-            let (dx, dy) = self.prefix_error(prefix, self.config.anchor_error_km);
+            let (dx, dy) = self.prefix_error(prefix, ANCHOR_ERROR_KM);
             return Coord {
                 x_km: anchor.x_km + dx,
                 y_km: anchor.y_km + dy,
@@ -149,7 +128,7 @@ impl Cdn {
             .get(&resolver.octets()[0])
             .copied()
             .unwrap_or(self.default_centroid);
-        let (dx, dy) = self.prefix_error(prefix, self.config.coarse_error_km);
+        let (dx, dy) = self.prefix_error(prefix, COARSE_ERROR_KM);
         Coord {
             x_km: centroid.x_km + dx,
             y_km: centroid.y_km + dy,
@@ -161,7 +140,7 @@ impl Cdn {
         self.measured.contains_key(&Prefix::slash24_of(resolver))
     }
 
-    /// Selects the replica set for a resolver: the `top_k` POPs nearest to
+    /// Selects the replica set for a resolver: the [`TOP_K`] POPs nearest to
     /// the believed location. Deterministic per /24, which is exactly what
     /// makes Fig. 10 bimodal.
     pub fn select(&self, resolver: Ipv4Addr) -> Vec<Ipv4Addr> {
@@ -172,11 +151,7 @@ impl Cdn {
             .map(|r| (r.coord.distance_km(&loc), r.addr))
             .collect();
         by_dist.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        by_dist
-            .into_iter()
-            .take(self.config.top_k.max(1))
-            .map(|(_, a)| a)
-            .collect()
+        by_dist.into_iter().take(TOP_K).map(|(_, a)| a).collect()
     }
 }
 
@@ -198,7 +173,7 @@ mod tests {
                 },
             })
             .collect();
-        Cdn::new(CdnConfig::new("cdn-a"), replicas)
+        Cdn::new("cdn-a", replicas)
     }
 
     #[test]
@@ -210,7 +185,7 @@ mod tests {
         };
         cdn.add_measured(Prefix::slash24_of(ip(173, 194, 7, 9)), here);
         let picked = cdn.select(ip(173, 194, 7, 9));
-        assert_eq!(picked.len(), 2);
+        assert_eq!(picked.len(), TOP_K);
         // Nearest POP to (2000, 1200) is index 12 (x=2000, y=1200).
         assert_eq!(picked[0], ip(90, 0, 12, 1));
     }
@@ -262,9 +237,7 @@ mod tests {
     #[test]
     fn believed_error_differs_between_cdns() {
         let a = grid_cdn();
-        let mut cfg = CdnConfig::new("cdn-b");
-        cfg.coarse_error_km = 900.0;
-        let b = Cdn::new(cfg, a.replicas.clone());
+        let b = Cdn::new("cdn-b", a.replicas.clone());
         let la = a.believed_location(ip(100, 110, 0, 1));
         let lb = b.believed_location(ip(100, 110, 0, 1));
         assert!(la != lb, "different providers believe different things");
@@ -273,8 +246,9 @@ mod tests {
     #[test]
     fn top_k_is_respected() {
         let mut cdn = grid_cdn();
-        cdn.config.top_k = 5;
-        assert_eq!(cdn.select(ip(1, 2, 3, 4)).len(), 5);
+        assert_eq!(cdn.select(ip(1, 2, 3, 4)).len(), TOP_K);
+        cdn.add_measured(Prefix::slash24_of(ip(173, 194, 7, 9)), Coord::default());
+        assert_eq!(cdn.select(ip(173, 194, 7, 9)).len(), TOP_K);
     }
 
     #[test]

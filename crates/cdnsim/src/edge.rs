@@ -2,7 +2,7 @@
 //! (`e<hash>.edge.cdn-a.example`) when a resolver re-resolves an edge name
 //! after the A records expired but the CNAME is still cached.
 
-use crate::cdn::Cdn;
+use crate::cdn::{Cdn, RECORD_TTL};
 use dnssim::authority::DynamicZone;
 use dnssim::zone::ZoneAnswer;
 use dnswire::message::ResourceRecord;
@@ -44,7 +44,7 @@ impl DynamicZone for EdgeZone {
             for addr in self.cdn.select(locate_by) {
                 out.answers.push(ResourceRecord::new(
                     qname.clone(),
-                    self.cdn.config.record_ttl,
+                    RECORD_TTL,
                     RData::A(addr),
                 ));
             }
@@ -59,7 +59,7 @@ impl DynamicZone for EdgeZone {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cdn::{CdnConfig, Replica};
+    use crate::cdn::Replica;
     use netsim::topo::Coord;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -67,7 +67,7 @@ mod tests {
     #[test]
     fn edge_zone_answers_any_child_with_selection() {
         let cdn = Arc::new(Cdn::new(
-            CdnConfig::new("cdn-a"),
+            "cdn-a",
             vec![
                 Replica {
                     addr: Ipv4Addr::new(90, 0, 0, 1),

@@ -19,6 +19,6 @@ pub mod edge;
 pub mod mapping;
 
 pub use catalog::{fig2_domains, mobile_domains, CatalogEntry, PROVIDER_COUNT, PROVIDER_NAMES};
-pub use cdn::{Cdn, CdnConfig, Replica};
+pub use cdn::{Cdn, Replica};
 pub use edge::EdgeZone;
 pub use mapping::MappingZone;

@@ -2,7 +2,7 @@
 //! CNAME into the provider's namespace plus short-TTL A records for the
 //! replicas selected for the querying resolver.
 
-use crate::cdn::Cdn;
+use crate::cdn::{Cdn, CNAME_TTL, RECORD_TTL};
 use dnssim::authority::DynamicZone;
 use dnssim::zone::ZoneAnswer;
 use dnswire::message::ResourceRecord;
@@ -77,7 +77,7 @@ impl DynamicZone for MappingZone {
         let edge = self.edge_name(qname);
         out.answers.push(ResourceRecord::new(
             qname.clone(),
-            self.cdn.config.cname_ttl,
+            CNAME_TTL,
             RData::Cname(edge.clone()),
         ));
         if qtype == RecordType::A {
@@ -87,7 +87,7 @@ impl DynamicZone for MappingZone {
             for addr in self.cdn.select(locate_by) {
                 out.answers.push(ResourceRecord::new(
                     edge.clone(),
-                    self.cdn.config.record_ttl,
+                    RECORD_TTL,
                     RData::A(addr),
                 ));
             }
@@ -102,7 +102,7 @@ impl DynamicZone for MappingZone {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cdn::{CdnConfig, Replica};
+    use crate::cdn::{Replica, TOP_K};
     use dnswire::message::Rcode;
     use netsim::topo::Coord;
     use rand::rngs::StdRng;
@@ -126,7 +126,7 @@ mod tests {
                 },
             })
             .collect();
-        let cdn = Arc::new(Cdn::new(CdnConfig::new("cdn-a"), replicas));
+        let cdn = Arc::new(Cdn::new("cdn-a", replicas));
         MappingZone::new(n("buzzfeed.com"), n("edge.cdn-a.example"), cdn)
     }
 
@@ -166,10 +166,10 @@ mod tests {
             .iter()
             .filter(|rr| rr.record_type() == RecordType::A)
             .count();
-        assert_eq!(a_count, 2); // top_k default
-                                // CNAME long TTL, A records short TTL (Fig. 7's mechanism).
-        assert_eq!(out.answers[0].ttl, 300);
-        assert_eq!(out.answers[1].ttl, 30);
+        assert_eq!(a_count, TOP_K);
+        // CNAME long TTL, A records short TTL (Fig. 7's mechanism).
+        assert_eq!(out.answers[0].ttl, CNAME_TTL);
+        assert_eq!(out.answers[1].ttl, RECORD_TTL);
     }
 
     #[test]

@@ -93,8 +93,6 @@ impl DynamicZone for WhoamiZone {
 pub struct AuthoritativeServer {
     zones: Vec<Zone>,
     dynamic: Vec<Box<dyn DynamicZone>>,
-    /// Queries answered (diagnostics).
-    pub queries: u64,
 }
 
 impl AuthoritativeServer {
@@ -103,7 +101,6 @@ impl AuthoritativeServer {
         AuthoritativeServer {
             zones: Vec::new(),
             dynamic: Vec::new(),
-            queries: 0,
         }
     }
 
@@ -215,7 +212,6 @@ impl UdpService for AuthoritativeServer {
         if query.header.flags.response {
             return Vec::new(); // stray response; ignore
         }
-        self.queries += 1;
         let Some(q) = query.questions.first().cloned() else {
             let resp = ResponseBuilder::for_query(&query)
                 .rcode(Rcode::FormErr)
@@ -291,7 +287,6 @@ mod tests {
         assert_eq!(resp.header.id, 7);
         assert!(resp.header.flags.authoritative);
         assert_eq!(resp.answer_addrs(), vec![ip(192, 0, 2, 1)]);
-        assert_eq!(s.queries, 1);
     }
 
     #[test]

@@ -141,12 +141,6 @@ impl ClientPolicy {
 /// The outcome of one client resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DnsLookup {
-    /// Name that was queried.
-    pub qname: DnsName,
-    /// Record type queried.
-    pub qtype: RecordType,
-    /// Resolver address queried (the primary, when failover happened).
-    pub resolver: Ipv4Addr,
     /// When the query was sent.
     pub sent_at: SimTime,
     /// Resolution time (send to response), `None` on timeout.
@@ -172,13 +166,6 @@ impl DnsLookup {
             .as_ref()
             .map(|m| m.answer_addrs())
             .unwrap_or_default()
-    }
-
-    /// The canonical (CNAME-chased) name of the query.
-    pub fn canonical_name(&self) -> Option<DnsName> {
-        self.response
-            .as_ref()
-            .map(|m| m.canonical_name(&self.qname))
     }
 }
 
@@ -245,12 +232,9 @@ impl RawLookup {
         }
     }
 
-    /// Decodes the reply into the lookup of `qname`/`qtype` at `resolver`.
-    fn decode(self, resolver: Ipv4Addr, qname: &DnsName, qtype: RecordType) -> DnsLookup {
+    /// Decodes the reply into a [`DnsLookup`].
+    fn decode(self) -> DnsLookup {
         DnsLookup {
-            qname: qname.clone(),
-            qtype,
-            resolver,
             sent_at: self.sent_at,
             elapsed: self.elapsed,
             response: self.reply.and_then(|b| Message::decode(&b).ok()),
@@ -297,9 +281,7 @@ pub fn resolve_with(
     policy: &ClientPolicy,
 ) -> DnsLookup {
     match policy {
-        ClientPolicy::Classic => {
-            exchange(net, node, resolver, qname, qtype).decode(resolver, qname, qtype)
-        }
+        ClientPolicy::Classic => exchange(net, node, resolver, qname, qtype).decode(),
         ClientPolicy::Hardened { fallbacks } => {
             resolve_hardened(net, node, resolver, qname, qtype, fallbacks)
         }
@@ -437,9 +419,6 @@ fn resolve_hardened(
         }
     }
     DnsLookup {
-        qname: qname.clone(),
-        qtype,
-        resolver,
         sent_at,
         elapsed,
         response,
@@ -497,7 +476,7 @@ pub fn resolve_tcp(
     qname: &DnsName,
     qtype: RecordType,
 ) -> DnsLookup {
-    exchange_tcp(net, node, resolver, qname, qtype).decode(resolver, qname, qtype)
+    exchange_tcp(net, node, resolver, qname, qtype).decode()
 }
 
 /// [`resolve_tcp`] as a byte-level exchange: the reply comes back

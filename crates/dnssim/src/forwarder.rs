@@ -20,6 +20,12 @@ use crate::cache::{AmbientModel, DnsCache, FlatKey};
 use crate::txn::TxnTable;
 use netsim::addr::Prefix;
 
+/// How long a relayed query waits for its upstream before the relay is
+/// dropped.
+const RELAY_TIMEOUT: SimDuration = SimDuration::from_secs(4);
+/// Per-message processing time.
+const PROC_DELAY: SimDuration = SimDuration::from_micros(150);
+
 /// How the forwarder maps clients to external resolvers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum UpstreamPolicy {
@@ -97,8 +103,6 @@ pub struct Forwarder {
     ecs_map: BTreeMap<Prefix, Ipv4Addr>,
     leases: BTreeMap<Ipv4Addr, (usize, SimTime)>,
     pending: TxnTable<PendingRelay>,
-    timeout: SimDuration,
-    proc_delay: SimDuration,
     /// Activity counters.
     pub stats: ForwarderStats,
 }
@@ -115,8 +119,6 @@ impl Forwarder {
             ecs_map: BTreeMap::new(),
             leases: BTreeMap::new(),
             pending: TxnTable::default(),
-            timeout: SimDuration::from_secs(4),
-            proc_delay: SimDuration::from_micros(150),
             stats: ForwarderStats::default(),
         }
     }
@@ -283,7 +285,7 @@ impl UdpService for Forwarder {
                 relay.client,
                 relay.client_port,
                 with_id(payload, relay.client_id),
-                self.proc_delay,
+                PROC_DELAY,
             )
             .from_addr(relay.reply_from)];
         }
@@ -293,7 +295,7 @@ impl UdpService for Forwarder {
         let scope = ecs_subnet.map(Prefix::slash24_of);
         if let Some(bytes) = self.answer_from_cache(&view, scope, ctx.now) {
             self.stats.cache_answers += 1;
-            return vec![Egress::reply(from, from_port, bytes, self.proc_delay)];
+            return vec![Egress::reply(from, from_port, bytes, PROC_DELAY)];
         }
         // The ECS option rewrites the OPT record, so that arm decodes and
         // re-encodes; every other query is relayed as its bytes.
@@ -311,7 +313,7 @@ impl UdpService for Forwarder {
         let txn = self.pending.alloc();
         self.pending.insert(
             txn,
-            ctx.now + self.timeout,
+            ctx.now + RELAY_TIMEOUT,
             PendingRelay {
                 client: from,
                 client_port: from_port,
@@ -333,7 +335,7 @@ impl UdpService for Forwarder {
                 bytes
             }
         };
-        let mut egress = Egress::reply(upstream, DNS_PORT, bytes, self.proc_delay);
+        let mut egress = Egress::reply(upstream, DNS_PORT, bytes, PROC_DELAY);
         if let Some(src) = self.egress_addr {
             egress = egress.from_addr(src);
         }

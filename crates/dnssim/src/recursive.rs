@@ -113,14 +113,23 @@ impl ResolverStats {
     }
 }
 
+/// Who a reply goes to and what it answers.
 #[derive(Debug)]
-struct InFlight {
+struct Asker {
     client: Ipv4Addr,
     client_port: u16,
     client_id: u16,
     /// Address the client queried; replies come from it.
     reply_from: Ipv4Addr,
     question: Question,
+    /// Fault injection decided this reply must come back truncated.
+    truncate: bool,
+}
+
+/// A recursion under way on behalf of its asker.
+#[derive(Debug)]
+struct InFlight {
+    asker: Asker,
     /// Accumulated answer records (CNAME chain plus final records).
     chain: Vec<ResourceRecord>,
     /// Egress address chosen for this recursion.
@@ -136,8 +145,6 @@ struct InFlight {
     steps: u8,
     /// Retries spent on unresponsive servers.
     retries: u8,
-    /// Fault injection decided this reply must come back truncated.
-    truncate: bool,
 }
 
 const MAX_STEPS: u8 = 24;
@@ -293,20 +300,20 @@ impl RecursiveResolver {
         }
     }
 
-    fn reply(&mut self, fl: &InFlight, rcode: Rcode, answers: Vec<ResourceRecord>) -> Egress {
+    fn reply(&mut self, asker: &Asker, rcode: Rcode, answers: Vec<ResourceRecord>) -> Egress {
         if rcode == Rcode::ServFail {
             self.stats.servfails += 1;
         }
-        let mut header = Header::query(fl.client_id);
+        let mut header = Header::query(asker.client_id);
         header.flags.response = true;
         header.flags.recursion_desired = true;
         header.flags.recursion_available = true;
         header.rcode = rcode;
         let mut msg = Message::new(header);
-        msg.questions.push(fl.question.clone());
+        msg.questions.push(asker.question.clone());
         // A fault-truncated reply carries the TC bit and no records
         // (RFC 1035 §6.2): the client must retry over TCP.
-        if fl.truncate && rcode == Rcode::NoError && !answers.is_empty() {
+        if asker.truncate && rcode == Rcode::NoError && !answers.is_empty() {
             self.stats.fault_truncations += 1;
             msg.header.flags.truncated = true;
         } else {
@@ -317,14 +324,19 @@ impl RecursiveResolver {
             reason = "encode of a reply assembled from records that encoded before"
         )]
         let bytes = msg.encode().expect("resolver reply encodes");
-        Egress::reply(fl.client, fl.client_port, bytes, PROC_DELAY).from_addr(fl.reply_from)
+        Egress::reply(asker.client, asker.client_port, bytes, PROC_DELAY)
+            .from_addr(asker.reply_from)
+    }
+
+    /// Ends the recursion `fl`: its chain so far goes back to the asker.
+    fn finish(&mut self, fl: InFlight, rcode: Rcode, out: &mut Vec<Egress>) {
+        out.push(self.reply(&fl.asker, rcode, fl.chain));
     }
 
     /// Sends the next upstream query for `fl`, its attempt due at `deadline`.
-    fn query_upstream(&mut self, mut fl: InFlight, deadline: SimTime, out: &mut Vec<Egress>) {
+    fn query_upstream(&mut self, fl: InFlight, deadline: SimTime, out: &mut Vec<Egress>) {
         let Some(&server) = fl.servers.first() else {
-            let chain = std::mem::take(&mut fl.chain);
-            out.push(self.reply(&fl, Rcode::ServFail, chain));
+            self.finish(fl, Rcode::ServFail, out);
             return;
         };
         let txn = self.inflight.alloc();
@@ -333,7 +345,7 @@ impl RecursiveResolver {
         header.flags.recursion_desired = false;
         let mut msg = Message::new(header);
         msg.questions
-            .push(Question::new(fl.current.clone(), fl.question.qtype));
+            .push(Question::new(fl.current.clone(), fl.asker.question.qtype));
         if let Some(subnet) = fl.ecs {
             msg.set_client_subnet(subnet, 24);
         }
@@ -387,6 +399,14 @@ impl RecursiveResolver {
             out.push(Egress::reply(from, from_port, bytes, PROC_DELAY));
             return;
         };
+        let mut asker = Asker {
+            client: from,
+            client_port: from_port,
+            client_id: query.header.id,
+            reply_from: ctx.local_addr,
+            question,
+            truncate: false,
+        };
         // Fault draws happen only when the knob is turned, so inert
         // configurations leave the engine RNG stream untouched.
         let inject_servfail = self.config.faults.servfail_prob > 0.0 && {
@@ -395,28 +415,13 @@ impl RecursiveResolver {
         };
         if inject_servfail {
             self.stats.fault_servfails += 1;
-            let fl = InFlight {
-                client: from,
-                client_port: from_port,
-                client_id: query.header.id,
-                reply_from: ctx.local_addr,
-                question,
-                chain: Vec::new(),
-                egress: None,
-                ecs: None,
-                current: DnsName::root(),
-                servers: Vec::new(),
-                steps: 0,
-                retries: 0,
-                truncate: false,
-            };
-            out.push(self.reply(&fl, Rcode::ServFail, Vec::new()));
+            out.push(self.reply(&asker, Rcode::ServFail, Vec::new()));
             return;
         }
         // Forced truncation: decided up front, applied when the final
         // NOERROR answer is built. Queries advertising more than the
         // default EDNS payload (the DNS-over-TCP relay) are exempt.
-        let truncate = self.config.faults.truncate_prob > 0.0
+        asker.truncate = self.config.faults.truncate_prob > 0.0
             && query
                 .edns_udp_size()
                 .unwrap_or(dnswire::edns::CLASSIC_UDP_LIMIT as u16)
@@ -430,24 +435,9 @@ impl RecursiveResolver {
             .filter(|(_, source, _)| *source > 0)
             .map(|(addr, _, _)| addr);
         let scope = ecs.map(Prefix::slash24_of);
-        if let Some((answers, rcode)) = self.answer_from_cache(&question, scope, ctx.now) {
+        if let Some((answers, rcode)) = self.answer_from_cache(&asker.question, scope, ctx.now) {
             self.stats.cache_answers += 1;
-            let fl = InFlight {
-                client: from,
-                client_port: from_port,
-                client_id: query.header.id,
-                reply_from: ctx.local_addr,
-                question,
-                chain: Vec::new(),
-                egress: None,
-                ecs,
-                current: DnsName::root(),
-                servers: Vec::new(),
-                steps: 0,
-                retries: 0,
-                truncate,
-            };
-            out.push(self.reply(&fl, rcode, answers));
+            out.push(self.reply(&asker, rcode, answers));
             return;
         }
         let egress = if self.config.egress_addrs.is_empty() {
@@ -457,14 +447,10 @@ impl RecursiveResolver {
             let i = ctx.rng.gen_range(0..self.config.egress_addrs.len());
             Some(self.config.egress_addrs[i])
         };
-        let current = question.qname.clone();
+        let current = asker.question.qname.clone();
         let servers = self.servers_for(&current, ctx.now);
         let fl = InFlight {
-            client: from,
-            client_port: from_port,
-            client_id: query.header.id,
-            reply_from: ctx.local_addr,
-            question,
+            asker,
             chain: Vec::new(),
             egress,
             ecs,
@@ -472,7 +458,6 @@ impl RecursiveResolver {
             servers,
             steps: 0,
             retries: 0,
-            truncate,
         };
         self.query_upstream(fl, ctx.now + self.config.inflight_deadline, out);
     }
@@ -490,8 +475,7 @@ impl RecursiveResolver {
         self.absorb(&response, fl_scope, ctx.now);
         fl.steps += 1;
         if fl.steps > MAX_STEPS {
-            let chain = std::mem::take(&mut fl.chain);
-            out.push(self.reply(&fl, Rcode::ServFail, chain));
+            self.finish(fl, Rcode::ServFail, out);
             return;
         }
         // NXDOMAIN: negative-cache and relay.
@@ -506,19 +490,17 @@ impl RecursiveResolver {
                 .unwrap_or(NEG_TTL)
                 .min(NEG_TTL);
             self.cache.put(
-                &FlatKey::new(fl.current.as_ref(), fl.question.qtype, None),
+                &FlatKey::new(fl.current.as_ref(), fl.asker.question.qtype, None),
                 Vec::new(),
                 Rcode::NxDomain,
                 neg_ttl,
                 ctx.now,
             );
-            let chain = std::mem::take(&mut fl.chain);
-            out.push(self.reply(&fl, Rcode::NxDomain, chain));
+            self.finish(fl, Rcode::NxDomain, out);
             return;
         }
         if response.header.rcode != Rcode::NoError {
-            let chain = std::mem::take(&mut fl.chain);
-            out.push(self.reply(&fl, Rcode::ServFail, chain));
+            self.finish(fl, Rcode::ServFail, out);
             return;
         }
         if !response.answers.is_empty() {
@@ -530,13 +512,12 @@ impl RecursiveResolver {
                 let type_matches: Vec<ResourceRecord> = response
                     .answers
                     .iter()
-                    .filter(|rr| rr.name == current && rr.record_type() == fl.question.qtype)
+                    .filter(|rr| rr.name == current && rr.record_type() == fl.asker.question.qtype)
                     .cloned()
                     .collect();
                 if !type_matches.is_empty() {
                     fl.chain.extend(type_matches);
-                    let chain = std::mem::take(&mut fl.chain);
-                    out.push(self.reply(&fl, Rcode::NoError, chain));
+                    self.finish(fl, Rcode::NoError, out);
                     return;
                 }
                 let cname = response
@@ -562,11 +543,10 @@ impl RecursiveResolver {
                 // Chain continues outside this response: restart iteration
                 // for the target (checking cache first).
                 fl.current = current;
-                let q = Question::new(fl.current.clone(), fl.question.qtype);
+                let q = Question::new(fl.current.clone(), fl.asker.question.qtype);
                 if let Some((answers, rcode)) = self.answer_from_cache(&q, fl_scope, ctx.now) {
                     fl.chain.extend(answers);
-                    let chain = std::mem::take(&mut fl.chain);
-                    out.push(self.reply(&fl, rcode, chain));
+                    self.finish(fl, rcode, out);
                     return;
                 }
                 fl.servers = self.servers_for(&fl.current, ctx.now);
@@ -574,8 +554,7 @@ impl RecursiveResolver {
                 return;
             }
             // Answers we did not ask about; treat as lame.
-            let chain = std::mem::take(&mut fl.chain);
-            out.push(self.reply(&fl, Rcode::ServFail, chain));
+            self.finish(fl, Rcode::ServFail, out);
             return;
         }
         // Referral?
@@ -598,8 +577,7 @@ impl RecursiveResolver {
                 }
             }
             if glue.is_empty() {
-                let chain = std::mem::take(&mut fl.chain);
-                out.push(self.reply(&fl, Rcode::ServFail, chain));
+                self.finish(fl, Rcode::ServFail, out);
                 return;
             }
             fl.servers = glue;
@@ -609,18 +587,16 @@ impl RecursiveResolver {
         // Authoritative NODATA.
         if response.header.flags.authoritative {
             self.cache.put(
-                &FlatKey::new(fl.current.as_ref(), fl.question.qtype, None),
+                &FlatKey::new(fl.current.as_ref(), fl.asker.question.qtype, None),
                 Vec::new(),
                 Rcode::NoError,
                 NEG_TTL,
                 ctx.now,
             );
-            let chain = std::mem::take(&mut fl.chain);
-            out.push(self.reply(&fl, Rcode::NoError, chain));
+            self.finish(fl, Rcode::NoError, out);
             return;
         }
-        let chain = std::mem::take(&mut fl.chain);
-        out.push(self.reply(&fl, Rcode::ServFail, chain));
+        self.finish(fl, Rcode::ServFail, out);
     }
 
     /// Handles recursions whose current upstream attempt outlived its
@@ -637,8 +613,7 @@ impl RecursiveResolver {
                     fl.retries += 1;
                     self.query_upstream(fl, now + self.config.inflight_deadline, out);
                 } else {
-                    let chain = std::mem::take(&mut fl.chain);
-                    out.push(self.reply(&fl, Rcode::ServFail, chain));
+                    self.finish(fl, Rcode::ServFail, out);
                 }
             }
         }

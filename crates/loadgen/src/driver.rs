@@ -1,8 +1,8 @@
 //! The wire driver: sends scripted queries to a live server over real
 //! loopback sockets (one thread per carrier, strictly one exchange in
 //! flight per carrier so the server's per-shard injection order is exactly
-//! the driver's send order), optionally interleaved with planned chaos,
-//! then — in verify mode — replays the recorded transcript into a
+//! the driver's send order), optionally interleaved with planned chaos.
+//! [`Driven::verify`] then replays the recorded transcript into a
 //! ground-truth [`ServeCore`] and compares every answer byte-for-byte.
 //!
 //! The transcript is a flat per-carrier sequence of *exchanges*: every
@@ -16,11 +16,8 @@
 //! the defense fires before the bridge sees anything.
 
 use dnssim::{frame, require_frame};
-use dnswire::message::Message;
-use obs::Registry;
-use serve::{
-    classify, is_shed_reply, Clock, Endpoints, ServeCore, Transport, WallClock, WireClass,
-};
+use dnswire::message::{Message, MessageView};
+use serve::{classify, is_shed_reply, Endpoints, ServeCore, Transport, WallClock, WireClass};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{TcpStream, UdpSocket};
@@ -55,10 +52,6 @@ const SPLIT_GAP: Duration = Duration::from_millis(3);
 /// Driver knobs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DriverConfig {
-    /// Total target queries/second across all carriers (None = flat out).
-    pub qps: Option<u64>,
-    /// Replay the transcript into a ground-truth core and compare.
-    pub verify: bool,
     /// Wire-chaos profile interleaved with the scripted mix.
     pub chaos: ChaosProfile,
 }
@@ -94,7 +87,7 @@ struct ScriptOutcome {
 struct CarrierLog {
     exchanges: Vec<Exchange>,
     scripted: Vec<ScriptOutcome>,
-    chaos_injected: BTreeMap<&'static str, u64>,
+    chaos_injected: u64,
     shed_replies: u64,
     shed_retries: u64,
     evictions_observed: u64,
@@ -114,7 +107,8 @@ pub struct RunStats {
     pub tc_retries: u64,
     /// UDP sends that timed out on the wire.
     pub wire_timeouts: u64,
-    /// Ground-truth mismatches (0 unless `verify`; any nonzero is a bug).
+    /// Ground-truth mismatches (0 until [`Driven::verify`]; any nonzero is
+    /// a bug).
     pub mismatches: u64,
     /// Chaos actions injected, total.
     pub chaos_injected: u64,
@@ -133,8 +127,6 @@ pub struct RunStats {
     pub latencies_us: Vec<u64>,
     /// Wall seconds the wire phase took.
     pub wall_secs: f64,
-    /// Host-side counters mirroring the fields above (profile export).
-    pub registry: Registry,
 }
 
 impl RunStats {
@@ -159,16 +151,10 @@ impl RunStats {
     }
 }
 
-/// Drives `script` against the server at `eps`. With `cfg.verify`, builds
-/// a ground-truth [`ServeCore`] from `eps.config` and replays the wire
-/// transcript into it, counting byte mismatches.
+/// Drives `script` against the server at `eps` and returns what the wire
+/// phase saw, without a ground-truth replay.
 pub fn run(eps: &Endpoints, script: &Script, cfg: &DriverConfig) -> std::io::Result<RunStats> {
-    let driven = drive(eps, script, cfg)?;
-    Ok(if cfg.verify {
-        driven.verify(eps)
-    } else {
-        driven.stats
-    })
+    Ok(drive(eps, script, cfg)?.stats)
 }
 
 /// A finished wire phase: its statistics, with no mismatches counted yet,
@@ -183,23 +169,15 @@ impl Driven {
     /// Replays the transcript into a ground-truth [`ServeCore`] built from
     /// `eps.config` and counts the byte mismatches into the statistics.
     pub fn verify(mut self, eps: &Endpoints) -> RunStats {
-        let mismatches = verify(eps, &self.logs);
-        self.stats.mismatches = mismatches;
-        self.stats
-            .registry
-            .inc_by("loadgen.mismatches", &[], mismatches);
+        self.stats.mismatches = verify(eps, &self.logs);
         self.stats
     }
 }
 
-/// The wire phase of [`run`] alone: drives `script` against the server at
-/// `eps` and keeps the transcript. `cfg.verify` is not read here; call
-/// [`Driven::verify`] to replay it.
+/// Drives `script` against the server at `eps` and keeps the transcript
+/// for [`Driven::verify`].
 pub fn drive(eps: &Endpoints, script: &Script, cfg: &DriverConfig) -> std::io::Result<Driven> {
     let clock = WallClock::new();
-    let carriers = eps.carriers.len().max(1) as u64;
-    let per_carrier_qps = cfg.qps.map(|q| (q / carriers).max(1));
-
     let start_us = clock.now_us();
     let mut logs: Vec<CarrierLog> = Vec::new();
     std::thread::scope(|scope| -> std::io::Result<()> {
@@ -208,9 +186,7 @@ pub fn drive(eps: &Endpoints, script: &Script, cfg: &DriverConfig) -> std::io::R
             let ep = &eps.carriers[shard];
             let clock_ref = &clock;
             let plan = plan_carrier(cfg.chaos, eps.config.seed, shard, queries);
-            handles.push(
-                scope.spawn(move || drive_carrier(ep, queries, &plan, per_carrier_qps, clock_ref)),
-            );
+            handles.push(scope.spawn(move || drive_carrier(ep, queries, &plan, clock_ref)));
         }
         for h in handles {
             match h.join() {
@@ -238,19 +214,14 @@ pub fn drive(eps: &Endpoints, script: &Script, cfg: &DriverConfig) -> std::io::R
         outcomes: BTreeMap::new(),
         latencies_us: Vec::new(),
         wall_secs,
-        registry: Registry::default(),
     };
-    let mut chaos_kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
     for log in &logs {
         stats.sent += log.exchanges.len() as u64;
         stats.shed_replies += log.shed_replies;
         stats.shed_retries += log.shed_retries;
         stats.evictions_observed += log.evictions_observed;
         stats.chaos_unanswered += log.chaos_unanswered;
-        for (&kind, &n) in &log.chaos_injected {
-            stats.chaos_injected += n;
-            *chaos_kinds.entry(kind).or_insert(0) += n;
-        }
+        stats.chaos_injected += log.chaos_injected;
         for out in &log.scripted {
             stats.wire_timeouts += out.timeouts as u64;
             if out.tc_retry {
@@ -262,22 +233,6 @@ pub fn drive(eps: &Endpoints, script: &Script, cfg: &DriverConfig) -> std::io::R
             }
             *stats.outcomes.entry(out.label.to_string()).or_insert(0) += 1;
         }
-    }
-
-    let reg = &mut stats.registry;
-    reg.inc_by("loadgen.sent", &[], stats.sent);
-    reg.inc_by("loadgen.answered", &[], stats.answered);
-    reg.inc_by("loadgen.tc_retries", &[], stats.tc_retries);
-    reg.inc_by("loadgen.wire_timeouts", &[], stats.wire_timeouts);
-    reg.inc_by("loadgen.mismatches", &[], stats.mismatches);
-    for (kind, n) in chaos_kinds {
-        reg.inc_by("loadgen.chaos_injected", &[("kind", kind)], n);
-    }
-    if stats.shed_retries > 0 {
-        reg.inc_by("loadgen.shed_retries", &[], stats.shed_retries);
-    }
-    for &us in &stats.latencies_us {
-        reg.observe_us("loadgen.latency_us", &[], us);
     }
     Ok(Driven { stats, logs })
 }
@@ -300,7 +255,6 @@ fn drive_carrier(
     ep: &serve::CarrierEndpoint,
     queries: &[crate::script::PlannedQuery],
     plan: &[Vec<ChaosAction>],
-    qps: Option<u64>,
     clock: &WallClock,
 ) -> std::io::Result<CarrierLog> {
     let sock = UdpSocket::bind("127.0.0.1:0")?;
@@ -308,14 +262,10 @@ fn drive_carrier(
     sock.set_read_timeout(Some(WIRE_TIMEOUT))?;
     let mut buf = [0u8; 65_535];
     let mut log = CarrierLog::default();
-    let epoch = clock.now_us();
     for (i, q) in queries.iter().enumerate() {
         for action in plan.get(i).map(Vec::as_slice).unwrap_or(&[]) {
-            *log.chaos_injected.entry(action.kind()).or_insert(0) += 1;
+            log.chaos_injected += 1;
             run_chaos(action, ep, &sock, &mut buf, &mut log)?;
-        }
-        if let Some(rate) = qps {
-            clock.sleep_until(epoch + i as u64 * 1_000_000 / rate);
         }
         let sent_at = clock.now_us();
         let mut outcome = ScriptOutcome {
@@ -393,15 +343,24 @@ fn udp_exchange(
 ) -> std::io::Result<Option<Vec<u8>>> {
     sock.set_read_timeout(Some(timeout))?;
     sock.send(wire)?;
-    let mut reply = None;
+    let reply = recv_reply(sock, buf, id)?.map(|n| buf[..n].to_vec());
+    log.exchanges.push(Exchange {
+        wire: wire.to_vec(),
+        transport: Transport::Udp,
+        reply: reply.clone(),
+    });
+    Ok(reply)
+}
+
+/// Waits for the next datagram on `sock` whose transaction id is `id`,
+/// discarding others, and returns its length in `buf`; `None` once the
+/// socket's read timeout passes with no such datagram.
+fn recv_reply(sock: &UdpSocket, buf: &mut [u8], id: u16) -> std::io::Result<Option<usize>> {
     loop {
         match sock.recv(buf) {
             Ok(n) => {
-                let id_matches =
-                    dnswire::message::MessageView::new(&buf[..n]).is_ok_and(|v| v.id() == id);
-                if id_matches {
-                    reply = Some(buf[..n].to_vec());
-                    break;
+                if MessageView::new(&buf[..n]).is_ok_and(|v| v.id() == id) {
+                    return Ok(Some(n));
                 }
             }
             Err(e)
@@ -410,17 +369,11 @@ fn udp_exchange(
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                break;
+                return Ok(None);
             }
             Err(e) => return Err(e),
         }
     }
-    log.exchanges.push(Exchange {
-        wire: wire.to_vec(),
-        transport: Transport::Udp,
-        reply: reply.clone(),
-    });
-    Ok(reply)
 }
 
 /// Executes one chaos action, recording whatever reached the bridge.
@@ -467,24 +420,10 @@ fn run_chaos(
             sock.set_read_timeout(Some(CHAOS_TIMEOUT))?;
             let mut replies: Vec<Vec<u8>> = Vec::with_capacity(*copies);
             while replies.len() < *copies {
-                match sock.recv(buf) {
-                    Ok(n) => {
-                        let id_matches = dnswire::message::MessageView::new(&buf[..n])
-                            .is_ok_and(|v| v.id() == id);
-                        if id_matches {
-                            replies.push(buf[..n].to_vec());
-                        }
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                }
+                let Some(n) = recv_reply(sock, buf, id)? else {
+                    break;
+                };
+                replies.push(buf[..n].to_vec());
             }
             log.chaos_unanswered += (*copies - replies.len()) as u64;
             log.shed_replies += replies.iter().filter(|r| is_shed_reply(r)).count() as u64;

@@ -5,9 +5,9 @@
 //! Builds per-carrier query scripts from the world's own seed (lane
 //! [`measure::world::lane::SERVE`], so serving never perturbs campaign
 //! replay), drives them against a live [`serve::DnsServer`] over real
-//! loopback sockets at a target QPS, and — in verify mode — replays the
-//! exact wire transcript into a second [`serve::ServeCore`] built from the
-//! same [`WorldConfig`], asserting every answer byte-equal. That replay is
+//! loopback sockets as fast as it is answered, and then replays the exact
+//! wire transcript into a second [`serve::ServeCore`] built from the same
+//! [`WorldConfig`], asserting every answer byte-equal. That replay is
 //! the ground-truth cross-check: the live server and the batch resolver
 //! are the same deterministic code, so any divergence is a bug, not noise.
 //!

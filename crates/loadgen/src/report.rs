@@ -52,7 +52,6 @@ pub fn render_profile_json(stats: &RunStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::Registry;
     use std::collections::BTreeMap;
 
     #[test]
@@ -74,7 +73,6 @@ mod tests {
             outcomes,
             latencies_us: vec![100, 200, 300, 400],
             wall_secs: 2.0,
-            registry: Registry::default(),
         };
         let json = render_profile_json(&stats);
         assert!(json.contains("\"answered\": 10"));

@@ -11,7 +11,7 @@
 //! them on any number of threads and produce bit-identical results.
 
 use cdnsim::catalog::{mobile_domains, CatalogEntry, PROVIDER_COUNT, PROVIDER_NAMES};
-use cdnsim::cdn::{Cdn, CdnConfig, Replica};
+use cdnsim::cdn::{Cdn, Replica};
 use cdnsim::edge::EdgeZone;
 use cdnsim::mapping::MappingZone;
 use cellsim::build::{build_carrier, install_carrier_services, CarrierNet, GeoRegion};
@@ -49,10 +49,6 @@ pub struct WorldConfig {
     /// Ambient cache-warmth period divided by record TTL controls the
     /// first-lookup hit rate (None disables the model; see `dnssim::cache`).
     pub ambient_period: Option<SimDuration>,
-    /// Google-like public DNS site count (paper: ~30 /24 clusters).
-    pub google_sites: usize,
-    /// OpenDNS-like site count.
-    pub opendns_sites: usize,
     /// Deploy the paper's §9 future-work fix: carrier resolvers announce
     /// RFC 7871 client subnets (NAT-aware), and CDNs geolocate the carrier
     /// egress /24s from their server logs. Off by default — the paper's
@@ -75,10 +71,8 @@ impl Default for WorldConfig {
             seed: 2014,
             fleet_scale: 1.0,
             gateway_scale: 1.0,
-            // CDN TTL 30 s / period 37.5 s ≈ 80% warm — Fig. 7's ~20% miss.
+            // `cdnsim::cdn::RECORD_TTL` 30 s / period 37.5 s ≈ 80% warm — Fig. 7's ~20% miss.
             ambient_period: Some(SimDuration::from_micros(37_500_000)),
-            google_sites: 30,
-            opendns_sites: 16,
             ecs: false,
             three_g_era: false,
             fault_profile: FaultProfile::None,
@@ -589,25 +583,12 @@ pub fn build_world(config: WorldConfig) -> World {
     topo.add_link(university, pops[6].0, netsim::LatencyModel::constant_ms(1));
 
     // --- Public DNS sites ---
-    /// (name, vip, sites, addrs per site, first two octets, KR site share)
+    /// (name, vip, sites, addrs per site, first two octets, KR site share).
+    /// Google runs ~30 /24 clusters (the paper's count), OpenDNS 16.
     type PublicPlan = (&'static str, Ipv4Addr, usize, u8, [u8; 2], usize);
-    let public_plans: Vec<PublicPlan> = vec![
-        (
-            "GoogleDNS",
-            GOOGLE_VIP,
-            config.google_sites,
-            6,
-            [173, 194],
-            5,
-        ),
-        (
-            "OpenDNS",
-            OPENDNS_VIP,
-            config.opendns_sites,
-            4,
-            [204, 194],
-            3,
-        ),
+    let public_plans: [PublicPlan; 2] = [
+        ("GoogleDNS", GOOGLE_VIP, 30, 6, [173, 194], 5),
+        ("OpenDNS", OPENDNS_VIP, 16, 4, [204, 194], 3),
     ];
     let mut public_dns: Vec<PublicDns> = Vec::new();
     for (name, vip, site_count, per_site, octets, kr_share) in public_plans {
@@ -767,7 +748,7 @@ pub fn build_world(config: WorldConfig) -> World {
     // --- CDN knowledge tables (immutable once built, shared by shards) ---
     let mut cdns = Vec::new();
     for (p, (replicas, replica_nodes, adns_node, adns_addr)) in cdn_plans.into_iter().enumerate() {
-        let mut cdn = Cdn::new(CdnConfig::new(PROVIDER_NAMES[p]), replicas);
+        let mut cdn = Cdn::new(PROVIDER_NAMES[p], replicas);
         // Measured prefixes: public-DNS site /24s and the university.
         for pd in &public_dns {
             for site in &pd.sites {

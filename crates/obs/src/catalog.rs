@@ -67,14 +67,6 @@ pub const METRICS: &[MetricDef] = &[
     def("dns.resolver.servfails", Counter, "SERVFAIL replies produced"),
     def("dns.resolver.upstream_queries", Counter, "queries sent upstream"),
     def("fault.injected", Counter, "injected network faults by kind"),
-    def("loadgen.answered", Counter, "scripted queries answered over the wire"),
-    def("loadgen.chaos_injected", Counter, "hostile wire inputs sent, by kind"),
-    def("loadgen.latency_us", Histogram, "wire round trip of answered queries"),
-    def("loadgen.mismatches", Counter, "wire answers differing from ground truth"),
-    def("loadgen.sent", Counter, "scripted queries sent"),
-    def("loadgen.shed_retries", Counter, "resends after a shed reply"),
-    def("loadgen.tc_retries", Counter, "TCP retries after a truncated reply"),
-    def("loadgen.wire_timeouts", Counter, "per-attempt wire timeouts"),
     def("net.delivered", Counter, "packets delivered to their owner"),
     def("net.drops_by_cause", Counter, "packets dropped, by cause"),
     def("net.events", Counter, "engine events dispatched"),

@@ -74,10 +74,7 @@ Serving plane (serve, soak):
                                          wrote it, over the world it names
   --max-queries N                        serve: stop after N answers (default: never)
   --queries N                            soak: scripted queries (default: 10000)
-  --qps N                                soak: target rate (default: unpaced)
-  --miss-per-mille N                     soak: cache-busting fraction (default: 50)
   --chaos off|mild|stress                soak: wire chaos (default: off)
-  --no-verify                            soak: skip the ground-truth replay
   --profile-out PATH                     soak: write the host-plane profile JSON
   --metrics-out PATH                     soak without --endpoints: write the
                                          server's registry JSON
@@ -124,7 +121,7 @@ const WORLD: u8 = CAMPAIGN | SERVE | SOAK;
 
 /// Which modes use each option. Any other mode rejects it by name before
 /// a world is built, so no option is silently ignored.
-const OPTIONS: [(&str, u8); 20] = [
+const OPTIONS: [(&str, u8); 17] = [
     ("--scale", WORLD),
     ("--seed", WORLD),
     ("--ecs", WORLD),
@@ -139,10 +136,7 @@ const OPTIONS: [(&str, u8); 20] = [
     ("--endpoints", SERVE | DRIVE),
     ("--max-queries", SERVE),
     ("--queries", SOAK | DRIVE),
-    ("--qps", SOAK | DRIVE),
-    ("--miss-per-mille", SOAK | DRIVE),
     ("--chaos", SOAK | DRIVE),
-    ("--no-verify", SOAK | DRIVE),
     ("--profile-out", SOAK | DRIVE),
     ("--metrics-out", SOAK),
 ];
@@ -182,11 +176,8 @@ fn parse_args() -> Result<Args, String> {
     let mut endpoints = None;
     let mut max_queries = None;
     let mut soak_queries = 10_000u64;
-    let mut qps = None;
-    let mut miss_per_mille = 50u32;
     let mut profile_out = None;
     let mut metrics_out = None;
-    let mut verify = true;
     let mut chaos = loadgen::ChaosProfile::Off;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -220,8 +211,6 @@ fn parse_args() -> Result<Args, String> {
             "--endpoints" => endpoints = Some(value(&mut it, "--endpoints")?),
             "--max-queries" => max_queries = Some(value(&mut it, "--max-queries")?),
             "--queries" => soak_queries = value(&mut it, "--queries")?,
-            "--qps" => qps = Some(value(&mut it, "--qps")?),
-            "--miss-per-mille" => miss_per_mille = value(&mut it, "--miss-per-mille")?,
             "--profile-out" => profile_out = Some(value(&mut it, "--profile-out")?),
             "--metrics-out" => metrics_out = Some(value(&mut it, "--metrics-out")?),
             "--chaos" => {
@@ -229,7 +218,6 @@ fn parse_args() -> Result<Args, String> {
                 chaos = loadgen::ChaosProfile::parse(&name)
                     .ok_or(format!("unknown chaos profile '{name}' (off|mild|stress)"))?;
             }
-            "--no-verify" => verify = false,
             "--help" | "-h" => {
                 let ids: Vec<&str> = figures::ARTIFACTS.iter().map(|(id, _)| *id).collect();
                 print!("{USAGE}\nArtifacts (default: all):\n  {}\n", ids.join(" "));
@@ -265,11 +253,8 @@ fn parse_args() -> Result<Args, String> {
         endpoints,
         max_queries,
         queries: soak_queries,
-        qps,
-        miss_per_mille,
         profile_out,
         metrics_out,
-        verify,
         chaos,
         quiet,
     };

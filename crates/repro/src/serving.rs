@@ -28,16 +28,10 @@ pub struct ServeArgs {
     pub max_queries: Option<u64>,
     /// Total scripted queries (soak mode).
     pub queries: u64,
-    /// Target queries/second across carriers (None = flat out).
-    pub qps: Option<u64>,
-    /// Cache-busting fraction in thousandths.
-    pub miss_per_mille: u32,
     /// Where to write the soak profile JSON (None = skip).
     pub profile_out: Option<PathBuf>,
     /// Where to write the server's counter registry as JSON (None = skip).
     pub metrics_out: Option<PathBuf>,
-    /// Replay the wire transcript into a ground-truth core (soak mode).
-    pub verify: bool,
     /// Wire-chaos profile the load generator interleaves (soak mode).
     pub chaos: ChaosProfile,
     /// Silence stderr reporting.
@@ -154,34 +148,26 @@ pub fn run_soak(target: Target, args: &ServeArgs) -> i32 {
             (Some(server), eps)
         }
     };
+    let mix = MixConfig {
+        queries: args.queries,
+        ..MixConfig::default()
+    };
     if !args.quiet {
         eprintln!(
-            "repro soak: {} carriers up; scripting {} queries (miss {}/1000, qps {}, chaos {})",
+            "repro soak: {} carriers up; scripting {} queries (miss {}/1000, chaos {})",
             eps.carriers.len(),
-            args.queries,
-            args.miss_per_mille,
-            args.qps
-                .map_or_else(|| "unpaced".to_string(), |q| q.to_string()),
+            mix.queries,
+            mix.miss_per_mille,
             args.chaos.label(),
         );
     }
 
     let script_stage = Stage::begin("soak script");
-    let script = build_script(
-        &eps,
-        &MixConfig {
-            queries: args.queries,
-            miss_per_mille: args.miss_per_mille,
-        },
-    );
+    let script = build_script(&eps, &mix);
     prof.record(script_stage.end());
 
     let wire_stage = Stage::begin("soak wire");
-    let cfg = DriverConfig {
-        qps: args.qps,
-        verify: args.verify,
-        chaos: args.chaos,
-    };
+    let cfg = DriverConfig { chaos: args.chaos };
     let driven = match loadgen::drive(&eps, &script, &cfg) {
         Ok(d) => d,
         Err(e) => {
@@ -192,14 +178,9 @@ pub fn run_soak(target: Target, args: &ServeArgs) -> i32 {
     };
     prof.record_with_rates(wire_stage.end(), &[(driven.stats.answered, "answers")]);
     // The ground-truth replay is host work of its own, not wire time.
-    let stats = if args.verify {
-        let verify_stage = Stage::begin("soak verify");
-        let stats = driven.verify(&eps);
-        prof.record_with_rates(verify_stage.end(), &[(stats.answered, "answers")]);
-        stats
-    } else {
-        driven.stats
-    };
+    let verify_stage = Stage::begin("soak verify");
+    let stats = driven.verify(&eps);
+    prof.record_with_rates(verify_stage.end(), &[(stats.answered, "answers")]);
 
     let report = server.map(DnsServer::stop);
     let profile = render_profile_json(&stats);
@@ -261,16 +242,14 @@ pub fn run_soak(target: Target, args: &ServeArgs) -> i32 {
         stats.latency_percentile_us(50),
         stats.latency_percentile_us(99),
     );
-    if args.verify {
-        println!(
-            "soak: ground truth {}",
-            if stats.mismatches == 0 {
-                "clean — every wire answer byte-equal to the batch resolver"
-            } else {
-                "BROKEN — wire answers diverged from the batch resolver"
-            }
-        );
-    }
+    println!(
+        "soak: ground truth {}",
+        if stats.mismatches == 0 {
+            "clean — every wire answer byte-equal to the batch resolver"
+        } else {
+            "BROKEN — wire answers diverged from the batch resolver"
+        }
+    );
     if !args.quiet {
         eprintln!("repro soak: host-plane profile (loadgen)\n{profile}");
         if let Some(report) = &report {

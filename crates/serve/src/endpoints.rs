@@ -54,8 +54,6 @@ impl Endpoints {
             Some(p) => out.push_str(&format!("ambient_period_us {}\n", p.as_micros())),
             None => out.push_str("ambient_period_us none\n"),
         }
-        out.push_str(&format!("google_sites {}\n", c.google_sites));
-        out.push_str(&format!("opendns_sites {}\n", c.opendns_sites));
         out.push_str(&format!("ecs {}\n", c.ecs as u8));
         out.push_str(&format!("three_g_era {}\n", c.three_g_era as u8));
         out.push_str(&format!("fault_profile {}\n", c.fault_profile.label()));
@@ -97,8 +95,6 @@ impl Endpoints {
                         ))
                     };
                 }
-                "google_sites" => config.google_sites = rest.parse().map_err(|_| err("count"))?,
-                "opendns_sites" => config.opendns_sites = rest.parse().map_err(|_| err("count"))?,
                 "ecs" => config.ecs = rest == "1",
                 "three_g_era" => config.three_g_era = rest == "1",
                 "fault_profile" => {
@@ -176,6 +172,9 @@ mod tests {
         assert!(Endpoints::parse("flux 3\ncarrier 0 A 1.2.3.4:1 1.2.3.4:2 1").is_err());
         // A key this version retired is drift like any other.
         assert!(Endpoints::parse("queue wheel\ncarrier 0 A 1.2.3.4:1 1.2.3.4:2 1").is_err());
+        // The public-DNS site counts are fixed in the world's plan table.
+        let err = Endpoints::parse("google_sites 30\ncarrier 0 A 1.2.3.4:1 1.2.3.4:2 1");
+        assert!(err.is_err_and(|e| e.contains("unknown key 'google_sites'")));
         assert!(Endpoints::parse("seed 5").is_err(), "no carriers = error");
         assert!(Endpoints::parse("carrier 0 A 1.2.3.4:1").is_err());
     }

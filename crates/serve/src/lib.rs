@@ -12,11 +12,10 @@
 //!   over the wire is byte-equal to what the batch resolver would have
 //!   produced for the same world, seed, and injection order.
 //! * The **host plane** is everything that touches real sockets and the
-//!   wall clock: the [`DnsServer`] socket front end, the [`Clock`]
-//!   abstraction its loops pace themselves with, and the latency/QPS
-//!   accounting. detlint classifies this whole crate as host-plane, so
-//!   wall-clock reads are permitted here and still forbidden in every sim
-//!   crate.
+//!   wall clock: the [`DnsServer`] socket front end, the [`WallClock`]
+//!   its loops read, and the latency/QPS accounting. detlint classifies
+//!   this whole crate as host-plane, so wall-clock reads are permitted
+//!   here and still forbidden in every sim crate.
 //!
 //! Ground-truth equivalence is therefore a replay property: record the
 //! per-carrier sequence of wire queries the bridge processed, replay it
@@ -34,7 +33,7 @@ pub use crate::admit::{Admission, AdmitConfig, ShedReason, Verdict};
 pub use crate::core::{
     classify, control_reply, is_shed_reply, DropReason, ServeCore, Served, Transport, WireClass,
 };
-pub use clock::{Clock, ManualClock, WallClock};
+pub use clock::WallClock;
 pub use endpoints::{CarrierEndpoint, Endpoints};
 pub use measure::{FaultProfile, WorldConfig};
 pub use server::{DnsServer, ServeReport, FRAME_DEADLINE};

@@ -22,7 +22,7 @@
 //! so in-flight queries complete and nothing is silently dropped.
 
 use crate::admit::{Admission, AdmitConfig, Verdict};
-use crate::clock::{Clock, WallClock};
+use crate::clock::WallClock;
 use crate::core::{classify, control_reply, ServeCore, Served, Transport, WireClass};
 use crate::endpoints::{CarrierEndpoint, Endpoints};
 use dnssim::{frame, split_frame};

@@ -8,7 +8,7 @@
 use behind_the_curtain::dnssim::client::whoami;
 use behind_the_curtain::measure::{build_world, WorldConfig};
 use behind_the_curtain::netsim::addr::Prefix;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn main() {
     let carrier_name = std::env::args().nth(1).unwrap_or_else(|| "AT&T".into());
@@ -30,7 +30,7 @@ fn main() {
     let probe_zone = world.backbone.probe_zone.clone();
     let shard = &mut world.shards[carrier_idx];
     let device_count = shard.devices.len();
-    let mut pairs: HashMap<(std::net::Ipv4Addr, std::net::Ipv4Addr), usize> = HashMap::new();
+    let mut pairs: BTreeMap<(std::net::Ipv4Addr, std::net::Ipv4Addr), usize> = BTreeMap::new();
     for di in 0..device_count {
         let (node, configured) = {
             let d = &shard.devices[di];
@@ -44,13 +44,11 @@ fn main() {
         }
     }
     println!("LDNS pairs observed (configured -> external x count):");
-    let mut sorted: Vec<_> = pairs.iter().collect();
-    sorted.sort();
-    for ((cf, ext), n) in sorted {
+    for ((cf, ext), n) in &pairs {
         println!("  {cf:<16} -> {ext:<16} x{n}");
     }
-    let externals: HashSet<_> = pairs.keys().map(|(_, e)| *e).collect();
-    let prefixes: HashSet<_> = externals.iter().map(|e| Prefix::slash24_of(*e)).collect();
+    let externals: BTreeSet<_> = pairs.keys().map(|(_, e)| *e).collect();
+    let prefixes: BTreeSet<_> = externals.iter().map(|e| Prefix::slash24_of(*e)).collect();
     println!(
         "\n{} external resolvers across {} /24 prefixes (indirect resolution: the\nconfigured resolver is never the one the authoritative side sees)\n",
         externals.len(),
@@ -71,7 +69,7 @@ fn main() {
             .map(|r| r.to_string())
             .unwrap_or_else(|| "no answer".into())
     );
-    if let Some(&ext) = externals.iter().next() {
+    if let Some(&ext) = externals.first() {
         let ext_ping = shard.net.ping_train(node, ext, 3);
         println!(
             "ping external resolver   {}: {}",

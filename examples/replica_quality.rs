@@ -9,7 +9,7 @@ use behind_the_curtain::measure::{
 };
 use behind_the_curtain::netsim::addr::Prefix;
 use behind_the_curtain::netsim::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn main() {
     let mut world = build_world(WorldConfig::quick(99));
@@ -22,7 +22,7 @@ fn main() {
     );
 
     // replica -> (sum_ms, count) for best-replica accounting.
-    let mut replica_lat: HashMap<std::net::Ipv4Addr, (f64, u32)> = HashMap::new();
+    let mut replica_lat: BTreeMap<std::net::Ipv4Addr, (f64, u32)> = BTreeMap::new();
     println!("day  ext-resolver      ext /24           buzzfeed replicas (via carrier DNS)");
     for step in 0..(7 * 6) {
         let t = SimTime::ZERO + SimDuration::from_hours(4 * step as u64);

@@ -9,9 +9,9 @@ use dnssim::{frame, require_frame};
 use dnswire::builder::QueryBuilder;
 use dnswire::message::{Message, MessageView, Opcode, Rcode};
 use dnswire::rdata::RecordType;
-use loadgen::{build_script, run, ChaosProfile, DriverConfig, MixConfig};
+use loadgen::{build_script, drive, ChaosProfile, DriverConfig, MixConfig};
 use obs::catalog;
-use serve::{Clock, DnsServer, FaultProfile, ServeCore, Transport, WallClock, WorldConfig};
+use serve::{DnsServer, FaultProfile, ServeCore, Transport, WallClock, WorldConfig};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,16 +43,15 @@ fn udp_wire_answers_match_the_batch_resolver() {
             miss_per_mille: 100,
         },
     );
-    let stats = run(
+    let stats = drive(
         &eps,
         &script,
         &DriverConfig {
-            qps: None,
-            verify: true,
             chaos: ChaosProfile::Off,
         },
     )
-    .expect("wire run");
+    .expect("wire run")
+    .verify(&eps);
     let report = server.stop();
 
     assert_eq!(stats.answered, 600, "every scripted query must answer");
@@ -123,16 +122,15 @@ fn forced_tc_answers_recover_over_tcp_and_still_verify() {
             miss_per_mille: 50,
         },
     );
-    let stats = run(
+    let stats = drive(
         &eps,
         &script,
         &DriverConfig {
-            qps: None,
-            verify: true,
             chaos: ChaosProfile::Off,
         },
     )
-    .expect("wire run");
+    .expect("wire run")
+    .verify(&eps);
     drop(server.stop());
 
     assert!(
@@ -308,16 +306,15 @@ fn chaos_stress_soak_keeps_ground_truth_and_loses_no_answers() {
             miss_per_mille: 100,
         },
     );
-    let stats = run(
+    let stats = drive(
         &eps,
         &script,
         &DriverConfig {
-            qps: None,
-            verify: true,
             chaos: ChaosProfile::Stress,
         },
     )
-    .expect("wire run");
+    .expect("wire run")
+    .verify(&eps);
     let report = server.stop();
 
     assert!(!report.panicked, "server must survive chaos");
@@ -344,9 +341,8 @@ fn chaos_stress_soak_keeps_ground_truth_and_loses_no_answers() {
     assert!(report.shed > 0);
     assert!(report.evicted > 0);
 
-    // Both ends export only names the metric catalog declares.
+    // The server exports only names the metric catalog declares.
     assert_eq!(catalog::undeclared(&report.registry), []);
-    assert_eq!(catalog::undeclared(&stats.registry), []);
 }
 
 #[test]
