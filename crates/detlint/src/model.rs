@@ -70,10 +70,24 @@ pub struct RngSite {
     pub col: usize,
 }
 
+/// Sim-plane registry calls whose first argument is the metric name: the
+/// mutators, and the handle resolvers that name a series once for later
+/// updates by id. D7 requires a `&'static str` literal there, and D12
+/// checks it against the catalog.
+pub(crate) const OBS_MUTATORS: &[&str] = &[
+    ".inc(",
+    ".inc_by(",
+    ".gauge_set(",
+    ".observe_us(",
+    ".counter_id(",
+    ".histogram_id(",
+];
+
 /// One sim-plane metric mutator call site.
 #[derive(Debug, Clone)]
 pub struct MetricSite {
-    /// Mutator method (`inc`, `inc_by`, `gauge_set`, `observe_us`).
+    /// Mutator method (`inc`, `inc_by`, `gauge_set`, `observe_us`,
+    /// `counter_id`, `histogram_id`).
     pub mutator: &'static str,
     /// The literal metric name, or `None` when the first argument is not a
     /// string literal (a dynamic name — D7 territory).
@@ -710,19 +724,14 @@ fn classify_seed_arg(arg: &str, params: &[String]) -> SeedArg {
 
 /// Sim-plane metric mutator call sites, file-wide (non-test lines only).
 fn extract_metric_sites(sf: &SourceFile) -> Vec<MetricSite> {
-    const MUTATORS: &[(&str, &str)] = &[
-        (".inc(", "inc"),
-        (".inc_by(", "inc_by"),
-        (".gauge_set(", "gauge_set"),
-        (".observe_us(", "observe_us"),
-    ];
     let mut sites = Vec::new();
     for lineno in 1..=sf.len() {
         if sf.is_test[lineno - 1] {
             continue;
         }
         let code = sf.code[lineno - 1].as_str();
-        for (pat, mutator) in MUTATORS {
+        for pat in OBS_MUTATORS {
+            let mutator = pat.trim_start_matches('.').trim_end_matches('(');
             let mut from = 0;
             while let Some(pos) = code[from..].find(pat) {
                 let at = from + pos;
@@ -861,6 +870,7 @@ fn export(reg: &mut Registry) {
         3,
     );
     reg.inc(dynamic_name, &[]);
+    reg.counter_id(\"serve.queries\", &[]);
 }
 ";
         let facts = extract(&prepare(src));
@@ -874,7 +884,8 @@ fn export(reg: &mut Registry) {
             vec![
                 Some("campaign.experiments"),
                 Some("net.flow_timeouts_cancelled"),
-                None
+                None,
+                Some("serve.queries"),
             ]
         );
     }

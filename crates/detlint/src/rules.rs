@@ -11,13 +11,9 @@
 //! crate root.
 
 use crate::lex::SourceFile;
-use crate::model::{CallKind, FileFacts, SeedArg, Sink};
+use crate::model::{CallKind, FileFacts, SeedArg, Sink, OBS_MUTATORS};
 use crate::{FileCtx, FileRecord, Finding, Rule, HOST_PLANE_CRATES, HOT_CRATES, SIM_CRATES};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Sim-plane registry mutators whose first argument is the metric name and
-/// must be a `&'static str` literal at the call site (D7).
-const OBS_MUTATORS: &[&str] = &[".inc(", ".inc_by(", ".gauge_set(", ".observe_us("];
 
 /// Calls whose return value carries a typed lookup `Outcome` and must not
 /// be dropped with `let _ =` (D6).

@@ -12,6 +12,8 @@ const D1_FAST: &str = include_str!("fixtures/d1_fast_fires.rs");
 const D1_FAST_CLEAN: &str = include_str!("fixtures/d1_fast_clean.rs");
 const D6: &str = include_str!("fixtures/d6_fires.rs");
 const D7: &str = include_str!("fixtures/d7_fires.rs");
+const D7_HANDLE: &str = include_str!("fixtures/d7_handle_fires.rs");
+const HANDLE_CLEAN: &str = include_str!("fixtures/handle_clean.rs");
 const D8: &str = include_str!("fixtures/d8_fires.rs");
 const D9: &str = include_str!("fixtures/d9_chain.rs");
 const D10: &str = include_str!("fixtures/d10_fires.rs");
@@ -109,6 +111,20 @@ fn d7_fires_on_host_plane_leak_and_dynamic_name() {
     assert!(f[0].message.contains("obs::host"), "{}", f[0].message);
     assert_eq!(f[1].line, 15);
     assert!(f[1].message.contains("static"), "{}", f[1].message);
+}
+
+#[test]
+fn d7_fires_on_a_dynamic_name_at_handle_resolution() {
+    let f = scan_file("d7_handle_fires.rs", D7_HANDLE, &sim_hot());
+    assert_eq!(rules(&f), vec![Rule::D7], "{f:?}");
+    assert_eq!(f[0].line, 6);
+    assert!(f[0].message.contains("counter_id"), "{}", f[0].message);
+}
+
+#[test]
+fn handles_resolved_under_literal_names_are_clean() {
+    let f = scan_file("handle_clean.rs", HANDLE_CLEAN, &sim_hot());
+    assert!(f.is_empty(), "{f:?}");
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! `metrics.json` it exports to) is byte-identical for every thread
 //! count.
 
-use crate::record::ExperimentRecord;
+use crate::record::{ExperimentRecord, Outcome, ResolverKind};
 use crate::world::{Backbone, CarrierShard};
 use dnssim::forwarder::Forwarder;
 use dnssim::recursive::RecursiveResolver;
@@ -88,40 +88,54 @@ pub fn harvest_shard(
 
 /// Folds one shard's experiment records into the registry: experiment and
 /// probe counts, the client-side outcome taxonomy (per resolver class),
-/// and lookup-latency histograms over sim-time micros.
+/// and lookup-latency histograms over sim-time micros. The per-lookup
+/// series are resolved to handles on first use.
 pub fn harvest_records(records: &[ExperimentRecord], carrier: &str, reg: &mut Registry) {
     let labels = [("carrier", carrier)];
     reg.inc_by("campaign.experiments", &labels, records.len() as u64);
+    let mut outcomes = [[None; Outcome::ALL.len()]; ResolverKind::all().len()];
+    let mut latency = [None; ResolverKind::all().len()];
+    let (mut lookups, mut identities, mut resolver_probes, mut replica_rows) = (0, 0, 0, 0);
     for r in records {
-        reg.inc_by("campaign.lookups", &labels, r.lookups.len() as u64);
-        reg.inc_by(
-            "campaign.identity_probes",
-            &labels,
-            r.identities.len() as u64,
-        );
-        reg.inc_by(
-            "campaign.resolver_probes",
-            &labels,
-            r.resolver_probes.len() as u64,
-        );
-        let replica_rows = r
+        lookups += r.lookups.len() as u64;
+        identities += r.identities.len() as u64;
+        resolver_probes += r.resolver_probes.len() as u64;
+        replica_rows += r
             .replica_probes
             .iter()
             .map(|p| r.returned_by(p.addr).count() as u64)
-            .sum();
-        reg.inc_by("campaign.replica_probes", &labels, replica_rows);
+            .sum::<u64>();
         for l in &r.lookups {
-            let ol = [
-                ("carrier", carrier),
-                ("resolver", l.resolver.label()),
-                ("outcome", l.outcome.label()),
-            ];
-            reg.inc("dns.lookup.outcomes", &ol);
+            let resolver = l.resolver.label();
+            let id = *outcomes[l.resolver as usize][l.outcome as usize].get_or_insert_with(|| {
+                reg.counter_id(
+                    "dns.lookup.outcomes",
+                    &[
+                        ("carrier", carrier),
+                        ("resolver", resolver),
+                        ("outcome", l.outcome.label()),
+                    ],
+                )
+            });
+            reg.add(id, 1);
             if let Some(us) = l.elapsed_us {
-                let hl = [("carrier", carrier), ("resolver", l.resolver.label())];
-                reg.observe_us("dns.lookup_us", &hl, us as u64);
+                let id = *latency[l.resolver as usize].get_or_insert_with(|| {
+                    reg.histogram_id(
+                        "dns.lookup_us",
+                        &[("carrier", carrier), ("resolver", resolver)],
+                    )
+                });
+                reg.observe(id, us as u64);
             }
         }
+    }
+    // Every record adds to each of these, so they exist exactly when a
+    // record does.
+    if !records.is_empty() {
+        reg.inc_by("campaign.lookups", &labels, lookups);
+        reg.inc_by("campaign.identity_probes", &labels, identities);
+        reg.inc_by("campaign.resolver_probes", &labels, resolver_probes);
+        reg.inc_by("campaign.replica_probes", &labels, replica_rows);
     }
 }
 

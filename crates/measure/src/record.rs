@@ -24,7 +24,7 @@ pub enum ResolverKind {
 
 impl ResolverKind {
     /// All kinds, in the order the experiment probes them.
-    pub fn all() -> [ResolverKind; 3] {
+    pub const fn all() -> [ResolverKind; 3] {
         [
             ResolverKind::Local,
             ResolverKind::Google,

@@ -223,15 +223,15 @@ pub struct NetStats {
     pub sends: u64,
     /// `ServiceTick` events dispatched.
     pub service_ticks: u64,
-    /// `FlowTimeout` events that actually fired (the flow's deadline was
-    /// reached before it was cancelled; compare `timeouts`, which counts
-    /// only the subset where the flow was still pending).
+    /// Flow deadlines that fired (the flow's deadline was reached before
+    /// it completed; compare `timeouts`, which counts only the subset where
+    /// the flow was still pending).
     pub flow_timeouts: u64,
-    /// `FlowTimeout` events cancelled before firing because their flow
-    /// completed early; these are reaped from the queue undispatched.
+    /// Flow deadlines withdrawn undispatched because their flow completed
+    /// early.
     pub flow_timeouts_cancelled: u64,
-    /// Deepest the event queue ever got (live scheduled-but-undispatched
-    /// events; cancelled events stop counting at cancellation).
+    /// Most events ever waiting to dispatch: queued events plus armed flow
+    /// deadlines.
     pub queue_high_water: u64,
 }
 
@@ -255,10 +255,10 @@ impl NetStats {
             kl.push(("kind", kind));
             reg.inc_by("net.events_by_kind", &kl, n);
         }
-        // The fired/cancelled split: `net.flow_timeouts` counts deadline
-        // events that actually dispatched, `net.flow_timeouts_cancelled`
-        // the ones reaped from the queue because their flow completed
-        // first. Their sum is every timeout ever scheduled.
+        // The fired/cancelled split: `net.flow_timeouts` counts deadlines
+        // that actually dispatched, `net.flow_timeouts_cancelled` the ones
+        // withdrawn because their flow completed first. Their sum is every
+        // deadline ever armed.
         reg.inc_by("net.flow_timeouts", labels, self.flow_timeouts);
         reg.inc_by(
             "net.flow_timeouts_cancelled",
@@ -286,24 +286,12 @@ impl NetStats {
 enum EventKind {
     /// A packet arriving at a node from the network: full middlebox
     /// processing and TTL handling applies.
-    Arrive {
-        node: NodeId,
-        packet: Packet,
-    },
+    Arrive { node: NodeId, packet: Packet },
     /// A packet originated by the node itself: no TTL decrement and no
     /// middlebox traversal at the origin (hosts do not firewall themselves).
-    Send {
-        node: NodeId,
-        packet: Packet,
-    },
+    Send { node: NodeId, packet: Packet },
     /// Timer tick requested by a service.
-    ServiceTick {
-        node: NodeId,
-        port: u16,
-    },
-    FlowTimeout {
-        flow: FlowId,
-    },
+    ServiceTick { node: NodeId, port: u16 },
 }
 
 #[derive(Debug)]
@@ -313,9 +301,9 @@ struct Pending {
     /// Demux keys to clean up on completion.
     port: Option<u16>,
     ident: Option<u64>,
-    /// Seq of this flow's scheduled `FlowTimeout` event, cancelled when the
-    /// flow completes before its deadline.
-    timeout_seq: u64,
+    /// This flow's key in [`Network::deadlines`], withdrawn when the flow
+    /// completes before it.
+    deadline: (SimTime, u64),
 }
 
 /// A registered service, with what keys the draws of the packets it sends
@@ -340,6 +328,10 @@ pub struct Network {
     topo: Topology,
     routes: Arc<CoreRoutes>,
     anycast: FastMap<Ipv4Addr, Vec<NodeId>>,
+    /// The instance each `(node, anycast address)` forwards toward, as
+    /// [`CoreRoutes::nearest`] answered it. Cleared by whatever can change
+    /// a distance: `topo_mut`, `rehome_stub`, `add_anycast`.
+    nearest: FastMap<(NodeId, Ipv4Addr), Option<NodeId>>,
     services: FastMap<(NodeId, u16), Registered>,
     /// The id the next [`Network::register_service`] hands out.
     next_registration: u64,
@@ -348,6 +340,12 @@ pub struct Network {
     /// only.
     wakes: FastSet<(NodeId, u16, SimTime)>,
     queue: TimingWheel<EventKind>,
+    /// Every pending flow's deadline by `(time, seq)`. Almost every one is
+    /// withdrawn when its flow completes, so deadlines stay out of the
+    /// wheel, which cannot remove an event; `step` dispatches whichever of
+    /// the two holds the earlier key.
+    deadlines: BTreeMap<(SimTime, u64), FlowId>,
+    /// The seq of the next event or deadline, shared by both.
     seq: u64,
     now: SimTime,
     /// Services' and clients' RNG. Per-hop draws come from `draw_seed`.
@@ -386,10 +384,12 @@ impl Network {
             topo,
             routes,
             anycast: FastMap::default(),
+            nearest: FastMap::default(),
             services: FastMap::default(),
             next_registration: 0,
             wakes: FastSet::default(),
             queue: TimingWheel::new(),
+            deadlines: BTreeMap::new(),
             seq: 0,
             now: SimTime::ZERO,
             rng: StdRng::seed_from_u64(seed),
@@ -432,6 +432,7 @@ impl Network {
     /// configuration. The route table is fixed at construction: the one
     /// shape change it follows is [`Network::rehome_stub`].
     pub fn topo_mut(&mut self) -> &mut Topology {
+        self.nearest.clear();
         &mut self.topo
     }
 
@@ -441,6 +442,7 @@ impl Network {
         assert!(!self.routes.is_core(stub), "{stub:?} is not a stub");
         assert!(self.routes.is_core(new_peer), "{new_peer:?} is not core");
         self.topo.rewire_link(link, stub, new_peer);
+        self.nearest.clear();
     }
 
     /// The deterministic RNG of services and clients (for layers above that
@@ -459,6 +461,7 @@ impl Network {
         );
         assert!(!instances.is_empty(), "anycast {addr} with no instances");
         self.anycast.insert(addr, instances);
+        self.nearest.clear();
     }
 
     /// Registers a service on `(node, port)`.
@@ -501,17 +504,27 @@ impl Network {
         self.alloc_port(node)
     }
 
-    /// Enqueues an event and returns its seq (the cancellation handle).
-    fn schedule(&mut self, at: SimTime, kind: EventKind) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
+    /// Enqueues an event.
+    fn schedule(&mut self, at: SimTime, kind: EventKind) {
+        let seq = self.next_seq();
         self.queue.push(Event {
             time: at.max(self.now),
             seq,
             kind,
         });
-        self.stats.queue_high_water = self.stats.queue_high_water.max(self.queue.len() as u64);
+        self.note_depth();
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
         seq
+    }
+
+    /// Raises the queue high-water to the events and deadlines now waiting.
+    fn note_depth(&mut self) {
+        let depth = (self.queue.len() + self.deadlines.len()) as u64;
+        self.stats.queue_high_water = self.stats.queue_high_water.max(depth);
     }
 
     /// Queues a `ServiceTick` for `(node, port)` at `at`, unless one is
@@ -572,22 +585,9 @@ impl Network {
         let flow = self.alloc_flow();
         let src_port = self.alloc_port(node);
         let src = self.topo.node(node).primary_addr();
-        let mut packet = Packet::udp(src, src_port, dst, dst_port, payload);
-        packet.draw = mix(TAG_FLOW, flow.0);
+        let packet = Packet::udp(src, src_port, dst, dst_port, payload);
         self.port_index.insert((node, src_port), flow);
-        self.schedule(self.now, EventKind::Send { node, packet });
-        let timeout_seq = self.schedule(self.now + timeout, EventKind::FlowTimeout { flow });
-        self.pending.insert(
-            flow,
-            Pending {
-                node,
-                sent_at: self.now,
-                port: Some(src_port),
-                ident: None,
-                timeout_seq,
-            },
-        );
-        flow
+        self.open_flow(flow, node, packet, timeout, Some(src_port), None)
     }
 
     /// Sends a TTL-limited UDP probe (one traceroute step) from `node`.
@@ -604,21 +604,8 @@ impl Network {
         let src = self.topo.node(node).primary_addr();
         let mut packet = Packet::udp(src, src_port, dst, dst_port, b"probe".to_vec());
         packet.ttl = ttl;
-        packet.draw = mix(TAG_FLOW, flow.0);
         self.port_index.insert((node, src_port), flow);
-        self.schedule(self.now, EventKind::Send { node, packet });
-        let timeout_seq = self.schedule(self.now + timeout, EventKind::FlowTimeout { flow });
-        self.pending.insert(
-            flow,
-            Pending {
-                node,
-                sent_at: self.now,
-                port: Some(src_port),
-                ident: None,
-                timeout_seq,
-            },
-        );
-        flow
+        self.open_flow(flow, node, packet, timeout, Some(src_port), None)
     }
 
     /// Sends an ICMP echo request (one ping probe) from `node`.
@@ -640,18 +627,35 @@ impl Network {
         let src = self.topo.node(node).primary_addr();
         let mut packet = Packet::echo_request(src, dst, ident, 0);
         packet.ttl = ttl;
-        packet.draw = mix(TAG_FLOW, flow.0);
         self.ident_index.insert(flow.0, flow);
+        self.open_flow(flow, node, packet, timeout, None, Some(flow.0))
+    }
+
+    /// Sends `flow`'s first packet from `node` now and tracks the flow as
+    /// pending, under a deadline `timeout` from now that takes the seq
+    /// after the send's.
+    fn open_flow(
+        &mut self,
+        flow: FlowId,
+        node: NodeId,
+        mut packet: Packet,
+        timeout: SimDuration,
+        port: Option<u16>,
+        ident: Option<u64>,
+    ) -> FlowId {
+        packet.draw = mix(TAG_FLOW, flow.0);
         self.schedule(self.now, EventKind::Send { node, packet });
-        let timeout_seq = self.schedule(self.now + timeout, EventKind::FlowTimeout { flow });
+        let deadline = (self.now + timeout, self.next_seq());
+        self.deadlines.insert(deadline, flow);
+        self.note_depth();
         self.pending.insert(
             flow,
             Pending {
                 node,
                 sent_at: self.now,
-                port: None,
-                ident: Some(flow.0),
-                timeout_seq,
+                port,
+                ident,
+                deadline,
             },
         );
         flow
@@ -705,9 +709,20 @@ impl Network {
         flows.iter().map(|&f| self.run_until(f)).collect()
     }
 
-    /// Dispatches one event. Returns `false` when the queue is empty.
+    /// Dispatches one event or flow deadline, whichever has the earlier
+    /// `(time, seq)`. Returns `false` when neither is left.
     // detlint: hot
     pub fn step(&mut self) -> bool {
+        let deadline_first = match (self.queue.next_key(), self.deadlines.first_key_value()) {
+            (None, None) => return false,
+            (Some(event), Some((&deadline, _))) => deadline < event,
+            (Some(_), None) => false,
+            (None, Some(_)) => true,
+        };
+        if deadline_first {
+            self.expire_deadline();
+            return true;
+        }
         let Some(ev) = self.queue.pop() else {
             return false;
         };
@@ -731,17 +746,33 @@ impl Network {
                     service.tick(ctx)
                 });
             }
-            EventKind::FlowTimeout { flow } => {
-                self.stats.flow_timeouts += 1;
-                if self.pending.contains_key(&flow) {
-                    self.stats.timeouts += 1;
-                    // The timeout itself is firing: complete without trying
-                    // to cancel the very event being dispatched.
-                    self.complete_inner(flow, FlowResult::TimedOut, false);
-                }
-            }
         }
         true
+    }
+
+    /// Dispatches the earliest flow deadline: its flow times out.
+    // detlint: hot
+    fn expire_deadline(&mut self) {
+        let Some(((time, _), flow)) = self.deadlines.pop_first() else {
+            return;
+        };
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
+        self.stats.events += 1;
+        self.stats.flow_timeouts += 1;
+        if self.complete(flow, FlowResult::TimedOut) {
+            self.stats.timeouts += 1;
+        }
+    }
+
+    /// The instant of the earliest event or deadline.
+    fn next_time(&mut self) -> Option<SimTime> {
+        let event = self.queue.next_key().map(|(time, _)| time);
+        let deadline = self.deadlines.first_key_value().map(|(&(time, _), _)| time);
+        match (event, deadline) {
+            (Some(e), Some(d)) => Some(e.min(d)),
+            (e, d) => e.or(d),
+        }
     }
 
     /// Dispatches every event scheduled for the next occupied instant as
@@ -749,11 +780,11 @@ impl Network {
     /// is being drained. Returns the number dispatched (0 when idle).
     // detlint: hot
     pub fn step_batch(&mut self) -> u64 {
-        let Some(t) = self.queue.next_time() else {
+        let Some(t) = self.next_time() else {
             return 0;
         };
         let mut n = 0;
-        while self.queue.next_time() == Some(t) {
+        while self.next_time() == Some(t) {
             if !self.step() {
                 break;
             }
@@ -766,7 +797,7 @@ impl Network {
     /// batches, then advances the clock to `t`. Used by campaign drivers to
     /// pace experiments.
     pub fn skip_to(&mut self, t: SimTime) {
-        while let Some(next) = self.queue.next_time() {
+        while let Some(next) = self.next_time() {
             if next > t {
                 break;
             }
@@ -787,44 +818,46 @@ impl Network {
         n
     }
 
-    fn complete(&mut self, flow: FlowId, result: FlowResult) {
-        self.complete_inner(flow, result, true);
-    }
-
-    /// Records a flow's outcome. `cancel_timeout` reaps the flow's pending
-    /// `FlowTimeout` event from the queue; it is `false` only when that
-    /// event is the one currently being dispatched.
-    fn complete_inner(&mut self, flow: FlowId, result: FlowResult, cancel_timeout: bool) {
-        if let Some(p) = self.pending.remove(&flow) {
-            if let Some(port) = p.port {
-                self.port_index.remove(&(p.node, port));
-            }
-            if let Some(ident) = p.ident {
-                self.ident_index.remove(&ident);
-            }
-            if cancel_timeout {
-                self.queue.cancel(p.timeout_seq);
-                self.stats.flow_timeouts_cancelled += 1;
-            }
-            self.completed.insert(
-                flow,
-                FlowOutcome {
-                    sent_at: p.sent_at,
-                    completed_at: self.now,
-                    result,
-                },
-            );
+    /// Records a pending flow's outcome and withdraws its deadline, unless
+    /// that deadline is what is firing. Returns `false` when `flow` was not
+    /// pending.
+    fn complete(&mut self, flow: FlowId, result: FlowResult) -> bool {
+        let Some(p) = self.pending.remove(&flow) else {
+            return false;
+        };
+        if let Some(port) = p.port {
+            self.port_index.remove(&(p.node, port));
         }
+        if let Some(ident) = p.ident {
+            self.ident_index.remove(&ident);
+        }
+        if self.deadlines.remove(&p.deadline).is_some() {
+            self.stats.flow_timeouts_cancelled += 1;
+        }
+        self.completed.insert(
+            flow,
+            FlowOutcome {
+                sent_at: p.sent_at,
+                completed_at: self.now,
+                result,
+            },
+        );
+        true
     }
 
     /// Resolves a destination address to a node, honoring anycast from the
     /// viewpoint of `from`.
-    fn resolve_dst(&self, from: NodeId, dst: Ipv4Addr) -> Option<NodeId> {
+    fn resolve_dst(&mut self, from: NodeId, dst: Ipv4Addr) -> Option<NodeId> {
         if let Some(node) = self.topo.owner_of(dst) {
             return Some(node);
         }
+        if let Some(&nearest) = self.nearest.get(&(from, dst)) {
+            return nearest;
+        }
         let instances = self.anycast.get(&dst)?;
-        self.routes.nearest(&self.topo, from, instances)
+        let nearest = self.routes.nearest(&self.topo, from, instances);
+        self.nearest.insert((from, dst), nearest);
+        nearest
     }
 
     /// Whether `addr` terminates at `node`: one of the node's own
@@ -1262,14 +1295,12 @@ mod tests {
 
     #[test]
     fn anycast_routes_to_nearest_instance() {
+        // a -1- r -40- r2, with instance `near` on r and `far`, `mid` on r2.
         let mut t = Topology::new();
-        let a = t.add_node(
-            "a",
-            NodeKind::Host,
-            Asn(1),
-            Coord::default(),
-            vec![ip(10, 0, 0, 1)],
-        );
+        let host = |t: &mut Topology, name: &str, asn: u32, addr: Ipv4Addr| {
+            t.add_node(name, NodeKind::Host, Asn(asn), Coord::default(), vec![addr])
+        };
+        let a = host(&mut t, "a", 1, ip(10, 0, 0, 1));
         let r = t.add_node(
             "r",
             NodeKind::Router,
@@ -1277,33 +1308,45 @@ mod tests {
             Coord::default(),
             vec![ip(10, 0, 0, 2)],
         );
-        let near = t.add_node(
-            "near",
-            NodeKind::Host,
+        let r2 = t.add_node(
+            "r2",
+            NodeKind::Router,
             Asn(2),
             Coord::default(),
-            vec![ip(10, 0, 1, 1)],
+            vec![ip(10, 0, 0, 3)],
         );
-        let far = t.add_node(
-            "far",
-            NodeKind::Host,
-            Asn(2),
-            Coord::default(),
-            vec![ip(10, 0, 2, 1)],
-        );
-        t.add_link(a, r, LatencyModel::constant_ms(1));
-        t.add_link(r, near, LatencyModel::constant_ms(5));
-        t.add_link(r, far, LatencyModel::constant_ms(50));
+        let near = host(&mut t, "near", 2, ip(10, 0, 1, 1));
+        let far = host(&mut t, "far", 2, ip(10, 0, 2, 1));
+        let mid = host(&mut t, "mid", 2, ip(10, 0, 3, 1));
+        let a_link = t.add_link(a, r, LatencyModel::constant_ms(1));
+        t.add_link(r, r2, LatencyModel::constant_ms(40));
+        t.add_link(r, near, LatencyModel::constant_ms(10));
+        let far_link = t.add_link(r2, far, LatencyModel::constant_ms(5));
+        t.add_link(r2, mid, LatencyModel::constant_ms(20));
         let mut net = Network::new(t, 7);
-        net.add_anycast(ip(8, 8, 8, 8), vec![near, far]);
-        let flow = net.ping(a, ip(8, 8, 8, 8), SimDuration::from_secs(5));
-        let out = net.run_until(flow);
-        match out.result {
-            FlowResult::EchoReply { from } => assert_eq!(from, ip(8, 8, 8, 8)),
-            other => panic!("unexpected {other:?}"),
-        }
-        // RTT proves the near instance answered: ~2*(1+5)=12ms, not 102ms.
-        assert!(out.rtt().as_millis_f64() < 20.0, "rtt {}", out.rtt());
+        net.add_anycast(ip(8, 8, 8, 8), vec![near, far, mid]);
+        let ping_vip = |net: &mut Network| {
+            let flow = net.ping(a, ip(8, 8, 8, 8), SimDuration::from_secs(5));
+            let out = net.run_until(flow);
+            match out.result {
+                FlowResult::EchoReply { from } => assert_eq!(from, ip(8, 8, 8, 8)),
+                other => panic!("unexpected {other:?}"),
+            }
+            out.rtt().as_millis_f64()
+        };
+        // From r, `near` answers: ~2*(1+10) = 22 ms, not 92 or 122 ms.
+        let rtt = ping_vip(&mut net);
+        assert!((22.0..25.0).contains(&rtt), "rtt {rtt}");
+        // The sender re-homes onto r2: `far` is nearest now, ~2*(1+5).
+        net.rehome_stub(a_link, a, r2);
+        let rtt = ping_vip(&mut net);
+        assert!((12.0..15.0).contains(&rtt), "rtt {rtt}");
+        // `far` moves onto r: from r2 `mid` is nearest, ~2*(1+20) = 42 ms.
+        // Routing on the earlier answers (`far` at r2, `near` at r) would
+        // take ~2*(1+40+10) = 102 ms.
+        net.rehome_stub(far_link, far, r);
+        let rtt = ping_vip(&mut net);
+        assert!((42.0..45.0).contains(&rtt), "rtt {rtt}");
     }
 
     #[test]
@@ -1482,6 +1525,41 @@ mod tests {
         net.run_to_quiescence(100_000);
         assert_eq!(net.stats.flow_timeouts, 0);
         assert_eq!(net.stats.timeouts, 0);
+    }
+
+    #[test]
+    fn a_reply_in_the_deadline_microsecond_times_out() {
+        let rtt = {
+            let (mut net, a, ..) = line_network();
+            let flow = net.ping(a, ip(10, 0, 0, 4), SimDuration::from_secs(5));
+            net.run_until(flow).rtt()
+        };
+        // The deadline was filed before the reply existed, so its seq is
+        // older and it dispatches first within the shared microsecond.
+        let (mut net, a, ..) = line_network();
+        let flow = net.ping(a, ip(10, 0, 0, 4), rtt);
+        let out = net.run_until(flow);
+        assert_eq!(out.result, FlowResult::TimedOut);
+        assert_eq!(out.rtt(), rtt);
+        assert_eq!((net.stats.flow_timeouts, net.stats.timeouts), (1, 1));
+        assert_eq!(net.stats.flow_timeouts_cancelled, 0);
+        // One microsecond more and the reply wins.
+        let (mut net, a, ..) = line_network();
+        let flow = net.ping(a, ip(10, 0, 0, 4), rtt + SimDuration::from_micros(1));
+        assert!(net.run_until(flow).answered());
+        assert_eq!(net.stats.flow_timeouts_cancelled, 1);
+    }
+
+    #[test]
+    fn queue_high_water_counts_a_pending_deadline() {
+        let (mut net, a, ..) = line_network();
+        net.ping(a, ip(10, 0, 0, 4), SimDuration::from_secs(5));
+        // The echo request's `Send` and the flow's deadline.
+        assert_eq!(net.stats.queue_high_water, 2);
+        net.run_to_quiescence(1_000);
+        // In flight, the request or reply is never queued beside more than
+        // the deadline.
+        assert_eq!(net.stats.queue_high_water, 2);
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //! [`EventQueue`] trait.
 //!
 //! Events dispatch in ascending `(time, seq)` order, where `seq` is the
-//! engine's monotone scheduling counter. The wheel supports O(1)
-//! cancellation, which the engine uses to reap stale flow-timeout events
-//! instead of no-op-dispatching them. The classic binary heap the wheel
-//! replaced lives on in this module's tests as the reference
-//! implementation: the two must pop identical sequences under any
-//! interleaving of operations.
+//! engine's monotone scheduling counter. Nothing is ever cancelled here:
+//! flow deadlines, the one kind of timer that is mostly withdrawn before it
+//! fires, live beside the wheel in the engine's own deadline index. The
+//! classic binary heap the wheel replaced lives on in this module's tests
+//! as the reference implementation: the two must pop identical sequences
+//! under any interleaving of operations.
 
-use crate::hash::FastSet;
 use crate::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -56,28 +55,21 @@ impl<K> Ord for Event<K> {
 /// Contract shared by every implementation (the wheel and the reference
 /// heap are checked against each other operation by operation):
 ///
-/// * `pop` returns live events in strictly ascending `(time, seq)` order;
-/// * `cancel(seq)` removes a scheduled event without dispatching it — the
-///   caller guarantees the event is still in the queue and is cancelled at
-///   most once;
-/// * `len` counts live (pushed, not yet popped or cancelled) events, so
-///   queue-depth metrics agree across implementations regardless of how
-///   lazily each one reaps its tombstones;
-/// * `next_time` may mutate internal structure (reaping tombstones,
-///   rotating wheel slots) but never changes the observable sequence.
+/// * `pop` returns events in strictly ascending `(time, seq)` order;
+/// * `len` counts pushed, not yet popped events;
+/// * `next_key` may mutate internal structure (rotating wheel slots) but
+///   never changes the observable sequence.
 pub trait EventQueue<K>: Send {
     /// Inserts an event. `time` must be `>=` the time of the last popped
     /// event (the engine clamps to `now` when scheduling).
     fn push(&mut self, ev: Event<K>);
-    /// Removes and returns the earliest live event.
+    /// Removes and returns the earliest event.
     fn pop(&mut self) -> Option<Event<K>>;
-    /// The dispatch instant of the earliest live event.
-    fn next_time(&mut self) -> Option<SimTime>;
-    /// Cancels the scheduled event carrying `seq` without dispatching it.
-    fn cancel(&mut self, seq: u64);
-    /// Number of live events.
+    /// The `(time, seq)` of the earliest event, which `pop` returns next.
+    fn next_key(&mut self) -> Option<(SimTime, u64)>;
+    /// Number of queued events.
     fn len(&self) -> usize;
-    /// `true` when no live events remain.
+    /// `true` when no events remain.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -105,7 +97,7 @@ const SLOTS: usize = 1024;
 pub struct TimingWheel<K> {
     /// Ring of near slots; index is `absolute_slot % SLOTS`.
     slots: Vec<Vec<Event<K>>>,
-    /// Live + tombstoned events currently stored in `slots`.
+    /// Events currently stored in `slots`.
     near_len: usize,
     /// Absolute index of the slot currently being drained.
     cursor: u64,
@@ -116,9 +108,8 @@ pub struct TimingWheel<K> {
     current: Vec<Event<K>>,
     /// Far events: absolute slot index → unsorted event list.
     overflow: BTreeMap<u64, Vec<Event<K>>>,
-    /// Tombstoned seqs awaiting reap. Membership-checked only.
-    cancelled: FastSet<u64>,
-    live: usize,
+    /// Events queued anywhere in the wheel.
+    len: usize,
 }
 
 impl<K> TimingWheel<K> {
@@ -131,8 +122,7 @@ impl<K> TimingWheel<K> {
             horizon: SLOTS as u64,
             current: Vec::new(),
             overflow: BTreeMap::new(),
-            cancelled: FastSet::default(),
-            live: 0,
+            len: 0,
         }
     }
 
@@ -197,7 +187,7 @@ impl<K> Default for TimingWheel<K> {
 impl<K: Send> EventQueue<K> for TimingWheel<K> {
     // detlint: hot
     fn push(&mut self, ev: Event<K>) {
-        self.live += 1;
+        self.len += 1;
         let slot = Self::slot_of(ev.time);
         if slot <= self.cursor {
             // Lands in the active tick: binary-insert into the descending
@@ -217,11 +207,8 @@ impl<K: Send> EventQueue<K> for TimingWheel<K> {
     // detlint: hot
     fn pop(&mut self) -> Option<Event<K>> {
         loop {
-            while let Some(ev) = self.current.pop() {
-                if self.cancelled.remove(&ev.seq) {
-                    continue; // tombstone: already subtracted from `live`
-                }
-                self.live -= 1;
+            if let Some(ev) = self.current.pop() {
+                self.len -= 1;
                 return Some(ev);
             }
             if !self.advance() {
@@ -230,16 +217,11 @@ impl<K: Send> EventQueue<K> for TimingWheel<K> {
         }
     }
 
-    fn next_time(&mut self) -> Option<SimTime> {
+    // detlint: hot
+    fn next_key(&mut self) -> Option<(SimTime, u64)> {
         loop {
-            while let Some(ev) = self.current.last() {
-                if self.cancelled.contains(&ev.seq) {
-                    if let Some(dead) = self.current.pop() {
-                        self.cancelled.remove(&dead.seq);
-                    }
-                    continue;
-                }
-                return Some(ev.time);
+            if let Some(ev) = self.current.last() {
+                return Some(ev.key());
             }
             if !self.advance() {
                 return None;
@@ -247,13 +229,8 @@ impl<K: Send> EventQueue<K> for TimingWheel<K> {
         }
     }
 
-    fn cancel(&mut self, seq: u64) {
-        self.cancelled.insert(seq);
-        self.live = self.live.saturating_sub(1);
-    }
-
     fn len(&self) -> usize {
-        self.live
+        self.len
     }
 }
 
@@ -262,66 +239,37 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, HashSet};
+    use std::collections::BinaryHeap;
 
     /// The reference implementation — the dispatch structure the engine ran
-    /// on before the wheel: a min-heap over `(time, seq)` with lazy tombstone
-    /// cancellation.
+    /// on before the wheel: a min-heap over `(time, seq)`.
     struct HeapQueue<K> {
         heap: BinaryHeap<Reverse<Event<K>>>,
-        /// Seqs cancelled but not yet reaped from the heap. Membership-checked
-        /// only; iteration order never escapes.
-        cancelled: HashSet<u64>,
-        live: usize,
     }
 
     impl<K> HeapQueue<K> {
         fn new() -> Self {
             HeapQueue {
                 heap: BinaryHeap::new(),
-                cancelled: HashSet::new(),
-                live: 0,
             }
         }
     }
 
     impl<K: Send> EventQueue<K> for HeapQueue<K> {
         fn push(&mut self, ev: Event<K>) {
-            self.live += 1;
             self.heap.push(Reverse(ev));
         }
 
         fn pop(&mut self) -> Option<Event<K>> {
-            while let Some(Reverse(ev)) = self.heap.pop() {
-                if self.cancelled.remove(&ev.seq) {
-                    continue; // tombstone: already subtracted from `live`
-                }
-                self.live -= 1;
-                return Some(ev);
-            }
-            None
+            self.heap.pop().map(|Reverse(ev)| ev)
         }
 
-        fn next_time(&mut self) -> Option<SimTime> {
-            while let Some(Reverse(ev)) = self.heap.peek() {
-                if self.cancelled.contains(&ev.seq) {
-                    if let Some(Reverse(dead)) = self.heap.pop() {
-                        self.cancelled.remove(&dead.seq);
-                    }
-                    continue;
-                }
-                return Some(ev.time);
-            }
-            None
-        }
-
-        fn cancel(&mut self, seq: u64) {
-            self.cancelled.insert(seq);
-            self.live = self.live.saturating_sub(1);
+        fn next_key(&mut self) -> Option<(SimTime, u64)> {
+            self.heap.peek().map(|Reverse(ev)| ev.key())
         }
 
         fn len(&self) -> usize {
-            self.live
+            self.heap.len()
         }
     }
 
@@ -345,8 +293,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Any interleaving the engine can produce — pushes never earlier
-        /// than the last popped event, cancels only of live events, at most
-        /// once — pops the same sequence from the wheel as from the heap.
+        /// than the last popped event — pops the same sequence from the
+        /// wheel as from the heap.
         #[test]
         fn wheel_matches_heap_under_random_interleavings(
             ops in proptest::collection::vec((0u8..10, any::<u64>()), 1..400),
@@ -354,7 +302,7 @@ mod tests {
             let mut heap = HeapQueue::new();
             let mut wheel = TimingWheel::new();
             let mut now = 0u64; // time of the last popped event
-            let mut live: Vec<u64> = Vec::new();
+            let mut queued = 0usize;
             for (seq, &(op, raw)) in ops.iter().enumerate() {
                 let seq = seq as u64;
                 match op {
@@ -367,29 +315,24 @@ mod tests {
                         };
                         heap.push(ev(now + delay, seq));
                         wheel.push(ev(now + delay, seq));
-                        live.push(seq);
+                        queued += 1;
                     }
                     5..=7 => {
                         let (h, w) = (heap.pop().map(key), wheel.pop().map(key));
                         prop_assert_eq!(w, h);
-                        if let Some((t, popped)) = h {
+                        if let Some((t, _)) = h {
                             now = t;
-                            live.retain(|&s| s != popped);
+                            queued -= 1;
                         }
                     }
-                    8 if !live.is_empty() => {
-                        let victim = live.swap_remove(raw as usize % live.len());
-                        heap.cancel(victim);
-                        wheel.cancel(victim);
-                    }
-                    _ => prop_assert_eq!(wheel.next_time(), heap.next_time()),
+                    _ => prop_assert_eq!(wheel.next_key(), heap.next_key()),
                 }
                 prop_assert_eq!(wheel.len(), heap.len());
-                prop_assert_eq!(wheel.len(), live.len());
+                prop_assert_eq!(wheel.len(), queued);
             }
             let drain_h: Vec<_> = std::iter::from_fn(|| heap.pop().map(key)).collect();
             let drain_w: Vec<_> = std::iter::from_fn(|| wheel.pop().map(key)).collect();
-            prop_assert_eq!(drain_w.len(), live.len());
+            prop_assert_eq!(drain_w.len(), queued);
             prop_assert_eq!(drain_w, drain_h);
         }
     }
@@ -429,37 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_removes_without_dispatch() {
-        for mut q in both() {
-            q.push(ev(10, 0));
-            q.push(ev(20, 1));
-            q.push(ev(5_000_000, 2)); // far calendar on the wheel
-            assert_eq!(q.len(), 3);
-            q.cancel(1);
-            q.cancel(2);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.next_time(), Some(SimTime::from_micros(10)));
-            let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-            assert_eq!(seqs, vec![0], "dispatched a cancelled event");
-            assert!(q.is_empty());
-        }
-    }
-
-    #[test]
-    fn next_time_skips_cancelled_heads() {
-        for mut q in both() {
-            q.push(ev(10, 0));
-            q.push(ev(3_000_000, 1));
-            q.cancel(0);
-            // The cancelled head must not be reported (a caller pacing on
-            // next_time would otherwise stop short of the real next event).
-            assert_eq!(q.next_time(), Some(SimTime::from_micros(3_000_000)));
-            assert_eq!(q.pop().map(|e| e.seq), Some(1));
-            assert_eq!(q.next_time(), None);
-        }
-    }
-
-    #[test]
     fn far_calendar_rotates_through_multiple_windows() {
         let mut wheel = TimingWheel::new();
         // Three events, each beyond the previous window's horizon.
@@ -474,7 +386,7 @@ mod tests {
     fn empty_queue_reports_empty() {
         for mut q in both() {
             assert!(q.is_empty());
-            assert_eq!(q.next_time(), None);
+            assert_eq!(q.next_key(), None);
             assert!(q.pop().is_none());
         }
     }

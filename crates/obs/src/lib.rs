@@ -28,4 +28,4 @@ pub mod host;
 pub mod sim;
 
 pub use hash::sha256_hex;
-pub use sim::{Gauge, Histogram, Registry};
+pub use sim::{CounterId, Gauge, Histogram, HistogramId, Registry};

@@ -149,14 +149,192 @@ impl Histogram {
     }
 }
 
+/// Labels sorted in place for a borrowed lookup: at most this many fit.
+const PROBE_LABELS: usize = 6;
+
+/// The parts of a key a lookup compares: its name and its labels in
+/// label-name order. [`Key`] and a borrowed probe both expose them, so a
+/// `BTreeMap<Key, _>` can be searched without building a `Key`.
+trait KeyView {
+    fn name(&self) -> &str;
+    fn labels(&self) -> LabelIter<'_>;
+}
+
+/// The labels of a [`KeyView`], owned or borrowed, in label-name order.
+enum LabelIter<'a> {
+    Owned(std::collections::btree_map::Iter<'a, &'static str, String>),
+    Borrowed(std::slice::Iter<'a, (&'static str, &'a str)>),
+}
+
+impl<'a> Iterator for LabelIter<'a> {
+    type Item = (&'a str, &'a str);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            LabelIter::Owned(it) => it.next().map(|(k, v)| (*k, v.as_str())),
+            LabelIter::Borrowed(it) => it.next().map(|(k, v)| (*k, *v)),
+        }
+    }
+}
+
+impl KeyView for Key {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn labels(&self) -> LabelIter<'_> {
+        LabelIter::Owned(self.labels.iter())
+    }
+}
+
+/// A key borrowed from a mutator's arguments, labels already sorted.
+struct Probe<'a> {
+    name: &'a str,
+    labels: &'a [(&'static str, &'a str)],
+}
+
+impl KeyView for Probe<'_> {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn labels(&self) -> LabelIter<'_> {
+        LabelIter::Borrowed(self.labels.iter())
+    }
+}
+
+// The same order as `Key`'s derived one: name, then the label pairs
+// lexicographically.
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.name()
+            .cmp(other.name())
+            .then_with(|| self.labels().cmp(other.labels()))
+    }
+}
+
+impl<'a> std::borrow::Borrow<dyn KeyView + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+/// Every series of one instrument kind: the key → slot map, whose order is
+/// the export order, and the values in slot (creation) order.
+#[derive(Debug, Clone)]
+struct Family<T> {
+    index: BTreeMap<Key, usize>,
+    values: Vec<T>,
+}
+
+impl<T> Default for Family<T> {
+    fn default() -> Self {
+        Family {
+            index: BTreeMap::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl<T: Default> Family<T> {
+    /// The slot of `(name, labels)`, created at the default value on first
+    /// use. An existing series is found through a borrowed probe; a `Key`
+    /// is built only to create one, or to look up a label set the probe
+    /// cannot hold: more than [`PROBE_LABELS`] labels, or a repeated name.
+    fn slot(&mut self, name: &'static str, labels: &[(&'static str, &str)]) -> usize {
+        let mut sorted = [("", ""); PROBE_LABELS];
+        if let Some(sorted) = sort_labels(labels, &mut sorted) {
+            let probe = Probe {
+                name,
+                labels: sorted,
+            };
+            if let Some(&i) = self.index.get(&probe as &dyn KeyView) {
+                return i;
+            }
+        }
+        self.slot_of_key(&Key::new(name, labels))
+    }
+
+    /// The slot of `key`, created at the default value on first use.
+    fn slot_of_key(&mut self, key: &Key) -> usize {
+        if let Some(&i) = self.index.get(key) {
+            return i;
+        }
+        let i = self.values.len();
+        self.values.push(T::default());
+        self.index.insert(key.clone(), i);
+        i
+    }
+}
+
+impl<T> Family<T> {
+    /// Every series in key order.
+    fn iter(&self) -> impl Iterator<Item = (&Key, &T)> + '_ {
+        self.index.iter().map(|(k, &i)| (k, &self.values[i]))
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+}
+
+// Content, not slot order: two registries filled in different orders hold
+// the same series under different slots.
+impl<T: PartialEq> PartialEq for Family<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl<T: Eq> Eq for Family<T> {}
+
+/// Copies `labels` into `buf` sorted by label name; `None` when they do not
+/// fit. A repeated label name needs no care: a probe holding it equals no
+/// key, so the caller falls back to [`Key::new`], which keeps the last value.
+fn sort_labels<'a>(
+    labels: &[(&'static str, &'a str)],
+    buf: &'a mut [(&'static str, &'a str); PROBE_LABELS],
+) -> Option<&'a [(&'static str, &'a str)]> {
+    let sorted = buf.get_mut(..labels.len())?;
+    sorted.copy_from_slice(labels);
+    sorted.sort_unstable_by_key(|&(name, _)| name);
+    Some(sorted)
+}
+
+/// A counter series resolved once by [`Registry::counter_id`] and bumped
+/// by [`Registry::add`] without a key lookup. Valid for the registry that
+/// issued it and its clones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(usize);
+
+/// A histogram series resolved once by [`Registry::histogram_id`] and fed
+/// by [`Registry::observe`]. Valid for the registry that issued it and its
+/// clones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramId(usize);
+
 /// The sim-plane metric registry: every instrument of one campaign (or one
 /// shard of it), exported as `results/metrics.json` and the `metrics`
 /// summary table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Registry {
-    counters: BTreeMap<Key, u64>,
-    gauges: BTreeMap<Key, Gauge>,
-    histograms: BTreeMap<Key, Histogram>,
+    counters: Family<u64>,
+    gauges: Family<Gauge>,
+    histograms: Family<Histogram>,
 }
 
 impl Registry {
@@ -174,23 +352,50 @@ impl Registry {
 
     /// Increments a counter by `delta`.
     pub fn inc_by(&mut self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
-        *self.counters.entry(Key::new(name, labels)).or_insert(0) += delta;
+        let i = self.counters.slot(name, labels);
+        self.counters.values[i] += delta;
     }
 
     /// Sets a gauge, tracking its high-water mark.
     pub fn gauge_set(&mut self, name: &'static str, labels: &[(&'static str, &str)], value: u64) {
-        self.gauges
-            .entry(Key::new(name, labels))
-            .or_default()
-            .set(value);
+        let i = self.gauges.slot(name, labels);
+        self.gauges.values[i].set(value);
     }
 
     /// Records one histogram sample (sim-time micros or any other `u64`).
     pub fn observe_us(&mut self, name: &'static str, labels: &[(&'static str, &str)], v: u64) {
-        self.histograms
-            .entry(Key::new(name, labels))
-            .or_default()
-            .observe(v);
+        let i = self.histograms.slot(name, labels);
+        self.histograms.values[i].observe(v);
+    }
+
+    /// Resolves a counter series for [`Registry::add`], creating it at 0 if
+    /// it is new — exactly what `inc_by(name, labels, 0)` would do.
+    pub fn counter_id(&mut self, name: &'static str, labels: &[(&'static str, &str)]) -> CounterId {
+        CounterId(self.counters.slot(name, labels))
+    }
+
+    /// Increments the counter behind `id` by `delta`.
+    // detlint: hot
+    pub fn add(&mut self, id: CounterId, delta: u64) {
+        self.counters.values[id.0] += delta;
+    }
+
+    /// Resolves a histogram series for [`Registry::observe`], creating it
+    /// empty if it is new. `observe_us` never leaves a histogram empty, so
+    /// resolve where the first sample is recorded to export the same
+    /// series.
+    pub fn histogram_id(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+    ) -> HistogramId {
+        HistogramId(self.histograms.slot(name, labels))
+    }
+
+    /// Records one sample in the histogram behind `id`.
+    // detlint: hot
+    pub fn observe(&mut self, id: HistogramId, v: u64) {
+        self.histograms.values[id.0].observe(v);
     }
 
     /// Current value of a counter (0 when never incremented).
@@ -242,12 +447,15 @@ impl Registry {
     /// The name and kind of every instrument, one item per label set:
     /// counters, then gauges, then histograms, each in key order.
     pub(crate) fn series(&self) -> impl Iterator<Item = (&'static str, MetricKind)> + '_ {
-        let counters = self.counters.keys().map(|k| (k.name, MetricKind::Counter));
-        let gauges = self.gauges.keys().map(|k| (k.name, MetricKind::Gauge));
+        let counters = self
+            .counters
+            .iter()
+            .map(|(k, _)| (k.name, MetricKind::Counter));
+        let gauges = self.gauges.iter().map(|(k, _)| (k.name, MetricKind::Gauge));
         let histograms = self
             .histograms
-            .keys()
-            .map(|k| (k.name, MetricKind::Histogram));
+            .iter()
+            .map(|(k, _)| (k.name, MetricKind::Histogram));
         counters.chain(gauges).chain(histograms)
     }
 
@@ -256,14 +464,17 @@ impl Registry {
     /// merged in canonical shard order yield a thread-count-invariant
     /// result.
     pub fn merge_from(&mut self, other: &Registry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+        for (k, v) in other.counters.iter() {
+            let i = self.counters.slot_of_key(k);
+            self.counters.values[i] += v;
         }
-        for (k, g) in &other.gauges {
-            self.gauges.entry(k.clone()).or_default().merge(g);
+        for (k, g) in other.gauges.iter() {
+            let i = self.gauges.slot_of_key(k);
+            self.gauges.values[i].merge(g);
         }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
+        for (k, h) in other.histograms.iter() {
+            let i = self.histograms.slot_of_key(k);
+            self.histograms.values[i].merge(h);
         }
     }
 
@@ -319,16 +530,16 @@ impl Registry {
     /// instrument, histograms summarized as count/p50/p99 edges.
     pub fn render_table(&self, title: &str) -> String {
         let mut rows: Vec<(String, String)> = Vec::new();
-        for (k, v) in &self.counters {
+        for (k, v) in self.counters.iter() {
             rows.push((display_key(k), v.to_string()));
         }
-        for (k, g) in &self.gauges {
+        for (k, g) in self.gauges.iter() {
             rows.push((
                 display_key(k),
                 format!("{} (high-water {})", g.value, g.high_water),
             ));
         }
-        for (k, h) in &self.histograms {
+        for (k, h) in self.histograms.iter() {
             rows.push((
                 display_key(k),
                 format!(
@@ -400,6 +611,7 @@ fn display_key(k: &Key) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn histogram_bucket_edges_are_powers_of_two() {
@@ -446,7 +658,7 @@ mod tests {
         reg.gauge_set("queue", &[], 5);
         reg.gauge_set("queue", &[], 9);
         reg.gauge_set("queue", &[], 3);
-        let only = |reg: &Registry| *reg.gauges.values().next().unwrap();
+        let only = |reg: &Registry| reg.gauges.values[0];
         let g = only(&reg);
         assert_eq!(g.value, 3);
         assert_eq!(g.high_water, 9);
@@ -501,6 +713,114 @@ mod tests {
         let empty = Registry::new().to_json();
         assert!(empty.contains("\"counters\""));
         assert!(empty.ends_with("}\n"));
+    }
+
+    const NAMES: [&str; 3] = ["serve.queries", "serve.outcomes", "dns.lookup_us"];
+    const LABELS: [&[(&str, &str)]; 7] = [
+        &[],
+        &[("carrier", "a")],
+        &[("carrier", "b"), ("transport", "udp")],
+        // Unsorted: the probe sorts, the key's map sorts.
+        &[("transport", "tcp"), ("carrier", "a")],
+        &[("carrier", "a"), ("resolver", "local"), ("outcome", "ok")],
+        // A repeated label name: the last value wins, as in `Key::new`.
+        &[("carrier", "a"), ("carrier", "b")],
+        // More labels than the probe sorts in place.
+        &[
+            ("g", "7"),
+            ("f", "6"),
+            ("e", "5"),
+            ("d", "4"),
+            ("c", "3"),
+            ("b", "2"),
+            ("a", "1"),
+        ],
+    ];
+
+    /// One update through the string API.
+    fn by_string(reg: &mut Registry, (op, name, labels, v): (u8, usize, usize, u64)) {
+        let (name, labels) = (NAMES[name % 3], LABELS[labels % 7]);
+        match op % 4 {
+            0 => reg.inc(name, labels),
+            1 => reg.inc_by(name, labels, v),
+            2 => reg.observe_us(name, labels, v),
+            _ => reg.gauge_set(name, labels, v),
+        }
+    }
+
+    /// Handles by `(name, labels)` index, each resolved on first use.
+    type Handles = BTreeMap<(usize, usize), (Option<CounterId>, Option<HistogramId>)>;
+
+    /// The same update through a handle, resolved on first use and then
+    /// reused, the way `ServeCore` holds its handles.
+    fn by_handle(
+        reg: &mut Registry,
+        ids: &mut Handles,
+        (op, name, labels, v): (u8, usize, usize, u64),
+    ) {
+        let (n, l) = (name % 3, labels % 7);
+        let (counter, histogram) = ids.entry((n, l)).or_default();
+        match op % 4 {
+            0 | 1 => {
+                let id = *counter.get_or_insert_with(|| reg.counter_id(NAMES[n], LABELS[l]));
+                reg.add(id, if op % 4 == 0 { 1 } else { v });
+            }
+            2 => {
+                let id = *histogram.get_or_insert_with(|| reg.histogram_id(NAMES[n], LABELS[l]));
+                reg.observe(id, v);
+            }
+            _ => reg.gauge_set(NAMES[n], LABELS[l], v),
+        }
+    }
+
+    fn op() -> impl Strategy<Value = (u8, usize, usize, u64)> {
+        (any::<u8>(), 0usize..3, 0usize..7, 0u64..5_000)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Handle and string updates interleaved in any order leave the
+        /// registry a string-only run leaves: equal, the same export bytes,
+        /// the same series count.
+        #[test]
+        fn handles_and_strings_build_the_same_registry(
+            ops in proptest::collection::vec((op(), any::<bool>()), 0..120),
+        ) {
+            let (mut strings, mut mixed) = (Registry::new(), Registry::new());
+            let mut ids = BTreeMap::new();
+            for &(update, through_handle) in &ops {
+                by_string(&mut strings, update);
+                if through_handle {
+                    by_handle(&mut mixed, &mut ids, update);
+                } else {
+                    by_string(&mut mixed, update);
+                }
+            }
+            prop_assert_eq!(&mixed, &strings);
+            prop_assert_eq!(mixed.to_json(), strings.to_json());
+            prop_assert_eq!(mixed.render_table("t"), strings.render_table("t"));
+            prop_assert_eq!(mixed.len(), strings.len());
+        }
+
+        /// Counters and histograms commute: filled in reverse order, the
+        /// registry holds its series in other slots and still compares and
+        /// exports equal.
+        #[test]
+        fn fill_order_does_not_show(ops in proptest::collection::vec(op(), 0..120)) {
+            let commuting = ops.iter().map(|&(op, n, l, v)| (op % 3, n, l, v));
+            let (mut forward, mut backward) = (Registry::new(), Registry::new());
+            let mut ids = BTreeMap::new();
+            for update in commuting.clone() {
+                by_string(&mut forward, update);
+            }
+            for update in commuting.rev() {
+                by_handle(&mut backward, &mut ids, update);
+            }
+            prop_assert_eq!(&backward, &forward);
+            prop_assert_eq!(backward.to_json(), forward.to_json());
+            prop_assert_eq!(backward.len(), forward.len());
+        }
     }
 
     #[test]

@@ -11,13 +11,15 @@
 //! replica replaying the same sequence stays byte-identical even when the
 //! sequence is interleaved with garbage.
 
+use dnssim::client::Outcome;
 use dnssim::{exchange, exchange_tcp};
 use dnswire::edns::CLASSIC_UDP_LIMIT;
 use dnswire::error::WireError;
 use dnswire::message::{patch_id, Header, Message, MessageView, Precheck, Rcode};
 use dnswire::rdata::RecordType;
 use measure::{build_world, World, WorldConfig};
-use obs::Registry;
+use netsim::time::SimDuration;
+use obs::{CounterId, HistogramId, Registry};
 
 /// Which wire transport a query arrived over. TCP queries take the sim's
 /// TCP path (which advertises the maximum EDNS payload and is therefore
@@ -167,6 +169,21 @@ pub struct ServeCore {
     /// Sim-plane counters for the serving core (deterministic given the
     /// injection sequence).
     pub registry: Registry,
+    /// Handles of the series every resolved query updates.
+    meters: Meters,
+}
+
+/// The `registry` handles of the per-query series, each resolved on the
+/// first query that updates it, so a series appears exactly when the
+/// string API would have created it.
+#[derive(Default)]
+struct Meters {
+    /// `serve.queries{carrier,transport}`, per shard and transport.
+    queries: Vec<[Option<CounterId>; 2]>,
+    /// `serve.outcomes{outcome}`, per [`Outcome`].
+    outcomes: [Option<CounterId>; Outcome::ALL.len()],
+    /// `serve.sim_latency_us`.
+    latency: Option<HistogramId>,
 }
 
 impl ServeCore {
@@ -174,10 +191,15 @@ impl ServeCore {
     pub fn new(config: WorldConfig) -> ServeCore {
         let world = build_world(config);
         let cursors = vec![0; world.carrier_count()];
+        let meters = Meters {
+            queries: vec![[None; 2]; world.carrier_count()],
+            ..Meters::default()
+        };
         ServeCore {
             world,
             cursors,
             registry: Registry::default(),
+            meters,
         }
     }
 
@@ -273,7 +295,6 @@ impl ServeCore {
         let qtype = question.qtype;
         let wire_id = msg.header.id;
 
-        let carrier = self.carrier_name(shard);
         let shard_ref = &mut self.world.shards[shard];
         let device_count = shard_ref.devices.len();
         if device_count == 0 {
@@ -292,16 +313,7 @@ impl ServeCore {
             Transport::Tcp => exchange_tcp(&mut shard_ref.net, node, resolver, qname, qtype),
         };
 
-        self.registry.inc(
-            "serve.queries",
-            &[("carrier", carrier), ("transport", transport.label())],
-        );
-        self.registry
-            .inc("serve.outcomes", &[("outcome", lookup.outcome.label())]);
-        if let Some(elapsed) = lookup.elapsed {
-            self.registry
-                .observe_us("serve.sim_latency_us", &[], elapsed.as_micros());
-        }
+        self.meter(shard, transport, lookup.outcome, lookup.elapsed);
 
         let mut reply = match lookup.reply {
             Some(bytes) => bytes,
@@ -333,6 +345,37 @@ impl ServeCore {
             }
         }
         Served::Reply(reply)
+    }
+
+    /// Counts one resolved query: its carrier and transport, its outcome
+    /// and, when it was answered in time, its sim latency.
+    // detlint: hot
+    fn meter(
+        &mut self,
+        shard: usize,
+        transport: Transport,
+        outcome: Outcome,
+        elapsed: Option<SimDuration>,
+    ) {
+        let (reg, meters) = (&mut self.registry, &mut self.meters);
+        let carrier = self.world.shards[shard].carrier.profile.name;
+        let queries = *meters.queries[shard][transport as usize].get_or_insert_with(|| {
+            reg.counter_id(
+                "serve.queries",
+                &[("carrier", carrier), ("transport", transport.label())],
+            )
+        });
+        reg.add(queries, 1);
+        let outcomes = *meters.outcomes[outcome as usize].get_or_insert_with(|| {
+            reg.counter_id("serve.outcomes", &[("outcome", outcome.label())])
+        });
+        reg.add(outcomes, 1);
+        if let Some(elapsed) = elapsed {
+            let latency = *meters
+                .latency
+                .get_or_insert_with(|| reg.histogram_id("serve.sim_latency_us", &[]));
+            reg.observe(latency, elapsed.as_micros());
+        }
     }
 
     /// Counts and returns the drop for a reply that would not encode.
