@@ -9,7 +9,8 @@
 //! each resolver carries a deterministic refresh phase: a stale entry is
 //! considered "kept warm by another user" whenever an imaginary periodic
 //! refresher would have re-queried it within the entry's TTL. See DESIGN.md
-//! (substitutions) and the `ablate_ambient` bench.
+//! (substitutions) and the ablation test
+//! `tests/suite.rs::ambient_cache_model_is_what_keeps_first_lookups_warm`.
 
 use dnswire::message::{Rcode, ResourceRecord};
 use dnswire::name::{DnsName, MAX_NAME_LEN};

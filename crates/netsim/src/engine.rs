@@ -12,7 +12,7 @@ use crate::draw::{
 };
 use crate::hash::{FastMap, FastSet};
 use crate::packet::{IcmpMsg, Packet, ProbeKey, Transport};
-use crate::queue::{Event, EventQueue, TimingWheel};
+use crate::queue::{Event, EventHeap, EventQueue};
 use crate::route::CoreRoutes;
 use crate::time::{SimDuration, SimTime};
 use crate::topo::{NodeId, NodeKind, Topology};
@@ -339,11 +339,11 @@ pub struct Network {
     /// queued: at most one tick per service and instant. Membership-checked
     /// only.
     wakes: FastSet<(NodeId, u16, SimTime)>,
-    queue: TimingWheel<EventKind>,
+    queue: EventHeap<EventKind>,
     /// Every pending flow's deadline by `(time, seq)`. Almost every one is
     /// withdrawn when its flow completes, so deadlines stay out of the
-    /// wheel, which cannot remove an event; `step` dispatches whichever of
-    /// the two holds the earlier key.
+    /// event queue, which cannot remove an event; `step` dispatches
+    /// whichever of the two holds the earlier key.
     deadlines: BTreeMap<(SimTime, u64), FlowId>,
     /// The seq of the next event or deadline, shared by both.
     seq: u64,
@@ -388,7 +388,7 @@ impl Network {
             services: FastMap::default(),
             next_registration: 0,
             wakes: FastSet::default(),
-            queue: TimingWheel::new(),
+            queue: EventHeap::new(),
             deadlines: BTreeMap::new(),
             seq: 0,
             now: SimTime::ZERO,
@@ -683,23 +683,22 @@ impl Network {
         taken
     }
 
-    /// Runs the engine until `flow` completes (or the queue empties, which
-    /// counts as a timeout).
+    /// Runs the engine until `flow` completes. A pending flow always does,
+    /// by its deadline at the latest. A flow that is neither pending nor
+    /// completed (already polled, or a foreign id) reports
+    /// [`FlowResult::Unknown`] at once, without dispatching anything.
     pub fn run_until(&mut self, flow: FlowId) -> FlowOutcome {
+        let pending = self.pending.contains_key(&flow);
         loop {
             if let Some(outcome) = self.completed.remove(&flow) {
                 return outcome;
             }
-            if !self.step() {
-                // Queue drained without completion: synthesize a timeout.
-                self.complete(flow, FlowResult::TimedOut);
-                return self.completed.remove(&flow).unwrap_or(FlowOutcome {
-                    // `flow` was never pending (already polled, or a foreign
-                    // id): a real timeout cannot be synthesized, so say so.
+            if !pending || !self.step() {
+                return FlowOutcome {
                     sent_at: self.now,
                     completed_at: self.now,
                     result: FlowResult::Unknown,
-                });
+                };
             }
         }
     }
@@ -766,7 +765,7 @@ impl Network {
     }
 
     /// The instant of the earliest event or deadline.
-    fn next_time(&mut self) -> Option<SimTime> {
+    fn next_time(&self) -> Option<SimTime> {
         let event = self.queue.next_key().map(|(time, _)| time);
         let deadline = self.deadlines.first_key_value().map(|(&(time, _), _)| time);
         match (event, deadline) {
@@ -1580,15 +1579,21 @@ mod tests {
         let flow = net.ping(a, ip(10, 0, 0, 4), SimDuration::from_secs(5));
         let first = net.run_until(flow);
         assert!(first.answered());
+        // A second ping still in flight while the bogus ids are asked for.
+        let pending = net.ping(a, ip(10, 0, 0, 4), SimDuration::from_secs(5));
+        let (events, now) = (net.stats.events, net.now());
         // Same id again (already polled) and a fabricated id: both must be
-        // typed Unknown, not a fake instant TimedOut.
+        // typed Unknown at once, not a fake instant TimedOut, and must not
+        // run the simulation on past the pending ping.
         for bogus in [flow, FlowId(999_999)] {
             let out = net.run_until(bogus);
             assert_eq!(out.result, FlowResult::Unknown);
             assert!(!out.answered());
             assert_eq!(out.rtt(), SimDuration::ZERO);
+            assert_eq!((net.stats.events, net.now()), (events, now));
         }
-        // And no timeout was counted for either.
+        assert!(net.run_until(pending).answered());
+        // And no timeout was counted for any of them.
         assert_eq!(net.stats.timeouts, 0);
     }
 

@@ -10,8 +10,8 @@
 //!
 //! Design (following the event-driven philosophy of the networking guides):
 //!
-//! * [`engine::Network`] owns an event queue (a hierarchical timing wheel,
-//!   [`queue::TimingWheel`], dispatching in `(time, seq)` order); time
+//! * [`engine::Network`] owns an event queue (a keyed binary heap,
+//!   [`queue::EventHeap`], dispatching in `(time, seq)` order); time
 //!   advances only by dispatching events, and all randomness flows from the
 //!   seed, so runs are bit-reproducible. A packet's per-hop loss and latency
 //!   are keyed to what caused it ([`draw`]); services and clients share the
@@ -73,7 +73,7 @@ pub use engine::{
 pub use fault::{FaultPlan, FaultStats, LinkFault, Spike, Window};
 pub use latency::LatencyModel;
 pub use packet::{IcmpMsg, Packet, Transport};
-pub use queue::{EventQueue, TimingWheel};
+pub use queue::{EventHeap, EventQueue};
 pub use tcplite::{TcpFailure, TcpFetch, TcpFetchOutcome, TcpHttpServer};
 pub use time::{SimDuration, SimTime};
 pub use topo::{Asn, Coord, NodeId, NodeKind, Topology};

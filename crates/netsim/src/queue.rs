@@ -1,16 +1,12 @@
-//! The engine's event queue: a hierarchical timing wheel behind the
-//! [`EventQueue`] trait.
-//!
-//! Events dispatch in ascending `(time, seq)` order, where `seq` is the
-//! engine's monotone scheduling counter. Nothing is ever cancelled here:
-//! flow deadlines, the one kind of timer that is mostly withdrawn before it
-//! fires, live beside the wheel in the engine's own deadline index. The
-//! classic binary heap the wheel replaced lives on in this module's tests
-//! as the reference implementation: the two must pop identical sequences
-//! under any interleaving of operations.
+//! The engine's event queue: [`EventHeap`], a keyed binary heap behind the
+//! [`EventQueue`] trait. Events dispatch in ascending `(time, seq)` order,
+//! where `seq` is the engine's monotone scheduling counter. Nothing is ever
+//! cancelled here: flow deadlines live beside the queue in the engine's own
+//! deadline index. A heap of whole events stays in this module's tests as
+//! the reference the keyed heap must match pop for pop.
 
 use crate::time::SimTime;
-use std::collections::BTreeMap;
+use std::{cmp::Reverse, collections::BinaryHeap};
 
 /// A scheduled event: an opaque payload plus its dispatch key.
 ///
@@ -52,13 +48,12 @@ impl<K> Ord for Event<K> {
 
 /// A priority queue of engine events ordered by `(time, seq)`.
 ///
-/// Contract shared by every implementation (the wheel and the reference
-/// heap are checked against each other operation by operation):
+/// Contract shared by every implementation (the keyed heap and the
+/// reference heap are checked against each other operation by operation):
 ///
 /// * `pop` returns events in strictly ascending `(time, seq)` order;
 /// * `len` counts pushed, not yet popped events;
-/// * `next_key` may mutate internal structure (rotating wheel slots) but
-///   never changes the observable sequence.
+/// * `next_key` is the key `pop` returns next.
 pub trait EventQueue<K>: Send {
     /// Inserts an event. `time` must be `>=` the time of the last popped
     /// event (the engine clamps to `now` when scheduling).
@@ -66,7 +61,7 @@ pub trait EventQueue<K>: Send {
     /// Removes and returns the earliest event.
     fn pop(&mut self) -> Option<Event<K>>;
     /// The `(time, seq)` of the earliest event, which `pop` returns next.
-    fn next_key(&mut self) -> Option<(SimTime, u64)>;
+    fn next_key(&self) -> Option<(SimTime, u64)>;
     /// Number of queued events.
     fn len(&self) -> usize;
     /// `true` when no events remain.
@@ -75,162 +70,71 @@ pub trait EventQueue<K>: Send {
     }
 }
 
-/// Width of one near-wheel slot in microseconds. 1024 µs ≈ 1 ms groups the
-/// engine's sub-millisecond proc-delay cascades into one tick batch while
-/// keeping same-tick ordering exact via the `(time, seq)` sort.
-const SLOT_WIDTH_US: u64 = 1024;
-/// Near-wheel slot count: 1024 slots × ~1 ms ≈ 1.05 s horizon, which covers
-/// packet latencies and the short end of the DNS retry ladder; longer
-/// timeouts land in the overflow calendar.
-const SLOTS: usize = 1024;
-
-/// A hierarchical timing wheel: a near wheel of [`SLOTS`] ring slots plus a
-/// far overflow calendar (a `BTreeMap` keyed by absolute slot index).
-///
-/// Events in the active slot are drained as one *tick batch*: the slot's
-/// vector is sorted once (descending, so pops come off the back in
-/// ascending `(time, seq)` order) and events scheduled into the active
-/// tick mid-drain are placed by binary insertion — they always sort after
-/// everything already popped because the engine never schedules into the
-/// past. Per-slot sorting is what makes the wheel's dispatch order equal
-/// the heap's, byte for byte.
-pub struct TimingWheel<K> {
-    /// Ring of near slots; index is `absolute_slot % SLOTS`.
-    slots: Vec<Vec<Event<K>>>,
-    /// Events currently stored in `slots`.
-    near_len: usize,
-    /// Absolute index of the slot currently being drained.
-    cursor: u64,
-    /// One past the highest absolute slot the near wheel can hold;
-    /// always `> cursor` and `<= cursor + SLOTS`.
-    horizon: u64,
-    /// The active tick batch, sorted descending by `(time, seq)`.
-    current: Vec<Event<K>>,
-    /// Far events: absolute slot index → unsorted event list.
-    overflow: BTreeMap<u64, Vec<Event<K>>>,
-    /// Events queued anywhere in the wheel.
-    len: usize,
+/// A binary min-heap of `(time, seq, slot)` keys over a slab of payloads:
+/// a sift moves 24-byte keys, never a payload, and a popped slot goes on a
+/// free list for the next `push`. `(time, seq)` is unique, so the slot never
+/// decides an order.
+pub struct EventHeap<K> {
+    /// Min-heap of the queued events' keys.
+    keys: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    /// Payloads by slot; `None` marks a free slot.
+    slab: Vec<Option<K>>,
+    /// Free slots, reused last-freed first.
+    free: Vec<usize>,
 }
 
-impl<K> TimingWheel<K> {
-    /// An empty wheel positioned at the start of simulated time.
+/// The engine queue under the name `ledger/src/layers.rs` imports it by,
+/// for its `netsim.queue_ns` row; the next ledger-only change drops it.
+pub type TimingWheel<K> = EventHeap<K>;
+
+impl<K> EventHeap<K> {
+    /// An empty queue.
     pub fn new() -> Self {
-        TimingWheel {
-            slots: std::iter::repeat_with(Vec::new).take(SLOTS).collect(),
-            near_len: 0,
-            cursor: 0,
-            horizon: SLOTS as u64,
-            current: Vec::new(),
-            overflow: BTreeMap::new(),
-            len: 0,
+        EventHeap {
+            keys: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
         }
-    }
-
-    fn slot_of(time: SimTime) -> u64 {
-        time.as_micros() / SLOT_WIDTH_US
-    }
-
-    /// Sorts a freshly taken slot into active-batch order (descending, so
-    /// `Vec::pop` yields ascending `(time, seq)`).
-    fn sort_batch(batch: &mut [Event<K>]) {
-        batch.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-    }
-
-    /// Advances the cursor to the next occupied slot and loads it into
-    /// `current`. Returns `false` when the wheel is completely empty.
-    fn advance(&mut self) -> bool {
-        if self.near_len > 0 {
-            for s in (self.cursor + 1)..self.horizon {
-                let idx = (s % SLOTS as u64) as usize;
-                if self.slots[idx].is_empty() {
-                    continue;
-                }
-                self.cursor = s;
-                self.current = std::mem::take(&mut self.slots[idx]);
-                self.near_len -= self.current.len();
-                Self::sort_batch(&mut self.current);
-                return true;
-            }
-            // Unreachable while the `near_len` accounting holds; resync so
-            // a bug degrades to the overflow path instead of a stall.
-            self.near_len = 0;
-        }
-        // Near wheel exhausted: rotate the window to the first calendar
-        // entry and migrate everything that now fits the near range.
-        let Some((&first, _)) = self.overflow.iter().next() else {
-            return false;
-        };
-        self.cursor = first;
-        self.horizon = first + SLOTS as u64;
-        let beyond = self.overflow.split_off(&self.horizon);
-        let near = std::mem::replace(&mut self.overflow, beyond);
-        for (s, evs) in near {
-            if s == first {
-                self.current = evs;
-            } else {
-                let idx = (s % SLOTS as u64) as usize;
-                self.near_len += evs.len();
-                self.slots[idx] = evs;
-            }
-        }
-        Self::sort_batch(&mut self.current);
-        true
     }
 }
 
-impl<K> Default for TimingWheel<K> {
+impl<K> Default for EventHeap<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Send> EventQueue<K> for TimingWheel<K> {
+impl<K: Send> EventQueue<K> for EventHeap<K> {
     // detlint: hot
     fn push(&mut self, ev: Event<K>) {
-        self.len += 1;
-        let slot = Self::slot_of(ev.time);
-        if slot <= self.cursor {
-            // Lands in the active tick: binary-insert into the descending
-            // batch. The engine never schedules before the last popped
-            // event, so the insertion point is always in the unpopped tail.
-            let key = ev.key();
-            let pos = self.current.partition_point(|e| e.key() > key);
-            self.current.insert(pos, ev);
-        } else if slot < self.horizon {
-            self.slots[(slot % SLOTS as u64) as usize].push(ev);
-            self.near_len += 1;
-        } else {
-            self.overflow.entry(slot).or_default().push(ev);
-        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(ev.kind);
+                slot
+            }
+            None => {
+                self.slab.push(Some(ev.kind));
+                self.slab.len() - 1
+            }
+        };
+        self.keys.push(Reverse((ev.time, ev.seq, slot)));
     }
 
     // detlint: hot
     fn pop(&mut self) -> Option<Event<K>> {
-        loop {
-            if let Some(ev) = self.current.pop() {
-                self.len -= 1;
-                return Some(ev);
-            }
-            if !self.advance() {
-                return None;
-            }
-        }
+        let Reverse((time, seq, slot)) = self.keys.pop()?;
+        let kind = self.slab[slot].take()?;
+        self.free.push(slot);
+        Some(Event { time, seq, kind })
     }
 
     // detlint: hot
-    fn next_key(&mut self) -> Option<(SimTime, u64)> {
-        loop {
-            if let Some(ev) = self.current.last() {
-                return Some(ev.key());
-            }
-            if !self.advance() {
-                return None;
-            }
-        }
+    fn next_key(&self) -> Option<(SimTime, u64)> {
+        self.keys.peek().map(|&Reverse((time, seq, _))| (time, seq))
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.keys.len()
     }
 }
 
@@ -238,11 +142,9 @@ impl<K: Send> EventQueue<K> for TimingWheel<K> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
 
-    /// The reference implementation — the dispatch structure the engine ran
-    /// on before the wheel: a min-heap over `(time, seq)`.
+    /// The reference implementation: a min-heap of whole events, ordered by
+    /// `Event`'s own `(time, seq)` order.
     struct HeapQueue<K> {
         heap: BinaryHeap<Reverse<Event<K>>>,
     }
@@ -264,7 +166,7 @@ mod tests {
             self.heap.pop().map(|Reverse(ev)| ev)
         }
 
-        fn next_key(&mut self) -> Option<(SimTime, u64)> {
+        fn next_key(&self) -> Option<(SimTime, u64)> {
             self.heap.peek().map(|Reverse(ev)| ev.key())
         }
 
@@ -273,20 +175,22 @@ mod tests {
         }
     }
 
-    fn ev(us: u64, seq: u64) -> Event<u32> {
+    fn ev(us: u64, seq: u64) -> Event<u64> {
         Event {
             time: SimTime::from_micros(us),
             seq,
-            kind: 0,
+            kind: seq,
         }
     }
 
-    fn key(e: Event<u32>) -> (u64, u64) {
+    /// An event's key, after checking that its payload came back with it.
+    fn key(e: Event<u64>) -> (u64, u64) {
+        assert_eq!(e.kind, e.seq, "payload travelled with another key");
         (e.time.as_micros(), e.seq)
     }
 
-    fn both() -> [Box<dyn EventQueue<u32>>; 2] {
-        [Box::new(HeapQueue::new()), Box::new(TimingWheel::new())]
+    fn both() -> [Box<dyn EventQueue<u64>>; 2] {
+        [Box::new(HeapQueue::new()), Box::new(EventHeap::new())]
     }
 
     proptest! {
@@ -294,55 +198,61 @@ mod tests {
 
         /// Any interleaving the engine can produce — pushes never earlier
         /// than the last popped event — pops the same sequence from the
-        /// wheel as from the heap.
+        /// keyed heap as from the reference, with the same head key and
+        /// length after every step, and pops free slots for later pushes.
         #[test]
-        fn wheel_matches_heap_under_random_interleavings(
+        fn keyed_heap_matches_reference_under_random_interleavings(
             ops in proptest::collection::vec((0u8..10, any::<u64>()), 1..400),
         ) {
-            let mut heap = HeapQueue::new();
-            let mut wheel = TimingWheel::new();
+            let mut reference = HeapQueue::new();
+            let mut keyed = EventHeap::new();
             let mut now = 0u64; // time of the last popped event
-            let mut queued = 0usize;
+            let (mut queued, mut peak) = (0usize, 0usize);
             for (seq, &(op, raw)) in ops.iter().enumerate() {
                 let seq = seq as u64;
                 match op {
                     0..=4 => {
                         let delay = match raw % 4 {
                             0 => 0,                                   // same instant
-                            1 => (raw >> 2) % 2_048,                  // active or next tick
-                            2 => (raw >> 2) % 1_000_000,              // near wheel
-                            _ => 1_000_000 + (raw >> 2) % 30_000_000, // overflow calendar
+                            1 => (raw >> 2) % 1_000,                  // sub-millisecond
+                            2 => (raw >> 2) % 1_000_000,              // within a second
+                            _ => 1_000_000 + (raw >> 2) % 30_000_000, // 1–31 s timeouts
                         };
-                        heap.push(ev(now + delay, seq));
-                        wheel.push(ev(now + delay, seq));
+                        reference.push(ev(now + delay, seq));
+                        keyed.push(ev(now + delay, seq));
                         queued += 1;
+                        peak = peak.max(queued);
                     }
                     5..=7 => {
-                        let (h, w) = (heap.pop().map(key), wheel.pop().map(key));
-                        prop_assert_eq!(w, h);
-                        if let Some((t, _)) = h {
+                        let (r, k) = (reference.pop().map(key), keyed.pop().map(key));
+                        prop_assert_eq!(k, r);
+                        if let Some((t, _)) = r {
                             now = t;
                             queued -= 1;
                         }
                     }
-                    _ => prop_assert_eq!(wheel.next_key(), heap.next_key()),
+                    _ => {} // a step that only peeks
                 }
-                prop_assert_eq!(wheel.len(), heap.len());
-                prop_assert_eq!(wheel.len(), queued);
+                prop_assert_eq!(keyed.next_key(), reference.next_key());
+                prop_assert_eq!(keyed.len(), reference.len());
+                prop_assert_eq!(keyed.len(), queued);
+                // A freed slot is reused before the slab grows, so the slab
+                // is exactly as long as the most events ever queued at once.
+                prop_assert_eq!(keyed.slab.len(), peak);
             }
-            let drain_h: Vec<_> = std::iter::from_fn(|| heap.pop().map(key)).collect();
-            let drain_w: Vec<_> = std::iter::from_fn(|| wheel.pop().map(key)).collect();
-            prop_assert_eq!(drain_w.len(), queued);
-            prop_assert_eq!(drain_w, drain_h);
+            let drain_r: Vec<_> = std::iter::from_fn(|| reference.pop().map(key)).collect();
+            let drain_k: Vec<_> = std::iter::from_fn(|| keyed.pop().map(key)).collect();
+            prop_assert_eq!(drain_k.len(), queued);
+            prop_assert_eq!(drain_k, drain_r);
+            prop_assert!(keyed.is_empty());
         }
     }
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        // A denser schedule than the property draws: 1 000 events over 9 s
-        // (same-tick ties, near-wheel hits, far-calendar spills), half of
-        // them popped, then pushes at-or-after the last popped time (as the
-        // engine does), including into the active tick.
+        // A denser schedule than the property draws: 1 000 events over 9 s,
+        // half of them popped, then pushes at-or-after the last popped time
+        // (as the engine does) into the freed slots, ties included.
         let mut us = 7u64;
         let script: Vec<u64> = (0..1_000u64)
             .map(|seq| {
@@ -350,36 +260,25 @@ mod tests {
                 (us >> 33) % 9_000_000
             })
             .collect();
-        let [mut heap, mut wheel] = both();
+        let [mut reference, mut keyed] = both();
         for (seq, &t) in script.iter().enumerate() {
-            wheel.push(ev(t, seq as u64));
-            heap.push(ev(t, seq as u64));
+            keyed.push(ev(t, seq as u64));
+            reference.push(ev(t, seq as u64));
         }
         let mut resume = 0;
         for _ in 0..500 {
-            let (h, w) = (heap.pop().map(key), wheel.pop().map(key));
-            assert_eq!(w, h);
-            resume = h.map_or(resume, |(t, _)| t);
+            let (r, k) = (reference.pop().map(key), keyed.pop().map(key));
+            assert_eq!(k, r);
+            resume = r.map_or(resume, |(t, _)| t);
         }
         for (i, &dt) in script[..200].iter().enumerate() {
-            let t = resume + dt % 2_048; // same tick, near, and just beyond
-            wheel.push(ev(t, 10_000 + i as u64));
-            heap.push(ev(t, 10_000 + i as u64));
+            let t = resume + dt % 2_048; // the same instant and just beyond
+            keyed.push(ev(t, 10_000 + i as u64));
+            reference.push(ev(t, 10_000 + i as u64));
         }
-        let drain_h: Vec<_> = std::iter::from_fn(|| heap.pop().map(key)).collect();
-        let drain_w: Vec<_> = std::iter::from_fn(|| wheel.pop().map(key)).collect();
-        assert_eq!(drain_w, drain_h);
-    }
-
-    #[test]
-    fn far_calendar_rotates_through_multiple_windows() {
-        let mut wheel = TimingWheel::new();
-        // Three events, each beyond the previous window's horizon.
-        for (i, secs) in [0u64, 3, 9].iter().enumerate() {
-            wheel.push(ev(secs * 1_000_000 + 5, i as u64));
-        }
-        let got: Vec<_> = std::iter::from_fn(|| wheel.pop().map(key)).collect();
-        assert_eq!(got, vec![(5, 0), (3_000_005, 1), (9_000_005, 2)]);
+        let drain_r: Vec<_> = std::iter::from_fn(|| reference.pop().map(key)).collect();
+        let drain_k: Vec<_> = std::iter::from_fn(|| keyed.pop().map(key)).collect();
+        assert_eq!(drain_k, drain_r);
     }
 
     #[test]
