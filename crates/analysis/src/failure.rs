@@ -26,11 +26,7 @@ impl FailureRow {
 
     /// Count for one outcome.
     pub fn count(&self, outcome: Outcome) -> u64 {
-        let idx = Outcome::ALL
-            .iter()
-            .position(|o| *o == outcome)
-            .expect("outcome is in Outcome::ALL");
-        self.counts[idx]
+        self.counts[outcome as usize]
     }
 
     /// Fraction of lookups that ended without a usable answer.
@@ -68,11 +64,7 @@ pub fn failure_rates(ds: &Dataset) -> Vec<FailureRow> {
     for r in &ds.records {
         for l in &r.lookups {
             let cell = counts.entry((r.carrier, l.resolver)).or_default();
-            let idx = Outcome::ALL
-                .iter()
-                .position(|o| *o == l.outcome)
-                .expect("outcome is in Outcome::ALL");
-            cell[idx] += 1;
+            cell[l.outcome as usize] += 1;
         }
     }
     counts

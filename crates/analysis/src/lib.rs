@@ -1,4 +1,10 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 //! `analysis` — the paper's analysis toolkit: empirical CDFs, resolution
 //! timing extraction (Figs. 3, 5–7, 13), LDNS pairing and churn analysis

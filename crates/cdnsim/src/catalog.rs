@@ -29,6 +29,10 @@ pub const PROVIDER_COUNT: usize = 4;
 pub const PROVIDER_NAMES: [&str; PROVIDER_COUNT] = ["cdn-a", "cdn-b", "cdn-c", "cdn-d"];
 
 /// The nine mobile domains of Table 2.
+#[expect(
+    clippy::expect_used,
+    reason = "parses the literal table below, every name of which is valid"
+)]
 pub fn mobile_domains() -> Vec<CatalogEntry> {
     let raw: [(&str, &str, usize); 9] = [
         ("m.facebook.com", "facebook.com", 0),
@@ -52,6 +56,10 @@ pub fn mobile_domains() -> Vec<CatalogEntry> {
 
 /// The four domains Fig. 2 plots (one per provider, including the two
 /// names recoverable from the paper text).
+#[expect(
+    clippy::expect_used,
+    reason = "parses the four literal names below, each of them valid"
+)]
 pub fn fig2_domains() -> Vec<DnsName> {
     [
         "www.buzzfeed.com",

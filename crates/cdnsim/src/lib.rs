@@ -1,4 +1,10 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 //! `cdnsim` — the content-delivery substrate of the *Behind the Curtain*
 //! reproduction: replica POPs, the resolver-/24-keyed mapping policy the

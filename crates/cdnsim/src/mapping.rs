@@ -50,10 +50,13 @@ impl MappingZone {
             h.write(label);
         }
         let label = format!("e{:08x}", h.finish() as u32);
-        // detlint: allow(D9) -- the label is a fixed 9-byte lowercase-hex
-        // literal, always a legal DNS label under any suffix short enough
-        // to be a DnsName itself; child() cannot fail on it.
-        self.edge_suffix.child(&label).expect("edge label is valid")
+        #[expect(
+            clippy::expect_used,
+            reason = "the label is 9 bytes of lowercase hex, always a legal DNS label under any \
+                      suffix short enough to be a DnsName itself; child() cannot fail on it"
+        )]
+        let edge = self.edge_suffix.child(&label).expect("edge label is valid");
+        edge
     }
 }
 

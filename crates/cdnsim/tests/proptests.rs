@@ -32,7 +32,7 @@ proptest! {
         prop_assert_eq!(&a, &b, "selection not deterministic");
         prop_assert_eq!(a.len(), TOP_K);
         // No duplicate replicas in one answer.
-        let set: std::collections::HashSet<_> = a.iter().collect();
+        let set: std::collections::BTreeSet<_> = a.iter().collect();
         prop_assert_eq!(set.len(), a.len());
     }
 

@@ -132,19 +132,26 @@ impl CarrierNet {
     /// the device's site, with occasional mis-assignment) and a random VIP
     /// for anycast carriers.
     pub fn pick_configured_dns(&self, rng: &mut StdRng, at: Coord) -> Ipv4Addr {
-        if self.forwarder_nodes.is_empty() || rng.gen_bool(0.1) {
-            return self.client_facing_addrs[rng.gen_range(0..self.client_facing_addrs.len())];
-        }
-        self.forwarder_nodes
+        let nearest = self
+            .forwarder_nodes
             .iter()
             .min_by(|a, b| a.2.distance_km(&at).total_cmp(&b.2.distance_km(&at)))
-            .map(|&(_, addr, _)| addr)
-            .expect("nonempty checked")
+            .map(|&(_, addr, _)| addr);
+        match nearest {
+            Some(addr) if !rng.gen_bool(0.1) => addr,
+            _ => self.client_facing_addrs[rng.gen_range(0..self.client_facing_addrs.len())],
+        }
     }
 
     /// Index of the gateway site nearest to `coord`.
     pub fn nearest_site(&self, coord: Coord) -> usize {
-        self.sites
+        #[expect(
+            clippy::expect_used,
+            reason = "build_carrier gives a carrier one site per gateway, and a carrier without \
+                      gateways cannot attach a device at all"
+        )]
+        let nearest = self
+            .sites
             .iter()
             .enumerate()
             .min_by(|(_, a), (_, b)| {
@@ -153,7 +160,8 @@ impl CarrierNet {
                     .total_cmp(&b.coord.distance_km(&coord))
             })
             .map(|(i, _)| i)
-            .expect("carrier has sites")
+            .expect("carrier has sites");
+        nearest
     }
 
     /// All prefixes the firewall protects.
@@ -210,19 +218,18 @@ pub fn build_carrier(
     assert!(index < 100, "address plan supports < 100 carriers");
     let asn = Asn(profile.asn);
     let pub8 = public_octet(index);
-    let private_prefix: Prefix = format!("10.{index}.0.0/16").parse().expect("valid prefix");
-    let public_prefix: Prefix = format!("{pub8}.0.0.0/8").parse().expect("valid prefix");
+    let private_prefix = Prefix::new(Ipv4Addr::new(10, index as u8, 0, 0), 16);
+    let public_prefix = Prefix::new(Ipv4Addr::new(pub8, 0, 0, 0), 8);
     assert!(
         profile.gateway_count <= 62,
         "address plan supports <= 62 sites"
     );
     let site_allocs: Vec<AddrAllocator> = (0..profile.gateway_count)
         .map(|s| {
-            AddrAllocator::new(
-                format!("10.{index}.{}.0/23", 2 * s)
-                    .parse()
-                    .expect("valid site pool"),
-            )
+            AddrAllocator::new(Prefix::new(
+                Ipv4Addr::new(10, index as u8, 2 * s as u8, 0),
+                23,
+            ))
         })
         .collect();
 
@@ -489,8 +496,15 @@ pub fn install_carrier_services(
     match (&carrier.site_upstreams, carrier.forwarder_nodes.is_empty()) {
         (Some(per_site), _) => {
             // Anycast carriers: one forwarder per site over its subset.
+            let mut instances = Vec::with_capacity(carrier.sites.len());
             for (s, site) in carrier.sites.iter().enumerate() {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "build_carrier gives every site of a carrier with per-site upstreams \
+                              its own forwarder"
+                )]
                 let node = site.forwarder.expect("anycast site has forwarder");
+                instances.push(node);
                 let instance_addr = net.topo().node(node).primary_addr();
                 net.register_service(
                     node,
@@ -506,11 +520,6 @@ pub fn install_carrier_services(
                 // co-located forwarder. Event-free until a client connects.
                 net.register_service(node, DNS_TCP_PORT, Box::new(TcpDnsServer::new()));
             }
-            let instances: Vec<NodeId> = carrier
-                .sites
-                .iter()
-                .map(|s| s.forwarder.expect("anycast site has forwarder"))
-                .collect();
             for &vip in &carrier.client_facing_addrs {
                 net.add_anycast(vip, instances.clone());
             }
@@ -545,6 +554,11 @@ pub fn install_carrier_services(
                 net.register_service(*node, DNS_TCP_PORT, Box::new(TcpDnsServer::new()));
             }
         }
+        #[expect(
+            clippy::unreachable,
+            reason = "build_carrier gives every carrier either per-site forwarders or a \
+                      client-facing tier"
+        )]
         (None, true) => unreachable!("carrier without any client-facing tier"),
     }
 }
@@ -610,7 +624,7 @@ mod tests {
             };
             let expected = p.dns.external_slash24s.min(p.dns.external_count);
             let c = build_carrier(&mut topo, i, p, region, &pops, &mut rng);
-            let prefixes: std::collections::HashSet<Prefix> = c
+            let prefixes: std::collections::BTreeSet<Prefix> = c
                 .external_resolvers
                 .iter()
                 .map(|(_, a)| Prefix::slash24_of(*a))
@@ -636,7 +650,7 @@ mod tests {
             .filter(|ups| {
                 ups.iter()
                     .map(|a| Prefix::slash24_of(*a))
-                    .collect::<std::collections::HashSet<_>>()
+                    .collect::<std::collections::BTreeSet<_>>()
                     .len()
                     > 1
             })

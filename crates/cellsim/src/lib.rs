@@ -1,4 +1,10 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 //! `cellsim` — the cellular-network substrate of the *Behind the Curtain*
 //! reproduction: carrier topologies (LTE-era many-gateway cores behind

@@ -298,7 +298,7 @@ mod tests {
 
     #[test]
     fn labels_are_unique() {
-        let labels: std::collections::HashSet<_> =
+        let labels: std::collections::BTreeSet<_> =
             RadioTech::all().iter().map(|t| t.label()).collect();
         assert_eq!(labels.len(), RadioTech::all().len());
     }

@@ -1,4 +1,10 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 //! `cdns` — the cellular DNS measurement suite: the public API of the
 //! *Behind the Curtain* (IMC 2014) reproduction.

@@ -383,7 +383,7 @@ mod tests {
 
     #[test]
     fn allow_marker_records_target_and_col() {
-        let sf = prepare("// detlint: allow(D1) -- fixture reason\nlet n = m.keys().count();\n");
+        let sf = prepare("// detlint: allow(D7) -- fixture reason\nreg.inc(name, &[]);\n");
         assert_eq!(sf.markers.len(), 1);
         assert_eq!(sf.markers[0].target, 2);
     }

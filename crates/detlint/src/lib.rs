@@ -1,44 +1,37 @@
 //! `detlint`: a workspace determinism-and-safety lint pass.
 //!
 //! The campaign's headline guarantee is *byte-identical CSVs and metrics
-//! for every thread count, seed, and queue implementation* (DESIGN.md §4,
-//! §8). That invariant is easy to break silently: one `for` loop over a
-//! `HashMap` or one literal RNG seed in a simulation path and replays
-//! diverge while every unit test stays green. `detlint` makes those
-//! hazards a compile gate instead of a hope — zero deps, no syn, in the
-//! spirit of the vendored stubs.
+//! for every thread count and seed* (DESIGN.md §4, §8). That invariant is
+//! easy to break silently: one literal RNG seed or one `partial_cmp` sort
+//! in a simulation path and replays diverge while every unit test stays
+//! green. `detlint` makes those hazards a gate instead of a hope — zero
+//! deps, no syn, in the spirit of the vendored stubs.
 //!
-//! It keeps only what the compiler cannot check. The rest has a home in
-//! the toolchain: clippy's `disallowed_methods` (`clippy.toml`) bans
-//! `Instant::now`/`SystemTime::now`; clippy's `unwrap_used`, `expect_used`
-//! and `panic` are denied in the [`HOT_CRATES`]' lint tables;
-//! `unsafe_code = "forbid"` sits in `[workspace.lints.rust]`; the vendored
-//! `rand` has no `thread_rng`, `from_entropy` or `random` to call; and a
-//! float-keyed `BTreeMap`/`BTreeSet` does not compile (`f64: !Ord`). Rule
-//! numbers D2–D5 are retired with those checks, not reused.
+//! It keeps only what types, the crate graph and clippy cannot say. The
+//! rest has a home in the toolchain: `clippy.toml` bans
+//! `Instant::now`/`SystemTime::now` (`disallowed-methods`) and std's
+//! `HashMap`/`HashSet` (`disallowed-types`), and `netsim::hash`'s
+//! `FastMap`/`FastSet` forward no iterator, so hash order cannot escape;
+//! every [`SIM_CRATES`] root and `serve`'s deny clippy's `unwrap_used`,
+//! `expect_used`, `panic` and `unreachable`; the wall-clock profiler lives
+//! in `repro`, which no simulation crate depends on; `unsafe_code =
+//! "forbid"` sits in `[workspace.lints.rust]`; the vendored `rand` has no
+//! `thread_rng`, `from_entropy` or `random` to call; and a float-keyed
+//! `BTreeMap`/`BTreeSet` does not compile (`f64: !Ord`). Rule numbers D1–D5
+//! and D9 are retired with those checks, not reused.
 //!
-//! Since v2 the scanner is a real pipeline (DESIGN.md §9): a spanned,
-//! length-preserving lexer ([`lex`], line *and* column), an item tree with
-//! per-function facts ([`model`]), and a heuristic intra-workspace call
-//! graph feeding flow-aware passes. Rules:
+//! The scanner is a pipeline (DESIGN.md §9): a spanned, length-preserving
+//! lexer ([`lex`], line *and* column), an item tree with per-function facts
+//! ([`model`]), and a heuristic intra-workspace call graph feeding the
+//! seed-provenance pass. Rules:
 //!
-//! - **D1** — no iteration-order escape from hash collections (`for … in`,
-//!   `.iter()`, `.keys()`, `.drain()`, …) in the simulation/analysis
-//!   crates. Use `BTreeMap`/`BTreeSet`, or sort before iterating.
 //! - **D6** — no `let _ =` discarding an experiment result's typed
 //!   `Outcome` in `measure`/`analysis`.
-//! - **D7** — the observability planes stay separated: `obs::host` only in
-//!   the driver binaries, and sim-plane metric names must be literals.
+//! - **D7** — sim-plane metric names must be literals.
 //! - **D8** — seed-lane provenance: every `seed_from_u64`/`from_seed` in a
 //!   sim crate must flow from a `lane::*` constant, directly or through a
 //!   seed parameter whose callers pass lane-derived values; new lanes may
 //!   only be declared in `measure`'s `lane` module.
-//! - **D9** — transitive panic reachability: functions annotated
-//!   `// detlint: hot` must not reach `unwrap`/`expect`/`panic!`/
-//!   `unreachable!` through the call graph; the diagnostic names the
-//!   shortest offending chain and is suppressible only at the sink. In the
-//!   [`HOT_CRATES`] it leaves `unwrap`/`expect`/`panic!` to clippy, which
-//!   already demands a reasoned `#[expect]` at each one.
 //! - **D10** — no allocation (`Vec::new`, `to_vec`, `clone`, `format!`,
 //!   `String::from`, `Box::new`) inside `// detlint: hot` functions.
 //! - **D11** — float-order hazards: `partial_cmp` comparators in sorts and
@@ -48,11 +41,11 @@
 //!   there must be emitted.
 //!
 //! Suppression is explicit and audited: an inline
-//! `// detlint: allow(D1) -- <reason>` marker on the offending line (or
+//! `// detlint: allow(D7) -- <reason>` marker on the offending line (or
 //! alone on the line above) suppresses the named rule *only when a written
-//! reason follows the `--`*. A marker without a reason is an error, and —
-//! new in v2 — a marker that suppresses nothing is an error too, so stale
-//! justifications cannot outlive the code they excused.
+//! reason follows the `--`*. A marker without a reason is an error, and a
+//! marker that suppresses nothing is an error too, so stale justifications
+//! cannot outlive the code they excused.
 
 pub mod lex;
 pub mod model;
@@ -65,26 +58,12 @@ use std::path::{Path, PathBuf};
 
 pub use rules::{load_metric_decls, MetricDecls};
 
-/// Crates whose behaviour feeds the simulation or its analysis: D1, D7b,
-/// D8, D11, D12 apply here. Names are the directory names under
-/// `crates/`.
+/// Crates whose behaviour feeds the simulation or its analysis: D7, D8
+/// and D11 apply here, and each root denies clippy's panic lints. Names
+/// are the directory names under `crates/`.
 pub const SIM_CRATES: &[&str] = &[
     "netsim", "dnswire", "dnssim", "cellsim", "cdnsim", "measure", "analysis", "core", "obs",
 ];
-
-/// Crates allowed to touch the host plane (`obs::host`): the `repro`
-/// binary, `obs` itself (the implementation), and the serving plane
-/// (`serve` binds real sockets, `loadgen` paces real traffic — both run on
-/// wall time by design). D7 fences everyone else onto the deterministic sim
-/// plane.
-pub const HOST_PLANE_CRATES: &[&str] = &["repro", "obs", "serve", "loadgen"];
-
-/// Hot-path crates whose lint tables deny clippy's `unwrap_used`,
-/// `expect_used` and `panic`, so every such sink there already carries a
-/// reasoned `#[expect]`. D9 leaves those sinks to clippy and still reports
-/// `unreachable!`. The workspace's `tests/lint.rs` ties this list to the
-/// manifests.
-pub const HOT_CRATES: &[&str] = &["netsim", "dnssim", "measure"];
 
 /// Crates where D6 (no discarded experiment outcomes) applies.
 pub const OUTCOME_CRATES: &[&str] = &["measure", "analysis"];
@@ -92,17 +71,12 @@ pub const OUTCOME_CRATES: &[&str] = &["measure", "analysis"];
 /// A lint rule identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Iteration-order escape from a hash collection.
-    D1,
     /// `let _ =` discarding an experiment result's typed `Outcome`.
     D6,
-    /// Observability-plane breach: host-plane APIs outside the drivers, or
-    /// a dynamic sim-plane metric name.
+    /// A dynamic sim-plane metric name.
     D7,
     /// RNG seed that does not flow from a `lane::*` constant.
     D8,
-    /// Hot entry point that transitively reaches a panic sink.
-    D9,
     /// Allocation inside a `// detlint: hot` function.
     D10,
     /// Float-order hazard.
@@ -117,11 +91,9 @@ impl Rule {
     /// The short identifier used in diagnostics and allow-markers.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::D1 => "D1",
             Rule::D6 => "D6",
             Rule::D7 => "D7",
             Rule::D8 => "D8",
-            Rule::D9 => "D9",
             Rule::D10 => "D10",
             Rule::D11 => "D11",
             Rule::D12 => "D12",
@@ -132,11 +104,9 @@ impl Rule {
     /// Parses a rule name as written inside `allow(...)`.
     pub fn from_id(s: &str) -> Option<Rule> {
         match s.trim().to_ascii_uppercase().as_str() {
-            "D1" => Some(Rule::D1),
             "D6" => Some(Rule::D6),
             "D7" => Some(Rule::D7),
             "D8" => Some(Rule::D8),
-            "D9" => Some(Rule::D9),
             "D10" => Some(Rule::D10),
             "D11" => Some(Rule::D11),
             "D12" => Some(Rule::D12),
@@ -331,8 +301,8 @@ fn suppress_and_audit(records: &[FileRecord], global: Vec<Finding>) -> Vec<Findi
 }
 
 /// Scans one file's source. `file` is the label used in diagnostics. Runs
-/// the local rules plus the flow passes (D8/D9) over this file's own call
-/// graph; the D12 workspace cross-check needs [`scan_workspace`].
+/// the local rules plus the seed-provenance pass (D8) over this file's own
+/// call graph; the D12 workspace cross-check needs [`scan_workspace`].
 pub fn scan_file(file: &str, source: &str, ctx: &FileCtx) -> Vec<Finding> {
     let records = vec![build_record(file, source, ctx)];
     let graph = rules::build_graph(&records);

@@ -5,7 +5,6 @@
 //! ```text
 //! cargo run -p detlint                      # text diagnostics, exit 1 on findings
 //! cargo run -p detlint -- --format json     # JSON report (for CI artifacts)
-//! cargo run -p detlint -- --root ../other   # lint another workspace
 //! ```
 //!
 //! Exit codes: 0 clean, 1 lint findings, 2 internal scan errors (bad
@@ -17,7 +16,6 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut format = Format::Text;
-    let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -32,28 +30,22 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--root" => match args.next() {
-                Some(p) => root = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("detlint: --root expects a path");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
                 println!(
                     "detlint: workspace determinism-and-safety lint pass\n\n\
                      OPTIONS:\n  \
-                     --format <text|json>  output format (default: text)\n  \
-                     --root <path>         workspace root (default: discovered from manifest dir)\n\n\
-                     Rules: D1 hash-iteration-order escape, D6 discarded experiment Outcome,\n\
-                     D7 observability-plane breach, D8 seed-lane provenance, D9 transitive\n\
-                     panic reachability from // detlint: hot entry points, D10 hot-path\n\
-                     allocation, D11 float-order hazards, D12 metric-name cross-check\n\
+                     --format <text|json>  output format (default: text)\n\n\
+                     Rules: D6 discarded experiment Outcome, D7 dynamic sim-plane metric\n\
+                     name, D8 seed-lane provenance, D10 allocation in // detlint: hot\n\
+                     functions, D11 float-order hazards, D12 metric-name cross-check\n\
                      against the catalog in crates/obs/src/catalog.rs.\n\
-                     Retired, now checked by the toolchain: D2 wall clock (clippy\n\
-                     disallowed-methods), D3 ambient RNG (vendored rand has none), D4 panics\n\
-                     in hot crates (clippy unwrap_used/expect_used/panic), D5 unsafe code\n\
-                     (unsafe_code = \"forbid\" in the lint tables).\n\
+                     Retired, now checked by the toolchain: D1 hash-iteration order\n\
+                     (clippy disallowed-types; netsim::hash tables cannot iterate), D2 wall\n\
+                     clock (clippy disallowed-methods), D3 ambient RNG (vendored rand has\n\
+                     none), D4 and D9 panics (clippy unwrap_used/expect_used/panic/unreachable\n\
+                     denied at the sim crates' and serve's roots), D5 unsafe code\n\
+                     (unsafe_code = \"forbid\"), D7's host-plane half (the profiler lives\n\
+                     in repro, which no sim crate depends on).\n\
                      Suppress with an inline comment marker: detlint: allow(D#) -- <reason>.\n\
                      A marker that suppresses nothing is itself an error.\n\n\
                      EXIT CODES: 0 clean, 1 findings, 2 internal scan error."
@@ -67,21 +59,13 @@ fn main() -> ExitCode {
         }
     }
 
-    let root = match root {
-        Some(r) => r,
-        None => {
-            let start = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-            match detlint::find_workspace_root(&start) {
-                Some(r) => r,
-                None => {
-                    eprintln!(
-                        "detlint: no [workspace] manifest found above {}",
-                        start.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            }
-        }
+    let start = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let Some(root) = detlint::find_workspace_root(&start) else {
+        eprintln!(
+            "detlint: no [workspace] manifest found above {}",
+            start.display()
+        );
+        return ExitCode::from(2);
     };
 
     let report = detlint::scan_workspace_report(&root);

@@ -2,12 +2,11 @@
 //!
 //! Walks the sanitized, span-accurate code of one file (from [`crate::lex`])
 //! and produces a [`FileFacts`]: the functions it defines (with module/impl
-//! paths, spans, params, and `// detlint: hot` annotations), the calls each
-//! body makes, the panic sinks it contains, every `SeedableRng`
-//! construction with its argument expression, and every sim-plane metric
-//! mutator call site. The workspace-level passes (call-graph reachability,
-//! seed-lane provenance, metric cross-check) consume these facts without
-//! re-reading any source.
+//! paths, body spans, params, and `// detlint: hot` annotations), the calls
+//! each body makes, every `SeedableRng` construction with its argument
+//! expression, and every sim-plane metric mutator call site. The
+//! workspace-level passes (seed-lane provenance over the call graph, metric
+//! cross-check) consume these facts without re-reading any source.
 
 use crate::lex::SourceFile;
 
@@ -37,15 +36,6 @@ pub struct CallSite {
     /// The call's argument text (sanitized, possibly multi-line), used by
     /// the seed-provenance pass to classify what callers pass.
     pub args: String,
-}
-
-/// A potential panic site (`unwrap` / `expect` / `panic!` / `unreachable!`).
-#[derive(Debug, Clone)]
-pub struct Sink {
-    /// Display form: `unwrap()`, `expect()`, `panic!`, `unreachable!`.
-    pub what: &'static str,
-    pub line: usize,
-    pub col: usize,
 }
 
 /// How a `SeedableRng` construction obtains its seed.
@@ -86,9 +76,6 @@ pub(crate) const OBS_MUTATORS: &[&str] = &[
 /// One sim-plane metric mutator call site.
 #[derive(Debug, Clone)]
 pub struct MetricSite {
-    /// Mutator method (`inc`, `inc_by`, `gauge_set`, `observe_us`,
-    /// `counter_id`, `histogram_id`).
-    pub mutator: &'static str,
     /// The literal metric name, or `None` when the first argument is not a
     /// string literal (a dynamic name — D7 territory).
     pub name: Option<String>,
@@ -105,12 +92,8 @@ pub struct FnInfo {
     pub impl_type: Option<String>,
     /// Module path inside the file (inline `mod` names, joined with `::`).
     pub module: String,
-    /// 1-based line/column of the function name.
-    pub line: usize,
-    pub col: usize,
     /// Inclusive 1-based body line range (header line through closing brace).
     pub body: (usize, usize),
-    pub is_pub: bool,
     /// Inside `#[cfg(test)]`-gated code.
     pub is_test: bool,
     /// Carries a `// detlint: hot` annotation.
@@ -120,7 +103,6 @@ pub struct FnInfo {
     /// Parameter names whose written type mentions `f32`/`f64`.
     pub float_params: Vec<String>,
     pub calls: Vec<CallSite>,
-    pub sinks: Vec<Sink>,
     pub rng_sites: Vec<RngSite>,
 }
 
@@ -139,8 +121,6 @@ impl FnInfo {
 #[derive(Debug, Default)]
 pub struct FileFacts {
     pub fns: Vec<FnInfo>,
-    /// Impl target type names declared in this file.
-    pub impl_types: Vec<String>,
     pub metric_sites: Vec<MetricSite>,
     /// Lines declaring an inline `mod lane` (seed-lane registry).
     pub lane_mods: Vec<usize>,
@@ -192,7 +172,6 @@ pub fn extract(sf: &SourceFile) -> FileFacts {
         kind: Option<&'static str>, // "fn" | "impl" | "mod"
         text: String,               // header text so far
         line: usize,                // line of the keyword
-        col: usize,
     }
     let mut pending = Pending::default();
 
@@ -216,7 +195,6 @@ pub fn extract(sf: &SourceFile) -> FileFacts {
                                 kind: Some("fn"),
                                 text: String::from("fn"),
                                 line: lineno,
-                                col: start + 1,
                             };
                         }
                         "impl" => {
@@ -224,7 +202,6 @@ pub fn extract(sf: &SourceFile) -> FileFacts {
                                 kind: Some("impl"),
                                 text: String::from("impl"),
                                 line: lineno,
-                                col: start + 1,
                             };
                         }
                         "mod" => {
@@ -232,7 +209,6 @@ pub fn extract(sf: &SourceFile) -> FileFacts {
                                 kind: Some("mod"),
                                 text: String::from("mod"),
                                 line: lineno,
-                                col: start + 1,
                             };
                         }
                         _ => {}
@@ -248,23 +224,16 @@ pub fn extract(sf: &SourceFile) -> FileFacts {
                     depth += 1;
                     let scope = match pending.kind.take() {
                         Some("fn") => {
-                            let info = parse_fn_header(&pending.text, sf, &stack, pending.line);
                             let idx = facts.fns.len();
-                            facts.fns.push(FnInfo {
-                                line: pending.line,
-                                col: pending.col,
-                                body: (pending.line, pending.line),
-                                ..info
-                            });
+                            facts.fns.push(parse_fn_header(
+                                &pending.text,
+                                sf,
+                                &stack,
+                                pending.line,
+                            ));
                             Scope::Fn(idx)
                         }
-                        Some("impl") => {
-                            let ty = parse_impl_target(&pending.text);
-                            if !facts.impl_types.contains(&ty) {
-                                facts.impl_types.push(ty.clone());
-                            }
-                            Scope::Impl(ty)
-                        }
+                        Some("impl") => Scope::Impl(parse_impl_target(&pending.text)),
                         Some("mod") => {
                             let name = pending
                                 .text
@@ -322,11 +291,9 @@ pub fn extract(sf: &SourceFile) -> FileFacts {
         let (lo, hi) = facts.fns[idx].body;
         let f = &facts.fns[idx];
         let calls = extract_calls(sf, lo, hi, &f.impl_type);
-        let sinks = extract_sinks(sf, lo, hi);
         let rng_sites = extract_rng_sites(sf, lo, hi, &f.params);
         let f = &mut facts.fns[idx];
         f.calls = calls;
-        f.sinks = sinks;
         f.rng_sites = rng_sites;
     }
 
@@ -394,7 +361,7 @@ fn brackets_balanced(text: &str) -> bool {
 }
 
 /// Parses an accumulated `fn` header (`fn name<..>(params) -> T`) into an
-/// [`FnInfo`] skeleton (spans/body filled by the caller).
+/// [`FnInfo`] skeleton (body end and per-body facts filled by the caller).
 fn parse_fn_header(text: &str, sf: &SourceFile, stack: &[(Scope, u32)], line: usize) -> FnInfo {
     let after_fn = text.strip_prefix("fn").unwrap_or(text).trim_start();
     let name: String = after_fn
@@ -446,22 +413,17 @@ fn parse_fn_header(text: &str, sf: &SourceFile, stack: &[(Scope, u32)], line: us
 
     let is_test = sf.is_test.get(line - 1).copied().unwrap_or(false);
     let is_hot = fn_is_hot(sf, line);
-    let is_pub = text_has_pub(sf, line);
 
     FnInfo {
         name,
         impl_type,
         module,
-        line,
-        col: 0,
         body: (line, line),
-        is_pub,
         is_test,
         is_hot,
         params,
         float_params,
         calls: Vec::new(),
-        sinks: Vec::new(),
         rng_sites: Vec::new(),
     }
 }
@@ -491,18 +453,6 @@ fn fn_is_hot(sf: &SourceFile, line: usize) -> bool {
         l -= 1;
     }
     false
-}
-
-/// Whether the `fn` at `line` is `pub` (same line, before the keyword).
-fn text_has_pub(sf: &SourceFile, line: usize) -> bool {
-    sf.code
-        .get(line - 1)
-        .map(|c| {
-            c.split("fn")
-                .next()
-                .is_some_and(|before| before.contains("pub"))
-        })
-        .unwrap_or(false)
 }
 
 /// The text inside the first paren group of `s` (which starts with `(`),
@@ -611,44 +561,6 @@ fn extract_calls(
     calls
 }
 
-/// Panic sinks in a body line range (test lines excluded by the caller's
-/// use of `FnInfo::is_test`; sinks on test lines inside non-test fns do not
-/// occur in practice).
-fn extract_sinks(sf: &SourceFile, lo: usize, hi: usize) -> Vec<Sink> {
-    let mut sinks = Vec::new();
-    for lineno in lo..=hi.min(sf.len()) {
-        let code = sf.code[lineno - 1].as_str();
-        for (pat, what) in [
-            (".unwrap()", "unwrap()"),
-            (".expect(", "expect()"),
-            ("panic!", "panic!"),
-            ("unreachable!", "unreachable!"),
-        ] {
-            let mut from = 0;
-            while let Some(pos) = code[from..].find(pat) {
-                let at = from + pos;
-                // `debug_assert!`-style containment: `panic!`/`unreachable!`
-                // must start a token (not `.unwrap()`, which self-anchors).
-                let ok = if pat.starts_with('.') {
-                    true
-                } else {
-                    at == 0 || !is_ident_char(code.as_bytes()[at - 1])
-                };
-                if ok {
-                    sinks.push(Sink {
-                        what,
-                        line: lineno,
-                        col: at + 1 + if pat.starts_with('.') { 1 } else { 0 },
-                    });
-                }
-                from = at + pat.len();
-            }
-        }
-    }
-    sinks.sort_by_key(|s| (s.line, s.col));
-    sinks
-}
-
 /// `SeedableRng` construction sites in a body range, with the seed
 /// argument classified for the D8 provenance pass.
 fn extract_rng_sites(sf: &SourceFile, lo: usize, hi: usize, params: &[String]) -> Vec<RngSite> {
@@ -731,7 +643,6 @@ fn extract_metric_sites(sf: &SourceFile) -> Vec<MetricSite> {
         }
         let code = sf.code[lineno - 1].as_str();
         for pat in OBS_MUTATORS {
-            let mutator = pat.trim_start_matches('.').trim_end_matches('(');
             let mut from = 0;
             while let Some(pos) = code[from..].find(pat) {
                 let at = from + pos;
@@ -741,7 +652,6 @@ fn extract_metric_sites(sf: &SourceFile) -> Vec<MetricSite> {
                 let open_paren = at + pat.len() - 1;
                 let name = metric_name_at(sf, lineno, open_paren);
                 sites.push(MetricSite {
-                    mutator,
                     name,
                     line: lineno,
                     col: at + 2,
@@ -808,7 +718,7 @@ impl Wheel {
         let push = &facts.fns[0];
         assert_eq!(push.name, "push");
         assert_eq!(push.impl_type.as_deref(), Some("Wheel"));
-        assert!(push.is_hot && push.is_pub);
+        assert!(push.is_hot);
         assert_eq!(push.body, (3, 5));
         let helper = &facts.fns[1];
         assert!(!helper.is_hot);
@@ -832,15 +742,6 @@ fn f(x: &X) {
         assert!(kinds.contains(&(CallKind::Method, "handle")));
         assert!(kinds.contains(&(CallKind::Path, "advance")));
         assert!(kinds.contains(&(CallKind::Bare, "helper")));
-    }
-
-    #[test]
-    fn sinks_carry_spans() {
-        let src = "fn f(o: Option<u8>) -> u8 {\n    o.unwrap()\n}\n";
-        let facts = extract(&prepare(src));
-        let s = &facts.fns[0].sinks[0];
-        assert_eq!((s.what, s.line), ("unwrap()", 2));
-        assert_eq!(s.col, 7);
     }
 
     #[test]

@@ -63,17 +63,17 @@ mod tests {
             file: "crates/x/src/lib.rs".into(),
             line: 3,
             col: 9,
-            rule: Rule::D1,
-            message: "hash \"order\" escapes".into(),
-            snippet: Some("    let k = m.keys();".into()),
+            rule: Rule::D7,
+            message: "dynamic \"name\" in a mutator".into(),
+            snippet: Some("    reg.inc(name, &[]);".into()),
         }]
     }
 
     #[test]
     fn text_includes_code_frame_with_caret_at_col() {
         let text = to_text(&sample());
-        assert!(text.contains("crates/x/src/lib.rs:3:9: rule[D1]"));
-        assert!(text.contains("    3 |     let k = m.keys();"));
+        assert!(text.contains("crates/x/src/lib.rs:3:9: rule[D7]"));
+        assert!(text.contains("    3 |     reg.inc(name, &[]);"));
         let caret_line = text.lines().last().unwrap();
         assert_eq!(caret_line.find('^').unwrap(), "      | ".len() + 8);
     }

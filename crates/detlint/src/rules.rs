@@ -1,18 +1,16 @@
 //! Rule passes: per-file (local) checks and workspace-wide (global) flow
 //! analyses over the facts extracted by [`crate::model`].
 //!
-//! Local rules (D1, D6, D7, D10, D11, marker shape) need one prepared file;
+//! Local rules (D6, D7, D10, D11, marker shape) need one prepared file;
 //! global rules need the whole record set: **D8** seed-lane provenance
-//! follows seed parameters backwards through the call graph, **D9** panic
-//! reachability walks forward from `// detlint: hot` entry points to
-//! panic sinks, and **D12** cross-checks emitted metric names against the
-//! CI baseline/allowlist. All rules emit *raw* findings here; suppression
-//! (and allow-marker consumption accounting) happens centrally in the
-//! crate root.
+//! follows seed parameters backwards through the call graph, and **D12**
+//! cross-checks emitted metric names against the catalog. All rules emit
+//! *raw* findings here; suppression (and allow-marker consumption
+//! accounting) happens centrally in the crate root.
 
 use crate::lex::SourceFile;
-use crate::model::{CallKind, FileFacts, SeedArg, Sink, OBS_MUTATORS};
-use crate::{FileCtx, FileRecord, Finding, Rule, HOST_PLANE_CRATES, HOT_CRATES, SIM_CRATES};
+use crate::model::{CallKind, FileFacts, SeedArg, OBS_MUTATORS};
+use crate::{FileCtx, FileRecord, Finding, Rule, SIM_CRATES};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Calls whose return value carries a typed lookup `Outcome` and must not
@@ -23,23 +21,6 @@ const D6_CALLS: &[&str] = &[
     "whoami(",
     "whoami_with(",
     "run_experiment",
-];
-
-/// Hash collection type names (D1): std's, plus `netsim::hash`'s aliases,
-/// whose order is just as much an artifact of insertion history.
-const HASH_COLLECTIONS: &[&str] = &["HashMap", "HashSet", "FastMap", "FastSet"];
-
-/// Methods whose receiver's iteration order escapes into program behaviour.
-const D1_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
 ];
 
 /// Allocation/formatting constructs banned inside `// detlint: hot`
@@ -72,9 +53,10 @@ const ROUNDERS: &[&str] = &[".round()", ".floor()", ".ceil()", ".trunc()"];
 
 /// Method names shadowing std container/iterator APIs: heuristic method
 /// resolution skips them, because an unqualified `.push(` is almost always
-/// `Vec::push`, not a workspace method, and the false edges would poison
-/// the D9 reachability pass. Workspace methods with these names are still
-/// analysed when reached by path-qualified calls.
+/// `Vec::push`, not a workspace method, and each false edge would hand D8
+/// a caller whose arguments it then misreads as seeds. Workspace methods
+/// with these names are still analysed when reached by path-qualified
+/// calls.
 const AMBIENT_METHODS: &[&str] = &[
     "push",
     "pop",
@@ -149,82 +131,6 @@ fn mk(
     }
 }
 
-/// The trailing identifier of `s`, if any (`self.entries` → `entries`).
-fn trailing_ident(s: &str) -> Option<&str> {
-    let s = s.trim_end();
-    let end = s.len();
-    let start = s
-        .rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .map(|i| i + s[i..].chars().next().map(char::len_utf8).unwrap_or(1))
-        .unwrap_or(0);
-    if start >= end {
-        return None;
-    }
-    let ident = &s[start..end];
-    if ident.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        return None;
-    }
-    Some(ident)
-}
-
-/// If the text before a [`HASH_COLLECTIONS`] occurrence binds the collection
-/// to a name (`entries: HashMap<…>`, `let mut m = HashMap::new()`), returns
-/// that name.
-fn bind_target(prefix: &str) -> Option<String> {
-    let p = prefix.trim_end();
-    let p = p.strip_suffix("std::collections::").unwrap_or(p);
-    let p = p.strip_suffix("collections::").unwrap_or(p);
-    let p = p.trim_end();
-    let p = match p
-        .strip_suffix("mut")
-        .map(str::trim_end)
-        .and_then(|q| q.strip_suffix('&'))
-    {
-        Some(q) => q,
-        None => p.strip_suffix('&').unwrap_or(p),
-    };
-    let p = p.trim_end();
-    if let Some(before_colon) = p.strip_suffix(':') {
-        if before_colon.ends_with(':') {
-            return None;
-        }
-        return trailing_ident(before_colon).map(str::to_string);
-    }
-    if let Some(before_eq) = p.strip_suffix('=') {
-        if before_eq.ends_with(['=', '>', '<', '!', '+', '-', '*', '/']) {
-            return None;
-        }
-        return trailing_ident(before_eq).map(str::to_string);
-    }
-    None
-}
-
-/// Collects every name bound to a hash collection on a non-test line.
-fn hash_bound_names(sf: &SourceFile) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for (i, code) in sf.code.iter().enumerate() {
-        if sf.is_test[i] || code.trim_start().starts_with("use ") {
-            continue;
-        }
-        for needle in HASH_COLLECTIONS {
-            let mut from = 0;
-            while let Some(pos) = code[from..].find(needle) {
-                let at = from + pos;
-                let after = code[at + needle.len()..].chars().next();
-                if after.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_') {
-                    from = at + needle.len();
-                    continue;
-                }
-                if let Some(name) = bind_target(&code[..at]) {
-                    names.insert(name);
-                }
-                from = at + needle.len();
-            }
-        }
-    }
-    names
-}
-
 /// Position of a `let _ =` wildcard discard, if the line has one.
 fn find_let_discard(code: &str) -> Option<usize> {
     const NEEDLE: &str = "let _ =";
@@ -238,28 +144,6 @@ fn find_let_discard(code: &str) -> Option<usize> {
         from = at + NEEDLE.len();
     }
     None
-}
-
-/// Position of a `for ` keyword token, if the line has one.
-fn find_for_keyword(code: &str) -> Option<usize> {
-    let mut from = 0;
-    while let Some(pos) = code[from..].find("for ") {
-        let at = from + pos;
-        let before = code[..at].chars().next_back();
-        if before.is_none_or(|c| !(c.is_ascii_alphanumeric() || c == '_')) {
-            return Some(at);
-        }
-        from = at + 4;
-    }
-    None
-}
-
-/// Whether `s` is a bare receiver path (`self.entries`, `groups`) rather
-/// than an arbitrary expression.
-fn is_plain_path(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
 }
 
 /// Whether `s` is an integer literal (optionally suffixed/underscored).
@@ -286,12 +170,6 @@ pub(crate) fn local_findings(
         out.push(mk(file, sf, *line, *col, Rule::Marker, msg.clone()));
     }
 
-    let hash_names = if ctx.sim() {
-        hash_bound_names(sf)
-    } else {
-        BTreeSet::new()
-    };
-
     for (i, code) in sf.code.iter().enumerate() {
         if sf.is_test[i] {
             continue;
@@ -299,71 +177,7 @@ pub(crate) fn local_findings(
         let lineno = i + 1;
 
         if ctx.sim() {
-            // D1a: iteration-order-escaping method on a hash-bound name.
-            for m in D1_METHODS {
-                let needle = format!(".{m}(");
-                let mut from = 0;
-                while let Some(pos) = code[from..].find(&needle) {
-                    let at = from + pos;
-                    let recv = trailing_ident(&code[..at]).or_else(|| {
-                        if !code[..at].trim().is_empty() {
-                            return None;
-                        }
-                        (0..i)
-                            .rev()
-                            .map(|j| sf.code[j].as_str())
-                            .find(|c| !c.trim().is_empty())
-                            .and_then(trailing_ident)
-                    });
-                    if let Some(recv) = recv {
-                        if hash_names.contains(recv) {
-                            out.push(mk(
-                                file,
-                                sf,
-                                lineno,
-                                at + 1,
-                                Rule::D1,
-                                format!(
-                                    "iteration order of hash collection `{recv}` escapes via \
-                                     `.{m}()`; use BTreeMap/BTreeSet or sort first"
-                                ),
-                            ));
-                        }
-                    }
-                    from = at + needle.len();
-                }
-            }
-            // D1b: `for … in <hash-bound path>`.
-            if let Some(for_at) = find_for_keyword(code) {
-                if let Some(in_at) = code[for_at..].find(" in ") {
-                    let expr = code[for_at + in_at + 4..]
-                        .split('{')
-                        .next()
-                        .unwrap_or("")
-                        .trim()
-                        .trim_start_matches("&mut ")
-                        .trim_start_matches('&');
-                    if is_plain_path(expr) {
-                        if let Some(last) = expr.rsplit('.').next() {
-                            if hash_names.contains(last) {
-                                out.push(mk(
-                                    file,
-                                    sf,
-                                    lineno,
-                                    for_at + 1,
-                                    Rule::D1,
-                                    format!(
-                                        "`for … in {expr}` iterates hash collection `{last}` in \
-                                         nondeterministic order; use BTreeMap/BTreeSet or sort \
-                                         first"
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-            // D7b: sim-plane registry mutators need a literal metric name.
+            // D7: sim-plane registry mutators need a literal metric name.
             for m in OBS_MUTATORS {
                 let mut from = 0;
                 while let Some(pos) = code[from..].find(m) {
@@ -393,22 +207,6 @@ pub(crate) fn local_findings(
                 }
             }
             d11_line(file, sf, facts, i, &mut out);
-        }
-
-        // D7a: host-plane observability outside the driver binaries.
-        if !HOST_PLANE_CRATES.contains(&ctx.crate_name.as_str()) {
-            if let Some(at) = code.find("obs::host") {
-                out.push(mk(
-                    file,
-                    sf,
-                    lineno,
-                    at + 1,
-                    Rule::D7,
-                    "host-plane observability `obs::host` outside repro; simulation and \
-                     analysis code may only use the deterministic sim plane"
-                        .to_string(),
-                ));
-            }
         }
 
         // D6: `let _ =` discarding an experiment Outcome.
@@ -597,7 +395,7 @@ fn expr_is_float(expr: &str, facts: &FileFacts, lineno: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Global passes: call graph, D8, D9, D12.
+// Global passes: call graph, D8, D12.
 // ---------------------------------------------------------------------------
 
 /// A function's identity in the workspace record set.
@@ -607,11 +405,11 @@ pub(crate) struct FnId {
     pub idx: usize,
 }
 
-/// The heuristic intra-workspace call graph.
+/// The heuristic intra-workspace call graph, kept as reverse edges: the
+/// seed-provenance pass (D8) walks from a callee back to its callers.
 pub(crate) struct CallGraph {
-    /// Forward edges: caller → callees.
-    pub edges: BTreeMap<FnId, Vec<FnId>>,
-    /// Reverse edges with the call-site index in the caller's `calls` list.
+    /// Callee → callers, each with the call-site index in the caller's
+    /// `calls` list.
     pub redges: BTreeMap<FnId, Vec<(FnId, usize)>>,
 }
 
@@ -648,7 +446,6 @@ pub(crate) fn build_graph(records: &[FileRecord]) -> CallGraph {
         }
     }
 
-    let mut edges: BTreeMap<FnId, Vec<FnId>> = BTreeMap::new();
     let mut redges: BTreeMap<FnId, Vec<(FnId, usize)>> = BTreeMap::new();
     for (ri, rec) in records.iter().enumerate() {
         for (fi, f) in rec.facts.fns.iter().enumerate() {
@@ -681,18 +478,13 @@ pub(crate) fn build_graph(records: &[FileRecord]) -> CallGraph {
                 };
                 for t in targets {
                     if t != id {
-                        edges.entry(id).or_default().push(t);
                         redges.entry(t).or_default().push((id, ci));
                     }
                 }
             }
         }
     }
-    for v in edges.values_mut() {
-        v.sort();
-        v.dedup();
-    }
-    CallGraph { edges, redges }
+    CallGraph { redges }
 }
 
 fn file_stem(path: &str) -> &str {
@@ -718,7 +510,6 @@ pub(crate) fn global_findings(
 ) -> Vec<Finding> {
     let mut out = Vec::new();
     d8_pass(records, graph, &mut out);
-    d9_pass(records, graph, &mut out);
     if let Some(decls) = decls {
         d12_pass(records, decls, &mut out);
     }
@@ -867,109 +658,15 @@ fn split_args(s: &str) -> Vec<&str> {
     out
 }
 
-/// Whether D9 reports `sink`. The hot crates deny clippy's `unwrap_used`,
-/// `expect_used` and `panic`, so each such sink there already carries a
-/// reasoned `#[expect]`; only `unreachable!` is left to D9 in them.
-fn d9_reports(rec: &FileRecord, sink: &Sink) -> bool {
-    sink.what == "unreachable!" || !HOT_CRATES.contains(&rec.crate_name.as_str())
-}
-
-/// D9: transitive panic reachability. BFS from every `// detlint: hot`
-/// function over the call graph; any reachable panic sink is reported with
-/// the shortest call chain from its hot entry point.
-fn d9_pass(records: &[FileRecord], graph: &CallGraph, out: &mut Vec<Finding>) {
-    let roots: Vec<FnId> = records
-        .iter()
-        .enumerate()
-        .flat_map(|(ri, rec)| {
-            rec.facts
-                .fns
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.is_hot && !f.is_test)
-                .map(move |(fi, _)| FnId { rec: ri, idx: fi })
-        })
-        .collect();
-
-    // (sink fn) → (chain of FnIds from root to sink fn, inclusive).
-    let mut best: BTreeMap<FnId, Vec<FnId>> = BTreeMap::new();
-    for &root in &roots {
-        let mut parent: BTreeMap<FnId, FnId> = BTreeMap::new();
-        let mut queue = std::collections::VecDeque::from([root]);
-        let mut seen = BTreeSet::from([root]);
-        while let Some(id) = queue.pop_front() {
-            let rec = &records[id.rec];
-            let sinks = &rec.facts.fns[id.idx].sinks;
-            if sinks.iter().any(|s| d9_reports(rec, s)) {
-                let mut chain = vec![id];
-                let mut cur = id;
-                while let Some(&p) = parent.get(&cur) {
-                    chain.push(p);
-                    cur = p;
-                }
-                chain.reverse();
-                let better = best
-                    .get(&id)
-                    .is_none_or(|existing| chain.len() < existing.len());
-                if better {
-                    best.insert(id, chain);
-                }
-            }
-            if let Some(nexts) = graph.edges.get(&id) {
-                for &n in nexts {
-                    if seen.insert(n) {
-                        parent.insert(n, id);
-                        queue.push_back(n);
-                    }
-                }
-            }
-        }
-    }
-
-    for (sink_fn, chain) in &best {
-        let rec = &records[sink_fn.rec];
-        let f = &rec.facts.fns[sink_fn.idx];
-        let chain_text = chain
-            .iter()
-            .map(|id| {
-                let r = &records[id.rec];
-                let g = &r.facts.fns[id.idx];
-                format!("{} ({}:{}:{})", g.qual(), r.path, g.line, g.col)
-            })
-            .collect::<Vec<_>>()
-            .join(" -> ");
-        let root = &records[chain[0].rec].facts.fns[chain[0].idx];
-        for sink in f.sinks.iter().filter(|s| d9_reports(rec, s)) {
-            out.push(gmk(
-                rec,
-                sink.line,
-                sink.col,
-                Rule::D9,
-                format!(
-                    "hot entry `{}` can reach `{}` at {}:{}:{} via {chain_text}; make the \
-                     callee total or justify the sink with an allow-marker",
-                    root.qual(),
-                    sink.what,
-                    rec.path,
-                    sink.line,
-                    sink.col
-                ),
-            ));
-        }
-    }
-}
-
 /// D12: metric-name cross-check between obs mutator call sites and the
 /// catalog.
 fn d12_pass(records: &[FileRecord], decls: &MetricDecls, out: &mut Vec<Finding>) {
     let mut used: BTreeMap<&str, Vec<(usize, usize, usize)>> = BTreeMap::new(); // name → (rec, line, col)
     for (ri, rec) in records.iter().enumerate() {
-        // Sim crates carry the campaign metrics; host-plane crates (the
-        // serving plane) emit their own counters too — both directions of
-        // the cross-check must see them.
-        if !SIM_CRATES.contains(&rec.crate_name.as_str())
-            && !crate::HOST_PLANE_CRATES.contains(&rec.crate_name.as_str())
-        {
+        // The sim crates and the serving plane both emit metrics, so both
+        // directions of the cross-check read every crate but detlint,
+        // whose own sources spell the mutators out.
+        if rec.crate_name == "detlint" {
             continue;
         }
         for site in &rec.facts.metric_sites {

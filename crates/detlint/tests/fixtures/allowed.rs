@@ -1,16 +1,11 @@
 // Suppression fixture: the same hazards as the `*_fires` fixtures, each
 // carrying a well-formed allow-marker, so the scan reports nothing.
-use std::collections::HashMap;
-
-pub fn total(scores: &HashMap<String, u64>) -> u64 {
-    // detlint: allow(D1) -- fixture: order does not reach any output
-    scores.values().sum()
-}
 
 // detlint: hot
-pub fn label(scores: &HashMap<String, u64>) -> String {
-    // detlint: allow(D1, D10) -- fixture: both hazards on the next line
-    format!("{}", scores.keys().count())
+pub fn ranked(xs: &[(f64, u32)]) -> Vec<(f64, u32)> {
+    // detlint: allow(D10, D11) -- fixture: both hazards on the next line
+    let mut v = xs.to_vec(); v.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    v
 }
 
 pub fn count(reg: &mut Registry, name: &'static str) {

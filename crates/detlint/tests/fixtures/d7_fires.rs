@@ -1,8 +1,6 @@
-// D7 fixture: exactly one host-plane leak (line 5) and one dynamic-name
-// mutator call (line 15); literal-name calls, single- and multi-line, stay
-// quiet.
+// D7 fixture: exactly one dynamic-name mutator call (line 13); literal-name
+// calls, single- and multi-line, stay quiet.
 pub fn vitals(reg: &mut obs::Registry, name: &'static str) {
-    let stage = obs::host::Stage::begin("campaign");
     reg.inc("campaign.experiments", &[]);
     reg.inc_by("net.events", &[], 3);
     reg.gauge_set("net.queue_depth", &[], 4);
@@ -13,5 +11,4 @@ pub fn vitals(reg: &mut obs::Registry, name: &'static str) {
         2,
     );
     reg.inc(name, &[]);
-    drop(stage);
 }

@@ -18,7 +18,6 @@ use dnswire::nameref::NameRef;
 use dnswire::rdata::RecordType;
 use netsim::addr::Prefix;
 use netsim::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Cache key: owner name, record type, and — for ECS-partitioned entries
@@ -183,17 +182,24 @@ impl CacheStats {
     }
 }
 
+/// The cache's table. The serving plane puts query names from a socket
+/// here, so the hash stays std's seeded one, not `netsim::hash`'s fixed
+/// one.
+#[expect(
+    clippy::disallowed_types,
+    reason = "wire-keyed, so it keeps std's seeded hash; it is looked up, and the one walk \
+              (eviction) sorts before its order can escape"
+)]
+type Entries<V> = std::collections::HashMap<Box<[u8]>, Entry<V>>;
+
 /// The resolver cache, generic over what it stores per key: records for
 /// the recursive resolver (the default), reply templates for the
 /// forwarder. TTL capping, the ambient model, the counters and eviction
 /// are the same for both.
 #[derive(Debug)]
 pub struct DnsCache<V = Vec<ResourceRecord>> {
-    /// Keyed by [`FlatKey`] bytes; looked up, never iterated in an order
-    /// that escapes (eviction sorts first). The serving plane puts query
-    /// names from a socket here, so the hash stays std's seeded one, not
-    /// `netsim::hash`'s fixed one.
-    entries: HashMap<Box<[u8]>, Entry<V>>,
+    /// Keyed by [`FlatKey`] bytes.
+    entries: Entries<V>,
     capacity: usize,
     max_ttl: SimDuration,
     ambient: Option<AmbientModel>,
@@ -206,7 +212,7 @@ impl<V> DnsCache<V> {
     /// TTLs at `max_ttl`.
     pub fn new(capacity: usize, max_ttl: SimDuration) -> Self {
         DnsCache {
-            entries: HashMap::new(),
+            entries: Entries::new(),
             capacity: capacity.max(1),
             max_ttl,
             ambient: None,
@@ -293,7 +299,7 @@ impl<V> DnsCache<V> {
         if self.entries.len() >= self.capacity {
             let target = self.capacity - self.capacity / 10;
             let mut by_expiry: Vec<(SimTime, CacheKey)> = Vec::with_capacity(self.entries.len());
-            // detlint: allow(D1) -- collected, then sorted by expiry and key below; no map order escapes
+            // Collected, then sorted by expiry and key below: no map order escapes.
             for (k, e) in &self.entries {
                 by_expiry.extend(FlatKey::decode(k).map(|key| (e.expires_at, key)));
             }

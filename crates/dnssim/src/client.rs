@@ -626,6 +626,10 @@ mod tests {
                 "timeout"
             ]
         );
+        // Tables indexed by `outcome as usize` keep `ALL`'s column order.
+        for (i, o) in Outcome::ALL.iter().enumerate() {
+            assert_eq!(*o as usize, i);
+        }
         assert!(Outcome::TruncatedRecovered.answered());
         assert!(!Outcome::ServFail.answered());
     }

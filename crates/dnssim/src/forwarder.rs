@@ -518,7 +518,7 @@ mod tests {
     fn load_balance_spreads_upstreams() {
         let mut f = Forwarder::new(upstreams(), UpstreamPolicy::LoadBalance);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..60 {
             let q = QueryBuilder::new(i, "m.yelp.com", RecordType::A)
                 .build()
@@ -544,7 +544,7 @@ mod tests {
             },
         );
         let mut rng = StdRng::seed_from_u64(3);
-        let mut targets = std::collections::HashSet::new();
+        let mut targets = std::collections::BTreeSet::new();
         for i in 0..20 {
             let q = QueryBuilder::new(i, "m.yelp.com", RecordType::A)
                 .build()
@@ -571,7 +571,7 @@ mod tests {
             },
         );
         let mut rng = StdRng::seed_from_u64(4);
-        let mut targets = std::collections::HashSet::new();
+        let mut targets = std::collections::BTreeSet::new();
         for i in 0..40u64 {
             let q = QueryBuilder::new(i as u16, "m.yelp.com", RecordType::A)
                 .build()
@@ -599,7 +599,7 @@ mod tests {
             },
         );
         let mut rng = StdRng::seed_from_u64(5);
-        let mut targets = std::collections::HashSet::new();
+        let mut targets = std::collections::BTreeSet::new();
         for c in 1..=20u8 {
             let q = QueryBuilder::new(c as u16, "m.yelp.com", RecordType::A)
                 .build()

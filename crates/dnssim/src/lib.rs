@@ -1,4 +1,10 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 //! `dnssim` — DNS services over the `netsim` substrate: authoritative
 //! servers (static, dynamic, and whoami zones), caching recursive resolvers

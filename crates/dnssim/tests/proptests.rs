@@ -15,12 +15,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::Ipv4Addr;
 
-#[expect(clippy::expect_used, reason = "strategy helper over a literal regex")]
 fn arb_label() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[a-z0-9][a-z0-9-]{0,12}").expect("literal regex")
 }
 
-#[expect(clippy::expect_used, reason = "labels come from the LDH regex above")]
 fn arb_name() -> impl Strategy<Value = DnsName> {
     proptest::collection::vec(arb_label(), 1..4).prop_map(|ls| {
         DnsName::from_labels(ls.iter().map(|l| l.as_bytes())).expect("labels match the LDH regex")
@@ -132,7 +130,7 @@ proptest! {
     ) {
         let apex = DnsName::parse(&format!("{zone_apex}.test")).unwrap();
         let mut zone = Zone::new(apex.clone());
-        let mut inserted = std::collections::HashSet::new();
+        let mut inserted = std::collections::BTreeSet::new();
         for (label, octets) in &records {
             let name = apex.child(label).unwrap();
             zone.add_a(name.clone(), 60, Ipv4Addr::from(*octets));
@@ -222,10 +220,6 @@ const UPSTREAM: Ipv4Addr = Ipv4Addr::new(66, 174, 0, 1);
 const CAPACITY: usize = 64;
 const MAX_TTL: SimDuration = SimDuration::from_secs(3600);
 
-#[expect(
-    clippy::expect_used,
-    reason = "test fixture: every message here is built by the test and well formed"
-)]
 impl HitCase {
     /// The forwarder's reply to the second query, and the reply the
     /// record cache predicts: the forwarder's former hit path, which

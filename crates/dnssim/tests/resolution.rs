@@ -22,7 +22,6 @@ fn ip(a: u8, b: u8, c: u8, d: u8) -> Ipv4Addr {
     Ipv4Addr::new(a, b, c, d)
 }
 
-#[expect(clippy::expect_used, reason = "test helper over literal names")]
 fn n(s: &str) -> DnsName {
     DnsName::parse(s).expect("test names are valid")
 }

@@ -1,4 +1,10 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 //! `dnswire` — a from-scratch implementation of the DNS wire format (RFC 1035,
 //! with the EDNS0 OPT pseudo-record from RFC 6891).

@@ -215,11 +215,14 @@ mod tests {
 
     #[test]
     fn case_insensitive_equality_and_hash() {
-        use std::collections::HashSet;
+        use std::collections::BTreeSet;
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
         let a = DnsName::parse("CDN.Example.net").unwrap();
         let b = DnsName::parse("cdn.example.NET").unwrap();
         assert_eq!(a, b);
-        let mut set = HashSet::new();
+        let hasher = BuildHasherDefault::<DefaultHasher>::default();
+        assert_eq!(hasher.hash_one(&a), hasher.hash_one(&b));
+        let mut set = BTreeSet::new();
         set.insert(a);
         assert!(set.contains(&b));
     }

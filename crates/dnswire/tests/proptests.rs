@@ -593,7 +593,7 @@ fn arb_crowded_record() -> impl Strategy<Value = ResourceRecord> {
 #[derive(Default)]
 struct SuffixMapEncoder {
     out: Vec<u8>,
-    offsets: std::collections::HashMap<Vec<Vec<u8>>, usize>,
+    offsets: std::collections::BTreeMap<Vec<Vec<u8>>, usize>,
 }
 
 impl SuffixMapEncoder {

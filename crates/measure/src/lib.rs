@@ -1,4 +1,10 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 //! `measure` — the paper's measurement library and campaign harness: the
 //! experiment of §3.2 (bootstrap ping, 9-domain resolutions against local

@@ -1020,7 +1020,7 @@ mod tests {
 
     #[test]
     fn seed_lanes_do_not_alias() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for lane in 0..5u64 {
             for idx in 0..6u64 {
                 assert!(seen.insert(derive_seed(2014, lane, idx)));

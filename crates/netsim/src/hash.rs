@@ -10,8 +10,11 @@
 //! The mix is Fx-style: each word is folded in by a rotate, an xor and a
 //! multiply by one fixed odd constant. There is no per-process seed, so a
 //! hash is a pure function of its key. Iteration order still depends on
-//! insertion history and capacity, so detlint's D1 treats these aliases
-//! like `HashMap`/`HashSet`: membership only, never order.
+//! insertion history and capacity, so the two types are newtypes that
+//! forward the membership API only: they have no `iter`, `keys`, `values`,
+//! `drain` or `into_iter`, and a loop over one does not compile. The
+//! workspace `clippy.toml` bans std's `HashMap` and `HashSet` outright, so
+//! these wrappers are the sim's only hash tables.
 //!
 //! Because the constant is odd, when only a key's last word varies, the
 //! low `n` bits of its hash are a bijection of that word's low `n` bits:
@@ -20,14 +23,106 @@
 //! [`FlowId`]: crate::engine::FlowId
 //! [`Prefix`]: crate::addr::Prefix
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the newtypes' insides: std's tables under the fixed hasher, with every \
+              order-revealing method left unforwarded"
+)]
+
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// A `HashMap` for sim-assigned keys (see the module doc).
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+type Fx = BuildHasherDefault<FxHasher>;
 
-/// A `HashSet` for sim-assigned keys (see the module doc).
-pub type FastSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
+/// A hash map for sim-assigned keys (see the module doc). It cannot be
+/// iterated:
+///
+/// ```compile_fail
+/// let mut m = netsim::hash::FastMap::<u32, u32>::default();
+/// m.insert(1, 2);
+/// for (k, v) in &m {
+///     println!("{k} {v}");
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct FastMap<K, V>(HashMap<K, V, Fx>);
+
+impl<K, V> Default for FastMap<K, V> {
+    #[inline]
+    fn default() -> Self {
+        FastMap(HashMap::default())
+    }
+}
+
+impl<K: Hash + Eq, V> FastMap<K, V> {
+    /// The value under `k`.
+    #[inline]
+    pub fn get(&self, k: &K) -> Option<&V> {
+        self.0.get(k)
+    }
+
+    /// The value under `k`, mutably.
+    #[inline]
+    pub fn get_mut(&mut self, k: &K) -> Option<&mut V> {
+        self.0.get_mut(k)
+    }
+
+    /// Whether `k` has a value.
+    #[inline]
+    pub fn contains_key(&self, k: &K) -> bool {
+        self.0.contains_key(k)
+    }
+
+    /// Stores `v` under `k`, returning the value it replaced.
+    #[inline]
+    pub fn insert(&mut self, k: K, v: V) -> Option<V> {
+        self.0.insert(k, v)
+    }
+
+    /// Removes and returns the value under `k`.
+    #[inline]
+    pub fn remove(&mut self, k: &K) -> Option<V> {
+        self.0.remove(k)
+    }
+
+    /// Removes every entry, keeping the allocation.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// A hash set for sim-assigned keys (see the module doc). It cannot be
+/// iterated:
+///
+/// ```compile_fail
+/// let mut s = netsim::hash::FastSet::<u32>::default();
+/// s.insert(1);
+/// let first = s.iter().next();
+/// ```
+#[derive(Debug, Clone)]
+pub struct FastSet<T>(HashSet<T, Fx>);
+
+impl<T> Default for FastSet<T> {
+    #[inline]
+    fn default() -> Self {
+        FastSet(HashSet::default())
+    }
+}
+
+impl<T: Hash + Eq> FastSet<T> {
+    /// Adds `t`; false if it was already present.
+    #[inline]
+    pub fn insert(&mut self, t: T) -> bool {
+        self.0.insert(t)
+    }
+
+    /// Removes `t`; false if it was absent.
+    #[inline]
+    pub fn remove(&mut self, t: &T) -> bool {
+        self.0.remove(t)
+    }
+}
 
 /// The multiplier of rustc's and Firefox's FxHash. It only has to be odd
 /// for the low-bit property in the module doc.

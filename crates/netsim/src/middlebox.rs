@@ -352,7 +352,7 @@ mod tests {
         assert_eq!(xlated.src, ip(66, 174, 1, 1));
         let pub_port = match xlated.transport {
             Transport::Udp { src_port, .. } => src_port,
-            _ => unreachable!(),
+            _ => panic!(),
         };
         assert_ne!(pub_port, 5000);
         let back = Packet::udp(ip(8, 8, 8, 8), 53, ip(66, 174, 1, 1), pub_port, vec![8]);
@@ -360,7 +360,7 @@ mod tests {
         assert_eq!(restored.dst, ip(10, 1, 1, 1));
         match restored.transport {
             Transport::Udp { dst_port, .. } => assert_eq!(dst_port, 5000),
-            _ => unreachable!(),
+            _ => panic!(),
         }
     }
 
@@ -371,7 +371,7 @@ mod tests {
         let xlated = nat.translate(out).unwrap();
         let pub_ident = match xlated.transport {
             Transport::Icmp(IcmpMsg::EchoRequest { ident, .. }) => ident,
-            _ => unreachable!(),
+            _ => panic!(),
         };
         let back = Packet {
             src: ip(8, 8, 4, 4),
@@ -389,7 +389,7 @@ mod tests {
             Transport::Icmp(IcmpMsg::EchoReply { ident, .. }) => {
                 assert_eq!(ident & 0xFFFF, 0xABCD)
             }
-            _ => unreachable!(),
+            _ => panic!(),
         }
     }
 
@@ -409,7 +409,7 @@ mod tests {
         let b = nat.translate(p2).unwrap();
         let (pa, pb) = match (a.transport, b.transport) {
             (Transport::Udp { src_port: x, .. }, Transport::Udp { src_port: y, .. }) => (x, y),
-            _ => unreachable!(),
+            _ => panic!(),
         };
         // Endpoint-independent: same inside (addr, port) keeps one mapping.
         assert_eq!(pa, pb);

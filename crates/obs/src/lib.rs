@@ -1,19 +1,21 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
-//! `obs` — the workspace's two-plane observability subsystem.
+//! `obs` — the workspace's deterministic observability plane.
 //!
 //! **Sim plane** ([`sim`]): deterministic, typed instruments (counters,
 //! high-water gauges, power-of-two histograms over sim-time micros) keyed
 //! by `(static name, sorted labels)`. Registry contents are part of the
 //! byte-identical-replay contract: the same seed and config produce the
 //! same exported bytes for every thread count. Nothing in this plane may
-//! read the wall clock or any other host state.
-//!
-//! **Host plane** ([`host`]): explicitly *non*-deterministic wall-clock
-//! stage profiling (build/campaign timings, events/sec, shard imbalance)
-//! for the driver binaries only. Host-plane readings are never serialized
-//! into `results/`; detlint rule D7 fences this module out of every crate
-//! except the driver binary and the serving plane.
+//! read the wall clock or any other host state. The wall-clock stage
+//! profiler is not here: it is `repro::host`, which no simulation crate
+//! can reach.
 //!
 //! **Catalog** ([`catalog`]): the one declaration of every sim-plane
 //! metric name and its instrument kind; detlint rule D12 and the tier-1
@@ -24,7 +26,6 @@
 
 pub mod catalog;
 pub mod hash;
-pub mod host;
 pub mod sim;
 
 pub use hash::sha256_hex;

@@ -1,4 +1,4 @@
-//! The host plane: wall-clock stage profiling for the driver binaries.
+//! The host plane: wall-clock stage profiling for the `repro` binary.
 //!
 //! Everything in this module is **explicitly non-deterministic** — it
 //! reads the host's monotonic clock and reports throughput that varies
@@ -7,12 +7,11 @@
 //! parseable output: host-plane readings go to stderr via
 //! [`Profiler::report`] and are never serialized into `results/`.
 //!
-//! detlint rule D7 makes this module unusable outside the host-plane
-//! crates (`detlint::HOST_PLANE_CRATES`). Clippy's `disallowed_methods`
-//! (the workspace `clippy.toml`) bans `Instant::now()` everywhere, and the
-//! one `#[expect]` in [`Stage::begin`] is the audited exception that
-//! quarantines the wall clock here instead of scattering it through
-//! `repro`'s code.
+//! No simulation crate depends on `repro`, so none can name this module.
+//! Clippy's `disallowed_methods` (the workspace `clippy.toml`) bans
+//! `Instant::now()` everywhere, and the one `#[expect]` in
+//! [`Stage::begin`] is the audited exception that quarantines the wall
+//! clock here instead of scattering it through `repro`'s code.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -30,8 +29,8 @@ impl Stage {
     pub fn begin(name: &'static str) -> Stage {
         #[expect(
             clippy::disallowed_methods,
-            reason = "the host plane's one audited wall-clock site; D7 keeps it inside the \
-                      host-plane crates"
+            reason = "the host plane's one audited wall-clock site; only the repro binary can \
+                      reach it"
         )]
         let start = Instant::now();
         Stage { name, start }

@@ -33,8 +33,8 @@
 use cdns::measure::{
     CampaignConfig, ExperimentSpec, FaultProfile, Parallelism, ProgressEvent, WorldConfig,
 };
-use cdns::obs::host::{Profiler, Stage};
 use cdns::{figures, Study, StudyConfig};
+use repro::host::{Profiler, Stage};
 use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;

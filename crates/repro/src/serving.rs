@@ -11,8 +11,8 @@
 //! rebuilds the ground truth from the world its handshake file names.
 
 use cdns::measure::WorldConfig;
-use cdns::obs::host::{Profiler, Stage};
 use loadgen::{build_script, render_profile_json, ChaosProfile, DriverConfig, MixConfig};
+use repro::host::{Profiler, Stage};
 use serve::{DnsServer, Endpoints};
 use std::fs;
 use std::net::Ipv4Addr;

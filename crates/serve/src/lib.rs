@@ -1,4 +1,10 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 //! `serve` — the live serving plane: a real UDP/TCP DNS service answering
 //! RFC 1035 wire queries out of the simulated cellular-DNS world.

@@ -80,7 +80,7 @@ fn ecs_partitions_the_resolver_cache_by_subnet() {
     let mut w = world_with(true, 77);
     let carrier = 3; // Verizon: single sticky external, shared by devices
     let device_idxs = w.devices_of(carrier);
-    let mut answers = std::collections::HashMap::new();
+    let mut answers = std::collections::BTreeMap::new();
     let domain = DnsName::parse("m.yelp.com").unwrap();
     for &di in device_idxs.iter().take(6) {
         let (shard, local) = w.locate_device(di);
@@ -103,7 +103,7 @@ fn ecs_partitions_the_resolver_cache_by_subnet() {
     // Devices at different sites get site-specific answers when the sites
     // are far enough apart (at least two distinct answers across sites).
     if answers.len() >= 3 {
-        let distinct: std::collections::HashSet<_> = answers.values().collect();
+        let distinct: std::collections::BTreeSet<_> = answers.values().collect();
         assert!(
             distinct.len() >= 2,
             "all sites got one cached answer: cache not ECS-partitioned"

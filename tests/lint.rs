@@ -1,10 +1,10 @@
 //! Workspace-clean gate: the determinism-and-safety lint pass must report
 //! zero findings on the tree. This runs inside plain `cargo test -q`, so a
-//! reintroduced hash-iteration, seed-provenance or hot-path panic hazard
+//! reintroduced seed-provenance, float-order or hot-path allocation hazard
 //! fails CI even before the dedicated detlint step. The checks detlint left
-//! to the toolchain (wall clock, panics in the hot crates, unsafe code) live
-//! in the manifests and `clippy.toml`; `lint_tables_carry_the_moved_checks`
-//! keeps them there.
+//! to the toolchain (wall clock, std hash tables, panics in the sim crates
+//! and `serve`, unsafe code) live in the manifests, the crate roots and
+//! `clippy.toml`; `lint_tables_carry_the_moved_checks` keeps them there.
 
 use std::path::Path;
 
@@ -30,10 +30,11 @@ fn workspace_is_detlint_clean() {
     );
 }
 
-/// The flow rules only bite if their inputs stay wired: the engine's
-/// dispatch/parse hot paths must keep their `// detlint: hot` annotations
-/// (D9/D10 roots), and the D12 cross-check must still parse the metric
-/// catalog. Deleting any of these would silently disarm the lint while
+/// The rules only bite if their inputs stay wired: the engine's
+/// dispatch/parse hot paths must keep their `// detlint: hot` annotations,
+/// which D10 (no allocation on the hot path) is the only rule to read, and
+/// the D12 cross-check must still parse the metric catalog. Deleting any
+/// of these would silently disarm the lint while
 /// `workspace_is_detlint_clean` kept passing.
 #[test]
 fn flow_rule_inputs_stay_wired() {
@@ -47,7 +48,7 @@ fn flow_rule_inputs_stay_wired() {
         let text = std::fs::read_to_string(root.join(file)).expect(file);
         assert!(
             text.contains("// detlint: hot"),
-            "{file} lost its hot-path annotations; D9/D10 have no roots there"
+            "{file} lost its hot-path annotations; D10 has nothing to check there"
         );
     }
     let decls = detlint::load_metric_decls(root);
@@ -81,11 +82,12 @@ fn toml_value<'a>(text: &'a str, section: &str, key: &str) -> Option<&'a str> {
     None
 }
 
-/// detlint retired its wall-clock, panic and unsafe-code rules because
-/// rustc and clippy enforce them from the lint tables. This keeps those
-/// tables whole: every member forbids `unsafe_code` (directly or through
-/// `[workspace.lints]`), every crate whose panics D9 leaves to clippy
-/// denies them there, and `clippy.toml` still bans both wall clocks.
+/// detlint retired its wall-clock, hash-order, panic and unsafe-code rules
+/// because rustc and clippy enforce them. This keeps their homes whole:
+/// every member forbids `unsafe_code` (directly or through
+/// `[workspace.lints]`), every sim crate and `serve` denies clippy's four
+/// panic lints at its crate root, and `clippy.toml` still bans both wall
+/// clocks and std's `HashMap` and `HashSet`.
 #[test]
 fn lint_tables_carry_the_moved_checks() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -118,27 +120,41 @@ fn lint_tables_carry_the_moved_checks() {
         );
     }
 
-    for krate in detlint::HOT_CRATES {
-        let text = read(&root.join("crates").join(krate).join("Cargo.toml"));
-        for lint in ["unwrap_used", "expect_used", "panic"] {
-            assert_eq!(
-                toml_value(&text, "lints.clippy", lint),
-                Some("\"deny\""),
-                "{krate} must deny clippy::{lint}: detlint D9 leaves those sinks to clippy"
+    for krate in detlint::SIM_CRATES.iter().chain(&["serve"]) {
+        let lib = read(&root.join("crates").join(krate).join("src/lib.rs"));
+        let denied: Vec<&str> = lib
+            .split_once("#![deny(")
+            .and_then(|(_, rest)| rest.split_once(")]"))
+            .map(|(list, _)| list.split(',').map(str::trim).collect())
+            .unwrap_or_default();
+        for lint in ["unwrap_used", "expect_used", "panic", "unreachable"] {
+            assert!(
+                denied.contains(&format!("clippy::{lint}").as_str()),
+                "{krate}'s crate root must deny clippy::{lint}"
             );
         }
     }
 
     let clippy = read(&root.join("clippy.toml"));
-    let banned = clippy
-        .split_once("disallowed-methods")
-        .and_then(|(_, rest)| rest.split_once(']'))
-        .map(|(list, _)| list)
-        .unwrap_or("");
+    let list = |key: &str| {
+        clippy
+            .split_once(key)
+            .and_then(|(_, rest)| rest.split_once("\n]"))
+            .map(|(list, _)| list.to_string())
+            .unwrap_or_default()
+    };
+    let methods = list("disallowed-methods");
     for method in ["std::time::Instant::now", "std::time::SystemTime::now"] {
         assert!(
-            banned.contains(&format!("\"{method}\"")),
+            methods.contains(&format!("\"{method}\"")),
             "clippy.toml's disallowed-methods no longer lists {method}"
+        );
+    }
+    let types = list("disallowed-types");
+    for ty in ["std::collections::HashMap", "std::collections::HashSet"] {
+        assert!(
+            types.contains(&format!("\"{ty}\"")),
+            "clippy.toml's disallowed-types no longer lists {ty}"
         );
     }
 }

@@ -87,11 +87,11 @@ fn replicas_returned_differ_between_resolver_slash24s() {
         .iter()
         .map(|&(_, a)| a)
         .collect();
-    let mut distinct_sets = std::collections::HashSet::new();
+    let mut distinct_sets = std::collections::BTreeSet::new();
     for &addr in &ext {
         distinct_sets.insert(cdn.select(addr));
     }
-    let prefixes: std::collections::HashSet<_> =
+    let prefixes: std::collections::BTreeSet<_> =
         ext.iter().map(|&a| Prefix::slash24_of(a)).collect();
     assert!(
         distinct_sets.len() > 1,

@@ -77,7 +77,7 @@ fn sk_carriers_confine_externals_to_few_slash24s() {
     use behind_the_curtain::netsim::addr::Prefix;
     for name in ["SK Telecom", "LG U+"] {
         let c = ds.carrier_names.iter().position(|n| n == name).unwrap();
-        let mut prefixes = std::collections::HashSet::new();
+        let mut prefixes = std::collections::BTreeSet::new();
         for r in ds.of_carrier(c) {
             if let Some(ext) = r.local_external() {
                 prefixes.insert(Prefix::slash24_of(ext));
